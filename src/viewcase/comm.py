@@ -28,6 +28,7 @@ reported by `scan_timeouts`.
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,19 +48,9 @@ def auth_tag(key: bytes, data: bytes) -> int:
     return h
 
 
-_CRC_TABLE = []
-for _byte in range(256):
-    _crc = _byte << 8
-    for _ in range(8):
-        _crc = ((_crc << 1) ^ 0x1021) & 0xFFFF if _crc & 0x8000 else (_crc << 1) & 0xFFFF
-    _CRC_TABLE.append(_crc)
-
-
 def crc16(data: bytes, crc: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection)."""
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ b]
-    return crc
+    return binascii.crc_hqx(data, crc)
 
 
 # --- priorities ----------------------------------------------------------------

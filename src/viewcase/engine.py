@@ -379,6 +379,7 @@ class SimWorld:
                 self.channels[c.id] = MessageQueueRt(c, c.writer, list(c.readers))
             else:
                 self.channels[c.id] = SharedSegmentRt(c, c.writer, list(c.readers))
+        self._index_endpoints()
         self.metrics = Metrics()
         for pid in processes:
             self.metrics.process(pid)
@@ -394,6 +395,17 @@ class SimWorld:
         self._ticking: str | None = None  # process whose tick is executing
 
     # -- plumbing --
+
+    def _index_endpoints(self) -> None:
+        """Per-process lists of the channels each process reads and writes, in channel order."""
+        self.reads: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        self.writes: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        for ch in self.channels.values():
+            if ch.writer in self.writes:
+                self.writes[ch.writer].append(ch)
+            for reader in dict.fromkeys(ch.readers):
+                if reader in self.reads:
+                    self.reads[reader].append(ch)
 
     def _schedule(self, time: int, kind: int, payload: tuple) -> None:
         if time > self.horizon:
@@ -482,6 +494,7 @@ class SimWorld:
             if changed:
                 rebound.append(ch.channel.id)
                 self.trace(now, standby_id, "-", "rebind", f"{ch.channel.id} from {dead_id}")
+        self._index_endpoints()
         return rebound
 
     def kill(self, process_id: str, now: int, cause: str) -> None:
@@ -539,9 +552,7 @@ class SimWorld:
             self._schedule(now + thread.period, _EV_THREAD, (process_id, role))
 
     def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
-        for ch in self.channels.values():
-            if proc.id not in ch.readers:
-                continue
+        for ch in self.reads[proc.id]:
             if isinstance(ch, MessageQueueRt):
                 items, ch.items = ch.items, []
                 for _, msg in items:
@@ -555,8 +566,8 @@ class SimWorld:
                     self.post_mailbox(proc.id, ch.slot, now)
 
     def _transmitter_pass(self, proc: ProcessInstance, now: int) -> None:
-        for ch in self.channels.values():
-            if ch.writer != proc.id or not isinstance(ch, SharedSegmentRt):
+        for ch in self.writes[proc.id]:
+            if not isinstance(ch, SharedSegmentRt):
                 continue
             period = ch.channel.period_ms
             if period is None:
@@ -587,11 +598,7 @@ class SimWorld:
         """
         if token.startswith("uc:"):
             source = token[3:]
-            return [
-                ch.channel.id
-                for ch in self.channels.values()
-                if ch.writer == proc.id and ch.channel.source == source
-            ]
+            return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == source]
         return [token] if token in self.channels else []
 
     def _complete_dispatch(self, proc: ProcessInstance, active: _ActiveDispatch, now: int) -> None:

@@ -108,11 +108,11 @@ def _as_bytes(body: object) -> bytes:
     return bytes(body) if isinstance(body, (bytes, bytearray)) else b""
 
 
-def _authenticate(key: bytes):
+def _authenticate():
+    """Stage the body; packetize computes each packet's tag."""
+
     def fn(ctx: ActionContext) -> None:
-        body = _as_bytes(ctx.msg.body)
-        ctx.vars["_body"] = body
-        ctx.vars["_tag"] = comm.auth_tag(key, body)
+        ctx.vars["_body"] = _as_bytes(ctx.msg.body)
 
     return fn
 
@@ -135,7 +135,6 @@ def _transmit(uc: str, data_type: str):
         priority = comm.classify_priority(data_type)
         for frame in ctx.vars.pop("_frames"):
             ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", frame, priority))
-        ctx.vars.pop("_tag", None)
 
     return fn
 
@@ -192,7 +191,7 @@ def _codec_machine(
         trigger,
         leaf,
         actions=(
-            Action("authenticate", _authenticate(key)),
+            Action("authenticate", _authenticate()),
             Action("encode", _encode(lane, "track_data", link, mtu, key)),
             Action("transmit", _transmit(uc, "track_data")),
         ),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import FlowClass, TrafficFlow, UseCaseModel
-from .partition import ProcessNode, ProcessPlan
+from .partition import ProcessPlan
 
 DEFAULT_QUEUE_CAPACITY = 64
 
@@ -69,39 +69,36 @@ class UnroutableFlow(Exception):
         self.flow = flow
 
 
-def _nodes_of_actor(plan: ProcessPlan, actor: str) -> list[ProcessNode]:
-    return [n for n in plan.nodes if n.actor == actor]
-
-
 def dependency_graph(plan: ProcessPlan, model: UseCaseModel) -> list[DependencyEdge]:
     """Derive inter-process edges from the plan's nodes and the model's flows."""
-    producers: dict[str, list[ProcessNode]] = {}
+    producers: dict[str, set[str]] = {}
     for node in plan.all_nodes():
         for uc in node.owned_use_cases():
-            producers.setdefault(uc, []).append(node)
+            producers.setdefault(uc, set()).add(node.id)
+    sinks: dict[str, list[str]] = {}
+    for node in plan.nodes:
+        sinks.setdefault(node.actor, []).append(node.id)
 
     for flow in model.flows:
-        if not _nodes_of_actor(plan, flow.sink):
+        if flow.sink not in sinks:
             raise UnroutableFlow(flow)
 
     edges: list[DependencyEdge] = []
     for node in plan.all_nodes():
         periodic_by_source: dict[str, list[TrafficFlow]] = {}
         for flow in model.flows:
-            if node not in producers.get(flow.source, []):
+            if node.id not in producers.get(flow.source, ()):
                 continue
             if flow.klass is FlowClass.PERIODIC:
                 periodic_by_source.setdefault(flow.source, []).append(flow)
             else:
-                for consumer in _nodes_of_actor(plan, flow.sink):
-                    if consumer.id != node.id:
-                        edges.append(DependencyEdge(node.id, (consumer.id,), flow))
+                for consumer in sinks[flow.sink]:
+                    if consumer != node.id:
+                        edges.append(DependencyEdge(node.id, (consumer,), flow))
         for source, flows in periodic_by_source.items():
-            consumers = []
-            for flow in flows:
-                for consumer in _nodes_of_actor(plan, flow.sink):
-                    if consumer.id != node.id and consumer.id not in consumers:
-                        consumers.append(consumer.id)
+            consumers = dict.fromkeys(
+                c for flow in flows for c in sinks[flow.sink] if c != node.id
+            )
             if consumers:
                 edges.append(DependencyEdge(node.id, tuple(consumers), flows[0]))
     return edges

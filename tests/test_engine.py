@@ -21,6 +21,7 @@ from viewcase.engine import (
     parse_scenario,
     run,
 )
+from viewcase.fixture import build_world
 from viewcase.ipc import assign_ipc, dependency_graph
 from viewcase.model import parse_model
 from viewcase.partition import MappingPolicy, Objective, build_plan
@@ -300,6 +301,40 @@ def test_periodic_segment_written_by_transmitter_without_stimuli():
     samples = trace.rows_of("sample", "B#0")
     assert samples
     assert metrics.process("B#0").dispatches > 0
+
+
+def _assert_endpoint_index_matches_channels(world):
+    """Each process's read/write lists equal a brute-force filter in channel order."""
+    for pid in world.processes:
+        reads = [ch for ch in world.channels.values() if pid in ch.readers]
+        writes = [ch for ch in world.channels.values() if ch.writer == pid]
+        assert [id(ch) for ch in world.reads[pid]] == [id(ch) for ch in reads], pid
+        assert [id(ch) for ch in world.writes[pid]] == [id(ch) for ch in writes], pid
+
+
+def test_endpoint_index_follows_rebinding():
+    _, _, world = build_world()
+    _assert_endpoint_index_matches_channels(world)
+    rebound = world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 1000)
+    _assert_endpoint_index_matches_channels(world)
+    world.rebind_endpoints("LocalHost#1", "StandbyCI#0", 1000)
+    _assert_endpoint_index_matches_channels(world)
+    # the dead host keeps only its scan-only health segment
+    assert world.reads["LocalHost#0"] == []
+    assert [ch.channel.id for ch in world.writes["LocalHost#0"]] == ["shm:LocalHost#0:ReportHealth"]
+
+    segment = "shm:Operator#0:ExchangeStatus"
+    queue = "mq:PeerCI#0:LocalHost#0:ReceiveData"
+    assert {segment, queue} <= set(rebound)
+    world.channel_send(segment, ActorMessage("ExchangeStatus", b"s", 0), 1001)
+    world.channel_send(queue, ActorMessage("DATA_PKT", b"q", 200), 1001)
+    world._receiver_pass(world.processes["StandbyCI#0"], 1002)
+    received = {
+        (r.event, r.detail.split()[0])
+        for r in world.trace_rows
+        if r.process == "StandbyCI#0" and r.thread == "receiver"
+    }
+    assert received == {("sample", segment), ("recv", queue)}
 
 
 # --- kill isolation -------------------------------------------------------------------------

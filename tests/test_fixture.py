@@ -1,8 +1,10 @@
 """The bundled communication-interface example: model, behaviors, worlds."""
 
+import hashlib
+
 import pytest
 
-from viewcase.engine import parse_scenario, run
+from viewcase.engine import degradation_report, parse_scenario, run
 from viewcase.fixture import (
     FIXTURE_MODEL,
     HEALTH_SOURCE,
@@ -16,7 +18,7 @@ from viewcase.fixture import (
 )
 from viewcase.ipc import assign_ipc, dependency_graph
 from viewcase.model import Instantiation, parse_model, trigger_map, validate_model
-from viewcase.partition import MappingPolicy, Objective, build_plan
+from viewcase.partition import MappingPolicy, Objective, build_plan, render_plan
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +202,40 @@ def test_health_segments_are_scan_only():
     assert len(health_channels) == 10
     sampled = {r.detail.split()[0] for r in trace.rows_of("sample")}
     assert sampled.isdisjoint(health_channels)
+
+
+# sha256 of the four simulate artifacts, recorded before the runtime kept
+# per-process endpoint lists; any reordering of sends or samples shows here.
+_PINNED_ARTIFACTS = {
+    "degradation": {
+        "trace.tsv": "9f717d38202e990f686d7f1c5ad9ead574d964f074185ac0cbb5bc92219f08b3",
+        "metrics.txt": "4c2400b50758f5b6f0b4ffac78912437024d18c58fbdad65e0d8cd69f102ea3f",
+        "report.txt": "f6a25c8102d3aabbdba9ee61be4b8c0fc8b5f23456bb4306142fa28c9b7411fd",
+        "plan.txt": "a8277dd1319fb8e89f4dc16fa254f8306c85bebb27c5c6b3f3e80d79c557004e",
+    },
+    "failover": {
+        "trace.tsv": "0f1517fe9888bab144f1c3fe93429c0eac2e8cf3f033675a7576757ae25e93e0",
+        "metrics.txt": "5663d617c84cb75056ebb0105adf9961913bf749d0098c63ddd1df9a3658f647",
+        "report.txt": "84c451d5cd632a97942d88f3a654a48e259371c7b92dba1d6e2603da24a1179c",
+        "plan.txt": "a8277dd1319fb8e89f4dc16fa254f8306c85bebb27c5c6b3f3e80d79c557004e",
+    },
+}
+
+
+def test_artifacts_match_pinned_digests():
+    scenarios = {
+        "degradation": (degradation_scenario(), 3000),
+        "failover": (failover_scenario(), 2000),
+    }
+    digests = {}
+    for name, (text, horizon) in scenarios.items():
+        plan, channels, world = build_world()
+        trace, metrics = world.run(parse_scenario(text), horizon, seed=11)
+        artifacts = {
+            "trace.tsv": trace.to_text(),
+            "metrics.txt": metrics.to_text(),
+            "report.txt": degradation_report(metrics, plan).to_text(metrics),
+            "plan.txt": render_plan(plan, channels),
+        }
+        digests[name] = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
+    assert digests == _PINNED_ARTIFACTS

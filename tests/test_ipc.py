@@ -17,7 +17,7 @@ from viewcase.ipc import (
     emit_component_graph,
 )
 from viewcase.model import FlowClass, TrafficFlow, parse_model
-from viewcase.partition import MappingPolicy, build_plan, plan_diff
+from viewcase.partition import MappingPolicy, Objective, build_plan, plan_diff
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,55 @@ def test_every_health_producer_gets_its_own_edge(plan, model):
     health = [e for e in edges if e.flow.source == "ReportHealth"]
     assert len(health) == 10
     assert all(e.consumers == ("CommEquipment#*",) for e in health)
+
+
+def _reference_dependency_graph(plan, model):
+    """Brute-force edge derivation: list scans over nodes for every flow."""
+
+    def nodes_of_actor(actor):
+        return [n for n in plan.nodes if n.actor == actor]
+
+    producers = {}
+    for node in plan.all_nodes():
+        for uc in node.owned_use_cases():
+            producers.setdefault(uc, []).append(node)
+    for flow in model.flows:
+        if not nodes_of_actor(flow.sink):
+            raise UnroutableFlow(flow)
+    edges = []
+    for node in plan.all_nodes():
+        periodic_by_source = {}
+        for flow in model.flows:
+            if node not in producers.get(flow.source, []):
+                continue
+            if flow.klass is FlowClass.PERIODIC:
+                periodic_by_source.setdefault(flow.source, []).append(flow)
+            else:
+                for consumer in nodes_of_actor(flow.sink):
+                    if consumer.id != node.id:
+                        edges.append(DependencyEdge(node.id, (consumer.id,), flow))
+        for flows in periodic_by_source.values():
+            consumers = []
+            for flow in flows:
+                for consumer in nodes_of_actor(flow.sink):
+                    if consumer.id != node.id and consumer.id not in consumers:
+                        consumers.append(consumer.id)
+            if consumers:
+                edges.append(DependencyEdge(node.id, tuple(consumers), flows[0]))
+    return edges
+
+
+@pytest.mark.parametrize("peers", [1, 6, 50])
+@pytest.mark.parametrize(
+    "policy",
+    [MappingPolicy(), MappingPolicy(Objective.MEMORY_BOUND, memory_budget=10**9)],
+    ids=["fault-tolerance", "memory-bound"],
+)
+def test_dependency_graph_matches_brute_force_reference(model, peers, policy):
+    scaled = scale_peers(model, peers)
+    plan = build_plan(scaled, policy)
+    # frozen-dataclass equality: same order, same consumer tuples, same flows
+    assert dependency_graph(plan, scaled) == _reference_dependency_graph(plan, scaled)
 
 
 def test_unroutable_flow_raises(model):
