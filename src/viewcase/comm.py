@@ -307,14 +307,9 @@ def convert_to_frame(pkt: Packet, link: LinkType | str) -> bytes:
         length = struct.pack(">H", len(body))
         return LINK_A_SYNC + length + body + struct.pack(">H", crc16(length + body))
     inner = body + struct.pack(">H", crc16(body))
-    stuffed = bytearray([_FLAG])
-    for b in inner:
-        if b in (_FLAG, _ESCAPE):
-            stuffed += bytes((_ESCAPE, b ^ 0x20))
-        else:
-            stuffed.append(b)
-    stuffed.append(_FLAG)
-    return bytes(stuffed)
+    # escape 0x7D first, or the escapes written for 0x7E would be escaped again
+    stuffed = inner.replace(b"\x7d", b"\x7d\x5d").replace(b"\x7e", b"\x7d\x5e")
+    return b"\x7e" + stuffed + b"\x7e"
 
 
 def convert_from_frame(data: bytes, link: LinkType | str) -> Packet:
@@ -339,22 +334,21 @@ def convert_from_frame(data: bytes, link: LinkType | str) -> Packet:
             raise FrameCorrupt("flag inside frame")
         inner = bytearray()
         i = 0
-        while i < len(raw):
-            b = raw[i]
-            if b == _ESCAPE:
-                if i + 1 >= len(raw):
-                    raise FrameCorrupt("dangling escape")
-                inner.append(raw[i + 1] ^ 0x20)
-                i += 2
-            else:
-                inner.append(b)
-                i += 1
+        j = raw.find(_ESCAPE)
+        while j >= 0:
+            if j + 1 >= len(raw):
+                raise FrameCorrupt("dangling escape")
+            inner += raw[i:j]
+            inner.append(raw[j + 1] ^ 0x20)
+            i = j + 2
+            j = raw.find(_ESCAPE, i)
+        inner += raw[i:]
         if len(inner) < HEADER_LEN + 2:
             raise FrameCorrupt("short frame")
-        (crc,) = struct.unpack(">H", inner[-2:])
-        if crc16(bytes(inner[:-2])) != crc:
-            raise FrameCorrupt("checksum mismatch")
         body = bytes(inner[:-2])
+        (crc,) = struct.unpack(">H", inner[-2:])
+        if crc16(body) != crc:
+            raise FrameCorrupt("checksum mismatch")
     try:
         return Packet.from_bytes(body)
     except ValueError as exc:

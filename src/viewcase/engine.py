@@ -646,22 +646,19 @@ class SimWorld:
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
         """Dispatch one message; returns True when a timed dispatch started."""
-        fire_key = None
         for key, machine in proc.machines.items():
-            if select_transition(machine, msg) is not None:
-                fire_key = key
-                break
-        if fire_key is not None:
-            machine = proc.machines[fire_key]
-            result = dispatch(machine, msg)
+            transition = select_transition(machine, msg)
+            if transition is None:
+                continue
+            result = dispatch(machine, msg, transition, now=now)
             proc.dispatch_counter += 1
             n = proc.dispatch_counter
             self.trace(
                 now, proc.id, "processor", "dispatch",
-                f"{fire_key}/{msg.signal} d{n} actions {len(result.actions_run)}",
+                f"{key}/{msg.signal} d{n} actions {len(result.actions_run)}",
             )
             active = _ActiveDispatch(
-                machine_key=fire_key,
+                machine_key=key,
                 signal=msg.signal,
                 pending_actions=list(zip(result.actions_run, result.action_costs)),
                 ms_left=0,
@@ -674,10 +671,10 @@ class SimWorld:
                 return False
             proc.active = active
             return True
-        for key, machine in proc.machines.items():
+        for key, machine in proc.machines.items():  # no machine matched
             context = state_context(machine)
             if any(msg.signal in machine.states[s].deferred_signals for s in context):
-                dispatch(machine, msg)  # lands in the deferral buffer
+                dispatch(machine, msg, None, now=now)  # lands in the deferral buffer
                 self.metrics.process(proc.id).deferrals += 1
                 self.trace(now, proc.id, "processor", "defer", f"{key}/{msg.signal}")
                 return False

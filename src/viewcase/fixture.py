@@ -154,13 +154,23 @@ def _deframe():
     return fn
 
 
-def _reassemble(key: bytes):
+def _reassemble(key: bytes, timeout: int):
+    """Feed the decoded packet to the machine's buffer, a resource: a failed
+    action does not roll it back, and no dispatch copies it."""
+
     def fn(ctx: ActionContext) -> None:
         pkt = ctx.vars.pop("_pkt", None)
         if pkt is None:
             return
-        buf = ctx.vars.setdefault("rx", comm.ReassemblyBuffer(owner="local"))
-        outcome = comm.reassemble(buf, pkt, now=0, timeout=1 << 30, key=key, src="wire")
+        buf = ctx.res.setdefault("rx", comm.ReassemblyBuffer(owner="local"))
+        outcome = comm.reassemble(buf, pkt, now=ctx.now, timeout=timeout, key=key, src="wire")
+        # completed keys are stored in completion order: the stale ones lead
+        done = buf.completed
+        while done:
+            k, done_at = next(iter(done.items()))
+            if ctx.now - done_at < timeout:
+                break
+            del done[k]
         ctx.vars[outcome.kind.value] = ctx.vars.get(outcome.kind.value, 0) + 1
         if outcome.kind is comm.OutcomeKind.COMPLETE:
             assert outcome.message is not None
@@ -181,6 +191,7 @@ def _codec_machine(
     leaf: str,
     mtu: int,
     key: bytes,
+    timeout: int,
 ) -> StateMachine:
     """Endpoint that both produces framed traffic and ingests it."""
     b = MachineBuilder(label)
@@ -200,7 +211,7 @@ def _codec_machine(
         leaf,
         "DATA_PKT",
         leaf,
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key))),
+        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key, timeout))),
     )
     b.transition(leaf, "ExchangeStatus", leaf, actions=(Action("note_status", _bump("status_seen")),))
     machine = b.build()
@@ -243,7 +254,7 @@ def _monitor_machine(label: str) -> StateMachine:
     return b.build()
 
 
-def _standby_machine(label: str, mtu: int, key: bytes) -> StateMachine:
+def _standby_machine(label: str, key: bytes, timeout: int) -> StateMachine:
     b = MachineBuilder(label)
     b.state("Top", initial="Standby")
     b.state("Standby", parent="Top", defer=("DATA_PKT",))
@@ -254,7 +265,7 @@ def _standby_machine(label: str, mtu: int, key: bytes) -> StateMachine:
         "Active",
         "DATA_PKT",
         "Active",
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key))),
+        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key, timeout))),
     )
     b.transition("Standby", "ExchangeStatus", "Standby", actions=(Action("note_status", _bump("status_seen")),))
     b.transition("Active", "ExchangeStatus", "Active", actions=(Action("note_status", _bump("status_seen")),))
@@ -296,6 +307,7 @@ def build_behaviors(
     channels: list[IpcChannel] | None = None,
     mtu_payload: int = 1000,
     auth_key: bytes = AUTH_KEY,
+    reassembly_timeout: int = comm.DEFAULT_CONFIG.reassembly_timeout,
 ) -> dict[str, dict[str, StateMachine]]:
     """One behavior set per process node, keyed by the machine's use case.
 
@@ -313,19 +325,21 @@ def build_behaviors(
             lane, host_lane = host_lane, host_lane + 1
             out[node.id] = {
                 "SendData": _codec_machine(
-                    node.id, "SendData", lane, comm.LinkType.LINK_A, "SEND_REQ", "Idle", mtu_payload, auth_key
+                    node.id, "SendData", lane, comm.LinkType.LINK_A, "SEND_REQ", "Idle",
+                    mtu_payload, auth_key, reassembly_timeout,
                 )
             }
         elif actor == "PeerCI":
             lane, peer_lane = peer_lane, peer_lane + 1
             out[node.id] = {
                 "ReceiveData": _codec_machine(
-                    node.id, "ReceiveData", lane, comm.LinkType.LINK_B, "RX_DATA", "Listening", mtu_payload, auth_key
+                    node.id, "ReceiveData", lane, comm.LinkType.LINK_B, "RX_DATA", "Listening",
+                    mtu_payload, auth_key, reassembly_timeout,
                 ),
                 "MaintainSession": _session_machine(f"{node.id}:session"),
             }
         elif actor == "StandbyCI":
-            out[node.id] = {"TakeOver": _standby_machine(node.id, mtu_payload, auth_key)}
+            out[node.id] = {"TakeOver": _standby_machine(node.id, auth_key, reassembly_timeout)}
         elif actor == "Operator":
             out[node.id] = {"ExchangeStatus": _operator_machine(node.id)}
         elif actor == "CommEquipment":
@@ -390,7 +404,9 @@ def build_world(
     cfg = comm_config or comm.DEFAULT_CONFIG
     plan = build_plan(model, policy)
     channels = assign_ipc(dependency_graph(plan, model))
-    behaviors = build_behaviors(plan, channels, cfg.mtu_payload, cfg.auth_key)
+    behaviors = build_behaviors(
+        plan, channels, cfg.mtu_payload, cfg.auth_key, cfg.reassembly_timeout
+    )
     failover = None
     if with_failover:
         monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)

@@ -4,10 +4,12 @@ A machine is a tree of states (nested OR-states, no orthogonal regions).
 Messages are (signal, body, priority) tuples. Dispatch walks the state
 context from the current leaf to the root and fires the first matching
 transition (innermost precedence); the exit/transition/entry action
-sequence runs atomically. Unmatched messages are discarded unless a state
-in the current context defers the signal, in which case they wait in the
-deferral buffer and are recalled, in arrival order, once a dispatch lands
-in a context that no longer defers them.
+sequence runs atomically with respect to the machine's state and
+variables, but not its resources (see :func:`dispatch`). Unmatched
+messages are discarded unless a state in the current context defers the
+signal, in which case they wait in the deferral buffer and are recalled,
+in arrival order, once a dispatch lands in a context that no longer
+defers them.
 
 Machines can be built three ways: directly from the dataclasses, through
 :class:`MachineBuilder`, or from the line-oriented text notation accepted
@@ -87,10 +89,15 @@ class ActionContext:
     machine: "StateMachine"
     msg: ActorMessage
     emitted: list[tuple[str, ActorMessage]] = field(default_factory=list)
+    now: int = 0  # virtual ms of the dispatch; 0 outside a simulation
 
     @property
     def vars(self) -> dict:
         return self.machine.variables
+
+    @property
+    def res(self) -> dict:
+        return self.machine.resources
 
     def emit(self, destination: str, msg: ActorMessage) -> None:
         self.emitted.append((destination, msg))
@@ -108,7 +115,12 @@ class DispatchResult:
 
 
 class StateMachine:
-    """Mutable machine instance; quiescent between dispatches."""
+    """Mutable machine instance; quiescent between dispatches.
+
+    `variables` is the machine's extended state and is rolled back when an
+    action fails. `resources` holds long-lived objects such as codec
+    buffers; like OS resources, they are not rolled back.
+    """
 
     def __init__(
         self,
@@ -125,6 +137,7 @@ class StateMachine:
             self.states[s.id] = s
         self.transitions = tuple(transitions)
         self.variables: dict = dict(variables or {})
+        self.resources: dict = {}
         self.deferral_buffer: list[ActorMessage] = []
         self._children: dict[str, list[str]] = {}
         roots = []
@@ -204,14 +217,26 @@ def _lca(machine: StateMachine, a: str, b: str) -> str:
     raise ValueError(f"states {a!r} and {b!r} share no ancestor")
 
 
-def dispatch(machine: StateMachine, msg: ActorMessage) -> DispatchResult:
+_SELECT = object()  # dispatch's default: select the transition itself
+
+
+def dispatch(
+    machine: StateMachine,
+    msg: ActorMessage,
+    transition: Transition | None | object = _SELECT,
+    now: int = 0,
+) -> DispatchResult:
     """Run-to-completion dispatch of one message.
 
     Fires at most one transition; the full exit/transition/entry action
-    sequence either completes or (on ActionFailure) leaves the machine in
-    its pre-dispatch state.
+    sequence either completes or (on ActionFailure) restores the machine's
+    pre-dispatch state, variables and deferral buffer. Resources are not
+    rolled back. A caller that has already run `select_transition(machine,
+    msg)` passes its result (None included) as `transition`, so guards run
+    once per dispatch. `now` reaches the actions as `ctx.now`.
     """
-    transition = select_transition(machine, msg)
+    if transition is _SELECT:
+        transition = select_transition(machine, msg)
     if transition is None:
         context = state_context(machine)
         if any(msg.signal in machine.states[s].deferred_signals for s in context):
@@ -252,7 +277,7 @@ def dispatch(machine: StateMachine, msg: ActorMessage) -> DispatchResult:
     saved_vars = copy.deepcopy(machine.variables)
     saved_buffer = list(machine.deferral_buffer)
 
-    ctx = ActionContext(machine, msg)
+    ctx = ActionContext(machine, msg, now=now)
     ran: list[str] = []
     try:
         for action in plan:

@@ -491,3 +491,94 @@ def test_frame_round_trip(payload, link, msg_id, priority):
     header = struct.pack(">IHHBH", msg_id, 0, 1, priority, len(payload))
     pkt = Packet(msg_id, 0, 1, priority, payload, auth_tag(KEY, header + payload))
     assert convert_from_frame(convert_to_frame(pkt, link), link) == pkt
+
+
+# --- LINK_B stuffing against the per-byte reference ----------------------------------------
+
+
+def _stuff_bytewise(inner: bytes) -> bytes:
+    out = bytearray([0x7E])
+    for b in inner:
+        if b in (0x7E, 0x7D):
+            out += bytes((0x7D, b ^ 0x20))
+        else:
+            out.append(b)
+    out.append(0x7E)
+    return bytes(out)
+
+
+def _deframe_link_b_bytewise(data: bytes) -> Packet:
+    if len(data) < 2 or data[0] != 0x7E or data[-1] != 0x7E:
+        raise FrameCorrupt("bad delimiters")
+    raw = data[1:-1]
+    if 0x7E in raw:
+        raise FrameCorrupt("flag inside frame")
+    inner = bytearray()
+    i = 0
+    while i < len(raw):
+        b = raw[i]
+        if b == 0x7D:
+            if i + 1 >= len(raw):
+                raise FrameCorrupt("dangling escape")
+            inner.append(raw[i + 1] ^ 0x20)
+            i += 2
+        else:
+            inner.append(b)
+            i += 1
+    if len(inner) < HEADER_LEN + 2:
+        raise FrameCorrupt("short frame")
+    (crc,) = struct.unpack(">H", inner[-2:])
+    if crc16(bytes(inner[:-2])) != crc:
+        raise FrameCorrupt("checksum mismatch")
+    try:
+        return Packet.from_bytes(bytes(inner[:-2]))
+    except ValueError as exc:
+        raise FrameCorrupt(str(exc)) from None
+
+
+def _decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except FrameCorrupt as exc:
+        return f"corrupt: {exc}"
+
+
+# Half the drawn bytes are the ones stuffing touches: flag, escape, and their escaped forms.
+_stuffing_bytes = st.lists(
+    st.one_of(st.sampled_from([0x7D, 0x7E, 0x5D, 0x5E]), st.integers(0, 255)), max_size=80
+).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_stuffing_bytes, msg_id=st.integers(0, 2**32 - 1), priority=st.integers(0, 255))
+def test_link_b_stuffing_matches_bytewise_reference(payload, msg_id, priority):
+    header = struct.pack(">IHHBH", msg_id, 0, 1, priority, len(payload))
+    pkt = Packet(msg_id, 0, 1, priority, payload, auth_tag(KEY, header + payload))
+    body = pkt.to_bytes()
+    expected = _stuff_bytewise(body + struct.pack(">H", crc16(body)))
+    assert convert_to_frame(pkt, LinkType.LINK_B) == expected
+
+
+def _stuffed_packet(payload: bytes) -> bytes:
+    """The stuffed bytes between the flags of a valid LINK_B frame."""
+    body = _pkt(payload).to_bytes()
+    return _stuff_bytewise(body + struct.pack(">H", crc16(body)))[1:-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    raw=st.one_of(
+        _stuffing_bytes,
+        _stuffing_bytes.map(_stuffed_packet),
+        st.builds(  # a valid frame with its last stuffed byte changed
+            lambda raw, x: raw[:-1] + bytes([raw[-1] ^ x]),
+            _stuffing_bytes.map(_stuffed_packet),
+            st.integers(1, 255),
+        ),
+    ),
+    trailing_escape=st.booleans(),
+)
+def test_link_b_unstuffing_matches_bytewise_reference(raw, trailing_escape):
+    data = b"\x7e" + raw + (b"\x7d" if trailing_escape else b"") + b"\x7e"
+    expected = _decode_outcome(_deframe_link_b_bytewise, data)
+    assert _decode_outcome(lambda d: convert_from_frame(d, LinkType.LINK_B), data) == expected

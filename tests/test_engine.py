@@ -233,6 +233,33 @@ def test_fifo_within_equal_priority():
     assert drained == [b"1", b"2", b"3"]
 
 
+def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
+    guard_calls = []
+    action_times = []
+
+    def counting_guard(msg, variables):
+        guard_calls.append(msg.signal)
+        return True
+
+    b = MachineBuilder("consumer")
+    b.state("Top", initial="Idle")
+    b.state("Idle", parent="Top")
+    b.transition(
+        "Idle", "DATA", "Idle",
+        actions=[Action("clock", lambda ctx: action_times.append(ctx.now))],
+        guard=counting_guard,
+    )
+    model = parse_model(ASYNC_MODEL)
+    plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
+    channels = assign_ipc(dependency_graph(plan, model))
+    world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"V": b.build()}})
+    trace, metrics = run(world, parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 8"), 1000)
+    fired = metrics.process("B#0").dispatches
+    assert fired > 0
+    assert len(guard_calls) == fired
+    assert action_times == [r.time for r in trace.rows_of("dispatch", "B#0")]
+
+
 # --- channels ----------------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from viewcase.comm import CommConfig, ReassemblyBuffer
 from viewcase.engine import degradation_report, parse_scenario, run
 from viewcase.fixture import (
     FIXTURE_MODEL,
@@ -177,6 +178,35 @@ def test_build_world_fault_free_smoke():
     assert sum(p.discards for p in metrics.processes.values()) == 0
     assert all(p.watchdog_trips == 0 for p in metrics.processes.values())
     assert all(s.sent == s.delivered for s in metrics.links.values())
+
+
+def test_reassembly_buffers_are_resources_not_variables():
+    plan, channels, world = build_world()
+    run(world, parse_scenario(degradation_scenario(kill=None)), 1000)
+    machines = [m for proc in world.processes.values() for m in proc.machines.values()]
+    assert not any(isinstance(v, ReassemblyBuffer) for m in machines for v in m.variables.values())
+    assert sum(isinstance(m.resources.get("rx"), ReassemblyBuffer) for m in machines) == 8
+
+
+def test_completed_reassembly_keys_expire_after_the_timeout():
+    timeout = 1000
+    plan, channels, world = build_world(comm_config=CommConfig(reassembly_timeout=timeout))
+    trace, _ = run(world, parse_scenario(degradation_scenario(kill=None)), 4 * timeout)
+    held = completed = 0
+    for pid, proc in world.processes.items():
+        for key, machine in proc.machines.items():
+            buf = machine.resources.get("rx")
+            if buf is None:
+                continue
+            # actions run when their dispatch starts, so this is the last reassembly's time
+            last = max(
+                r.time for r in trace.rows_of("dispatch", pid)
+                if r.detail.startswith(f"{key}/DATA_PKT ")
+            )
+            assert all(last - done_at < timeout for done_at in buf.completed.values())
+            held += len(buf.completed)
+            completed += machine.variables.get("complete", 0)
+    assert 0 < held < completed
 
 
 def test_build_world_memory_bound_policy():

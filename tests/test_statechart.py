@@ -257,6 +257,61 @@ def test_action_failure_restores_deferral_buffer():
     assert len(m.deferral_buffer) == 1
 
 
+def test_action_failure_keeps_resource_mutations():
+    def touch(ctx):
+        ctx.vars["n"] += 1
+        ctx.res["log"].append(ctx.msg.signal)
+
+    b = MachineBuilder()
+    b.state("Top", initial="A", defer=("LATER",))
+    b.state("A", parent="Top")
+    b.state("B", parent="Top")
+    b.transition("A", "GO", "B", actions=[Action("touch", touch), _exploding("bad")])
+    m = b.build({"n": 1})
+    m.resources["log"] = []
+    m.dispatch(ActorMessage("LATER"))
+    with pytest.raises(ActionFailure):
+        m.dispatch(ActorMessage("GO"))
+    assert m.current == "A"
+    assert m.variables == {"n": 1}  # variables rolled back
+    assert m.deferral_buffer == [ActorMessage("LATER")]
+    assert m.resources == {"log": ["GO"]}  # resources are not
+
+
+def test_actions_see_the_dispatch_time():
+    seen = []
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top")
+    b.transition("A", "GO", "A", actions=[Action("clock", lambda ctx: seen.append(ctx.now))])
+    m = b.build()
+    m.dispatch(ActorMessage("GO"))
+    dispatch(m, ActorMessage("GO"), now=1234)
+    assert seen == [0, 1234]
+
+
+def test_preselected_transition_skips_selection():
+    calls = []
+
+    def guard(msg, variables):
+        calls.append(msg.signal)
+        return True
+
+    b = MachineBuilder()
+    b.state("Top", initial="A", defer=("GO",))
+    b.state("A", parent="Top")
+    b.state("B", parent="Top")
+    b.transition("A", "GO", "B", guard=guard)
+    m = b.build()
+    transition = select_transition(m, ActorMessage("GO"))
+    assert calls == ["GO"]
+    r = dispatch(m, ActorMessage("GO"), transition)
+    assert r.fired and m.current == "B"
+    assert calls == ["GO"]  # the guard ran once, for the selection
+    r = dispatch(m, ActorMessage("GO"), None)  # selected elsewhere: nothing fires
+    assert r.deferred and calls == ["GO"]
+
+
 # --- emissions ----------------------------------------------------------------------------
 
 
