@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from viewcase.comm import DEFAULT_CONFIG, render_comm_config
-from viewcase.fixture import degradation_scenario, failover_scenario, fixture_model
+from viewcase.fixture import FIXTURE_MODEL, degradation_scenario, failover_scenario
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = {
-        "model.ucm": fixture_model(),
+        "model.ucm": FIXTURE_MODEL,
         "degradation.scn": degradation_scenario(peers=args.peers),
         "failover.scn": failover_scenario(peers=args.peers),
         "comm.cfg": render_comm_config(DEFAULT_CONFIG),

@@ -10,7 +10,7 @@ every lossy link touches the victim and all other links are untouched.
 
 import argparse
 
-from viewcase.engine import degradation_report, parse_scenario, run
+from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import build_world, degradation_scenario
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     for label, kill in (("clean", None), ("faulted", args.victim)):
         plan, _, world = build_world()
         scenario = parse_scenario(degradation_scenario(kill=kill, kill_at=args.kill_at))
-        _, metrics[label] = run(world, scenario, args.horizon, seed=args.seed)
+        _, metrics[label] = world.run(scenario, args.horizon, seed=args.seed)
         total = sum(p.dispatches for p in metrics[label].processes.values())
         print(f"[{label}] {total} dispatches, {len(metrics[label].links)} links")
 

@@ -9,7 +9,7 @@ failover records from the metrics.
 
 import argparse
 
-from viewcase.engine import degradation_report, parse_scenario, run
+from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import build_world, failover_scenario
 
 
@@ -22,7 +22,7 @@ def main() -> None:
 
     plan, _, world = build_world()
     scenario = parse_scenario(failover_scenario(kill_at=args.kill_at))
-    trace, metrics = run(world, scenario, args.horizon, seed=args.seed)
+    trace, metrics = world.run(scenario, args.horizon, seed=args.seed)
 
     for row in trace.rows:
         if row.event in ("fault", "alert", "takeover", "rebind") or (

@@ -82,7 +82,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
+def _plan_document(args, render, filename: str) -> int:
+    """Plan the model and emit `render(plan, channels)` as `filename`."""
     model = _load_model(args)
     if model is None:
         return 1
@@ -92,22 +93,16 @@ def cmd_plan(args) -> int:
         print(f"plan failed: {exc}", file=sys.stderr)
         return 1
     channels = assign_ipc(dependency_graph(plan, model))
-    _emit(render_plan(plan, channels), args.out, "plan.txt")
+    _emit(render(plan, channels), args.out, filename)
     return 0
+
+
+def cmd_plan(args) -> int:
+    return _plan_document(args, render_plan, "plan.txt")
 
 
 def cmd_graph(args) -> int:
-    model = _load_model(args)
-    if model is None:
-        return 1
-    try:
-        plan = build_plan(model, _policy(args))
-    except BudgetExceeded as exc:
-        print(f"plan failed: {exc}", file=sys.stderr)
-        return 1
-    channels = assign_ipc(dependency_graph(plan, model))
-    _emit(emit_component_graph(plan, channels), args.out, "graph.dot")
-    return 0
+    return _plan_document(args, emit_component_graph, "graph.dot")
 
 
 def _simulate(args):

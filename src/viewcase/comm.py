@@ -393,6 +393,7 @@ class HealthTable:
             rec.last_update = now
 
     def scan(self, now: int, dead_threshold: int) -> list[Alert]:
+        """Edge-triggered health pass: Late after one miss, Dead after dead_threshold."""
         alerts = []
         for process, rec in self.records.items():
             if rec.last_scanned is None or rec.counter != rec.last_scanned:
@@ -413,27 +414,10 @@ class HealthTable:
         return alerts
 
 
-def heartbeat_scan(
-    table: HealthTable, now: int, scan_period: int, dead_threshold: int
-) -> list[Alert]:
-    """Edge-triggered health pass: Late after one miss, Dead after dead_threshold."""
-    if scan_period < 1:
-        raise ValueError("scan_period must be positive")
-    return table.scan(now, dead_threshold)
-
-
 # --- failover ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TakeoverEvent:
-    main: str
-    standby: str
-    detected_at: int
-    active_at: int
-
-
-def standby_takeover(world, main_id: str, standby_id: str, now: int, detected_at: int) -> TakeoverEvent:
+def standby_takeover(world, main_id: str, standby_id: str, now: int, detected_at: int) -> None:
     """Rebind the dead main's channel endpoints to the standby process."""
     from .statechart import ActorMessage  # local import avoids a cycle
 
@@ -442,9 +426,7 @@ def standby_takeover(world, main_id: str, standby_id: str, now: int, detected_at
         standby_id, ActorMessage("TAKEOVER", main_id.encode(), 250), now
     )
     world.trace(now, standby_id, "-", "takeover", f"from {main_id}")
-    event = TakeoverEvent(main_id, standby_id, detected_at, now)
     world.metrics.record_failover(main_id, standby_id, detected_at, now)
-    return event
 
 
 def build_failover(
@@ -466,13 +448,15 @@ def build_failover(
     from .engine import FailoverConfig
     from .statechart import ActorMessage
 
+    if scan_period < 1:
+        raise ValueError("scan_period must be positive")
     table = HealthTable()
 
     def scan(world, now: int) -> None:
         for ch in world.channels.values():
             if ch.channel.source == health_source and hasattr(ch, "version"):
                 table.observe(ch.channel.writer, ch.version, now)
-        alerts = heartbeat_scan(table, now, scan_period, dead_threshold)
+        alerts = table.scan(now, dead_threshold)
         for alert in alerts:
             world.trace(now, alert.process, "-", "alert", alert.status.value)
             if alert.status is HealthStatus.DEAD:

@@ -35,7 +35,7 @@ from typing import Callable
 
 from .ipc import ChannelKind, IpcChannel
 from .partition import ProcessNode, ProcessPlan
-from .statechart import ActorMessage, StateMachine, dispatch, select_transition, state_context
+from .statechart import ActorMessage, StateMachine, dispatch, select_transition
 
 
 class ThreadRole(Enum):
@@ -45,31 +45,12 @@ class ThreadRole(Enum):
     TRANSMITTER = "transmitter"
 
 
-class ThreadState(Enum):
-    READY = "ready"
-    RUNNING = "running"
-    BLOCKED = "blocked"
-    FAILED = "failed"
-
-
-@dataclass
-class LogicalThread:
-    role: ThreadRole
-    priority: int
-    period: int | None = None  # None for the event-driven processor
-    state: ThreadState = ThreadState.READY
-
-
 @dataclass(frozen=True)
 class SimConfig:
     receiver_period: int = 50
     transmitter_period: int = 50
     watchdog_period: int = 100
     watchdog_timeout: int = 300  # 3 x watchdog period
-    watchdog_priority: int = 40
-    receiver_priority: int = 30
-    transmitter_priority: int = 20
-    processor_priority: int = 10
     max_batch: int = 256  # zero-cost processor outcomes folded into one tick
 
 
@@ -161,10 +142,6 @@ def parse_scenario(text: str) -> Scenario:
                 "'stimulus <process> <signal> at <ms> every <ms> priority <int> size <bytes>'",
             ) from None
     return Scenario(tuple(faults), tuple(stimuli))
-
-
-def inject_fault(scenario: Scenario, process_id: str, at: int) -> Scenario:
-    return Scenario(scenario.faults + (FaultSpec(process_id, at),), scenario.stimuli)
 
 
 # --- trace and metrics --------------------------------------------------------
@@ -311,10 +288,8 @@ class _MailEntry:
 @dataclass
 class ProcessInstance:
     node: ProcessNode
-    threads: dict[ThreadRole, LogicalThread]
     machines: dict[str, StateMachine]
     alive: bool = True
-    last_heartbeat: int = 0
     mailbox: list[_MailEntry] = field(default_factory=list)
     outbound: list[tuple[str, ActorMessage]] = field(default_factory=list)  # resolved channel ids
     active: _ActiveDispatch | None = None
@@ -328,23 +303,6 @@ class ProcessInstance:
 
     def has_work(self) -> bool:
         return self.active is not None or bool(self.mailbox)
-
-
-@dataclass(frozen=True)
-class WatchdogTrip:
-    process: str
-    at: int
-    idle_for: int
-
-
-def watchdog_check(process: ProcessInstance, now: int, timeout: int) -> WatchdogTrip | None:
-    """Trip iff the processor has pending work but has made no progress for >= timeout."""
-    if not process.alive or not process.has_work():
-        return None
-    idle = now - process.last_progress
-    if idle >= timeout:
-        return WatchdogTrip(process.id, now, idle)
-    return None
 
 
 # --- the world ----------------------------------------------------------------
@@ -373,6 +331,12 @@ class SimWorld:
         self.failover = failover
         self.scan_only_sources = scan_only_sources
         self.processes = processes
+        # the periodic threads, in the order their first activations are scheduled
+        self._periods = {
+            ThreadRole.WATCHDOG: config.watchdog_period,
+            ThreadRole.RECEIVER: config.receiver_period,
+            ThreadRole.TRANSMITTER: config.transmitter_period,
+        }
         self.channels: dict[str, ChannelRt] = {}
         for c in channels:
             if c.kind is ChannelKind.MESSAGE_QUEUE:
@@ -503,8 +467,6 @@ class SimWorld:
             return
         proc.alive = False
         proc.active = None
-        for t in proc.threads.values():
-            t.state = ThreadState.FAILED
         self.metrics.faults.append((now, process_id, cause))
         self.trace(now, process_id, "-", "fault", cause)
 
@@ -532,7 +494,6 @@ class SimWorld:
 
     def _on_thread(self, now: int, process_id: str, role: ThreadRole) -> None:
         proc = self.processes[process_id]
-        thread = proc.threads[role]
         if proc.alive:
             self.trace(now, process_id, role.value, "activate", "")
             if role is ThreadRole.RECEIVER:
@@ -540,16 +501,13 @@ class SimWorld:
             elif role is ThreadRole.TRANSMITTER:
                 self._transmitter_pass(proc, now)
             elif role is ThreadRole.WATCHDOG:
-                trip = watchdog_check(proc, now, self.config.watchdog_timeout)
-                if trip is not None:
-                    proc.threads[ThreadRole.WATCHDOG].state = ThreadState.FAILED
-                    stats = self.metrics.process(process_id)
-                    stats.watchdog_trips += 1
-                    self.trace(now, process_id, "watchdog", "trip", f"no progress for {trip.idle_for}")
+                idle = now - proc.last_progress
+                if proc.has_work() and idle >= self.config.watchdog_timeout:
+                    self.metrics.process(process_id).watchdog_trips += 1
+                    self.trace(now, process_id, "watchdog", "trip", f"no progress for {idle}")
                     self.kill(process_id, now, "watchdog")
                     return
-            assert thread.period is not None
-            self._schedule(now + thread.period, _EV_THREAD, (process_id, role))
+            self._schedule(now + self._periods[role], _EV_THREAD, (process_id, role))
 
     def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
         for ch in self.reads[proc.id]:
@@ -577,7 +535,6 @@ class SimWorld:
                     ch.channel.source, f"{proc.id}:{ch.version + 1}".encode(), 0
                 )
                 self.channel_send(ch.channel.id, beat, now)
-                proc.last_heartbeat = now
         if proc.outbound:
             remaining: list[tuple[str, ActorMessage]] = []
             blocked: set[str] = set()
@@ -672,9 +629,7 @@ class SimWorld:
             proc.active = active
             return True
         for key, machine in proc.machines.items():  # no machine matched
-            context = state_context(machine)
-            if any(msg.signal in machine.states[s].deferred_signals for s in context):
-                dispatch(machine, msg, None, now=now)  # lands in the deferral buffer
+            if dispatch(machine, msg, None, now=now).deferred:
                 self.metrics.process(proc.id).deferrals += 1
                 self.trace(now, proc.id, "processor", "defer", f"{key}/{msg.signal}")
                 return False
@@ -700,13 +655,8 @@ class SimWorld:
                     self._spend_ms(proc, now)
                     return
         finally:
+            self._wake_processor(proc, now)
             self._ticking = None
-            self._wake_later(proc, now)
-
-    def _wake_later(self, proc: ProcessInstance, now: int) -> None:
-        if proc.alive and proc.has_work() and not proc.tick_scheduled:
-            proc.tick_scheduled = True
-            self._schedule(now + 1, _EV_TICK, (proc.id,))
 
     # -- run --
 
@@ -724,9 +674,7 @@ class SimWorld:
         for s in scenario.stimuli:
             self._schedule(s.at, _EV_STIMULUS, (s,))
         for proc in self.processes.values():
-            for role in (ThreadRole.WATCHDOG, ThreadRole.RECEIVER, ThreadRole.TRANSMITTER):
-                period = proc.threads[role].period
-                assert period is not None
+            for role, period in self._periods.items():
                 self._schedule(period, _EV_THREAD, (proc.id, role))
         if self.failover is not None:
             # offset by one tick so scans observe the writes of the same period
@@ -766,26 +714,8 @@ def instantiate(
         machines = behaviors.get(node.id, {})
         if not machines and not node.service and node.view.use_cases:
             raise MissingBehavior(node.id)
-        threads = {
-            ThreadRole.WATCHDOG: LogicalThread(
-                ThreadRole.WATCHDOG, config.watchdog_priority, config.watchdog_period
-            ),
-            ThreadRole.RECEIVER: LogicalThread(
-                ThreadRole.RECEIVER, config.receiver_priority, config.receiver_period
-            ),
-            ThreadRole.PROCESSOR: LogicalThread(ThreadRole.PROCESSOR, config.processor_priority),
-            ThreadRole.TRANSMITTER: LogicalThread(
-                ThreadRole.TRANSMITTER, config.transmitter_priority, config.transmitter_period
-            ),
-        }
-        processes[node.id] = ProcessInstance(node, threads, dict(machines))
+        processes[node.id] = ProcessInstance(node, dict(machines))
     return SimWorld(plan, channels, processes, config, failover, scan_only_sources)
-
-
-def run(
-    world: SimWorld, scenario: Scenario, horizon: int, seed: int = 0
-) -> tuple[SimTrace, Metrics]:
-    return world.run(scenario, horizon, seed)
 
 
 # --- degradation verdict --------------------------------------------------------

@@ -80,10 +80,6 @@ flow MonitorEquipment -> Operator async size 128
 """
 
 
-def fixture_model() -> str:
-    return FIXTURE_MODEL
-
-
 def scale_peers(model: UseCaseModel, count: int) -> UseCaseModel:
     """Same deployment with a different number of peer interfaces."""
     if count < 1:

@@ -217,6 +217,11 @@ def _lca(machine: StateMachine, a: str, b: str) -> str:
     raise ValueError(f"states {a!r} and {b!r} share no ancestor")
 
 
+def _defers(machine: StateMachine, context: list[str], signal: str) -> bool:
+    """Whether a state in `context` defers `signal`."""
+    return any(signal in machine.states[s].deferred_signals for s in context)
+
+
 _SELECT = object()  # dispatch's default: select the transition itself
 
 
@@ -238,8 +243,7 @@ def dispatch(
     if transition is _SELECT:
         transition = select_transition(machine, msg)
     if transition is None:
-        context = state_context(machine)
-        if any(msg.signal in machine.states[s].deferred_signals for s in context):
+        if _defers(machine, state_context(machine), msg.signal):
             machine.deferral_buffer.append(msg)
             return DispatchResult(fired=False, deferred=True)
         return DispatchResult(fired=False, deferred=False)
@@ -294,11 +298,12 @@ def dispatch(
     machine.current = new_leaf
 
     new_context = state_context(machine)
-    still_deferred = lambda m: any(
-        m.signal in machine.states[s].deferred_signals for s in new_context
+    recalled = tuple(
+        m for m in machine.deferral_buffer if not _defers(machine, new_context, m.signal)
     )
-    recalled = tuple(m for m in machine.deferral_buffer if not still_deferred(m))
-    machine.deferral_buffer = [m for m in machine.deferral_buffer if still_deferred(m)]
+    machine.deferral_buffer = [
+        m for m in machine.deferral_buffer if _defers(machine, new_context, m.signal)
+    ]
 
     return DispatchResult(
         fired=True,

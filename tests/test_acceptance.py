@@ -12,7 +12,7 @@ import pytest
 
 from viewcase import comm
 from viewcase.cli import main
-from viewcase.engine import degradation_report, parse_scenario, run
+from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
     build_world,
@@ -156,7 +156,7 @@ def test_acceptance_4_graceful_degradation(capsys):
     for label, kill in (("clean", None), ("faulted", victim)):
         plan, _, world = build_world()
         scenario = parse_scenario(degradation_scenario(kill=kill))
-        _, metrics = run(world, scenario, 8000, seed=0)
+        _, metrics = world.run(scenario, 8000, seed=0)
         results[label] = metrics
     report = degradation_report(results["faulted"], plan)
     lossy = [
@@ -266,7 +266,7 @@ def test_acceptance_6_fragmentation_round_trip(capsys):
 def test_acceptance_7_run_to_completion_throughput(capsys):
     _, _, world = build_world()
     scenario = parse_scenario(degradation_scenario(kill=None))
-    trace, metrics = run(world, scenario, 30_000, seed=0)
+    trace, metrics = world.run(scenario, 30_000, seed=0)
 
     def dispatch_no(detail):
         for token in detail.split():
@@ -303,7 +303,7 @@ def test_acceptance_7_run_to_completion_throughput(capsys):
 def test_acceptance_8_standby_failover(capsys):
     _, _, world = build_world()
     scenario = parse_scenario(failover_scenario(kill_at=1000))
-    trace, metrics = run(world, scenario, 4000, seed=0)
+    trace, metrics = world.run(scenario, 4000, seed=0)
     standby = world.processes["StandbyCI#0"]
     machine = standby.machines["TakeOver"]
     records = {r.main: r for r in metrics.failover}

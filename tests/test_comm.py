@@ -26,12 +26,12 @@ from viewcase.comm import (
     ReassemblyBuffer,
     UnknownLink,
     auth_tag,
+    build_failover,
     classify_priority,
     convert_from_frame,
     convert_to_frame,
     crc16,
     data_type_for_priority,
-    heartbeat_scan,
     packetize,
     parse_comm_config,
     reassemble,
@@ -359,43 +359,43 @@ def test_unknown_link_name_is_rejected():
 def test_health_timeline_late_then_dead():
     table = HealthTable()
     table.observe("P", 1, 100)
-    assert heartbeat_scan(table, 101, 100, 3) == []  # first sight is OK
+    assert table.scan(101, 3) == []  # first sight is OK
     table.observe("P", 2, 150)
-    assert heartbeat_scan(table, 201, 100, 3) == []  # counter moved
+    assert table.scan(201, 3) == []  # counter moved
     # heartbeats stop: one miss -> LATE, third miss -> DEAD, edge-triggered
-    assert heartbeat_scan(table, 301, 100, 3) == [Alert("P", HealthStatus.LATE, 301)]
-    assert heartbeat_scan(table, 401, 100, 3) == []
-    assert heartbeat_scan(table, 501, 100, 3) == [Alert("P", HealthStatus.DEAD, 501)]
-    assert heartbeat_scan(table, 601, 100, 3) == []  # dead is terminal and silent
+    assert table.scan(301, 3) == [Alert("P", HealthStatus.LATE, 301)]
+    assert table.scan(401, 3) == []
+    assert table.scan(501, 3) == [Alert("P", HealthStatus.DEAD, 501)]
+    assert table.scan(601, 3) == []  # dead is terminal and silent
     assert table.records["P"].status is HealthStatus.DEAD
 
 
 def test_health_silent_recovery_from_late():
     table = HealthTable()
     table.observe("P", 1, 0)
-    heartbeat_scan(table, 1, 100, 3)
-    assert heartbeat_scan(table, 101, 100, 3) == [Alert("P", HealthStatus.LATE, 101)]
+    table.scan(1, 3)
+    assert table.scan(101, 3) == [Alert("P", HealthStatus.LATE, 101)]
     table.observe("P", 2, 150)  # resumed before the dead threshold
-    assert heartbeat_scan(table, 201, 100, 3) == []
+    assert table.scan(201, 3) == []
     assert table.records["P"].status is HealthStatus.OK
     # relapse alerts again (edge-triggered on each OK->LATE transition)
-    assert heartbeat_scan(table, 301, 100, 3) == [Alert("P", HealthStatus.LATE, 301)]
+    assert table.scan(301, 3) == [Alert("P", HealthStatus.LATE, 301)]
 
 
 def test_dead_process_stays_dead_even_if_counter_moves():
     table = HealthTable()
     table.observe("P", 1, 0)
     for t in (1, 101, 201, 301):
-        heartbeat_scan(table, t, 100, 3)
+        table.scan(t, 3)
     assert table.records["P"].status is HealthStatus.DEAD
     table.observe("P", 99, 400)
-    assert heartbeat_scan(table, 401, 100, 3) == []
+    assert table.scan(401, 3) == []
     assert table.records["P"].status is HealthStatus.DEAD
 
 
 def test_scan_period_must_be_positive():
     with pytest.raises(ValueError):
-        heartbeat_scan(HealthTable(), 0, 0, 3)
+        build_failover({}, scan_period=0)
 
 
 # --- configuration -----------------------------------------------------------------------

@@ -16,10 +16,8 @@ from viewcase.engine import (
     SimConfig,
     StimulusSpec,
     degradation_report,
-    inject_fault,
     instantiate,
     parse_scenario,
-    run,
 )
 from viewcase.fixture import build_world
 from viewcase.ipc import assign_ipc, dependency_graph
@@ -116,19 +114,12 @@ def test_parse_scenario_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
-def test_inject_fault_appends():
-    base = parse_scenario("stimulus A POKE at 1 every 0 priority 1 size 1")
-    s = inject_fault(base, "B#0", 500)
-    assert s.faults == (FaultSpec("B#0", 500),)
-    assert s.stimuli == base.stimuli
-
-
 # --- trace format ----------------------------------------------------------------
 
 
 def test_trace_is_five_field_tsv():
     world, _ = _world()
-    trace, _ = run(world, parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
     text = trace.to_text()
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -143,7 +134,7 @@ def test_trace_is_five_field_tsv():
 
 def test_rows_of_filters_event_and_process():
     world, _ = _world()
-    trace, _ = run(world, parse_scenario("stimulus A#0 POKE at 10 every 0 priority 5 size 4"), 300)
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 0 priority 5 size 4"), 300)
     stim = trace.rows_of("stimulus")
     assert len(stim) == 1 and stim[0].process == "A#0"
     assert trace.rows_of("stimulus", "B#0") == []
@@ -155,19 +146,33 @@ def test_rows_of_filters_event_and_process():
 def test_receiver_activations_follow_configured_period():
     cfg = SimConfig(receiver_period=100)
     world, _ = _world(config=cfg)
-    trace, _ = run(world, Scenario(), 1000)
+    trace, _ = world.run(Scenario(), 1000)
     activations = [
         r for r in trace.rows_of("activate", "B#0") if r.thread == "receiver"
     ]
     assert [r.time for r in activations] == [100 * k for k in range(1, 11)]
 
 
+def test_every_thread_role_follows_its_configured_period():
+    cfg = SimConfig(watchdog_period=100, receiver_period=30, transmitter_period=70)
+    world, _ = _world(config=cfg)
+    trace, _ = world.run(
+        parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
+    )
+    for role, period in (("watchdog", 100), ("receiver", 30), ("transmitter", 70)):
+        times = [r.time for r in trace.rows_of("activate", "B#0") if r.thread == role]
+        assert times == list(range(period, 1001, period)), role
+    # the stalled producer trips on its fourth watchdog activation
+    trips = trace.rows_of("trip", "A#0")
+    assert [(r.time, r.detail) for r in trips] == [(400, "no progress for 300")]
+
+
 def test_deterministic_same_seed_same_bytes():
     runs = []
     for _ in range(2):
         world, _ = _world()
-        trace, metrics = run(
-            world, parse_scenario("stimulus A#0 POKE at 10 every 70 priority 5 size 64"), 2000, seed=7
+        trace, metrics = world.run(
+            parse_scenario("stimulus A#0 POKE at 10 every 70 priority 5 size 64"), 2000, seed=7
         )
         runs.append((trace.to_text(), metrics.to_text()))
     assert runs[0] == runs[1]
@@ -178,8 +183,8 @@ def test_deterministic_same_seed_same_bytes():
 
 def test_watchdog_trips_on_stalled_dispatch():
     world, _ = _world()
-    trace, metrics = run(
-        world, parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
+    trace, metrics = world.run(
+        parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
     )
     trips = trace.rows_of("trip", "A#0")
     assert len(trips) == 1
@@ -192,8 +197,8 @@ def test_watchdog_trips_on_stalled_dispatch():
 
 def test_healthy_steady_traffic_never_trips():
     world, _ = _world()
-    trace, metrics = run(
-        world, parse_scenario("stimulus A#0 POKE at 10 every 50 priority 5 size 8"), 3000
+    trace, metrics = world.run(
+        parse_scenario("stimulus A#0 POKE at 10 every 50 priority 5 size 8"), 3000
     )
     assert trace.rows_of("trip") == []
     assert metrics.process("A#0").watchdog_trips == 0
@@ -208,7 +213,7 @@ def test_higher_priority_dispatched_first():
         "stimulus A#0 LOW at 100 every 0 priority 10 size 1\n"
         "stimulus A#0 HIGH at 100 every 0 priority 200 size 1\n"
     )
-    trace, _ = run(world, scenario, 300)
+    trace, _ = world.run(scenario, 300)
     order = [r.detail.split("/")[1].split(" ")[0] for r in trace.rows_of("dispatch", "A#0")]
     assert order == ["HIGH", "LOW"]
 
@@ -233,6 +238,38 @@ def test_fifo_within_equal_priority():
     assert drained == [b"1", b"2", b"3"]
 
 
+def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
+    gate = MachineBuilder("gate")
+    gate.state("Top", initial="Wait")
+    gate.state("Wait", parent="Top", defer=("X",))
+    gate.state("Open", parent="Top")
+    gate.transition("Wait", "GO", "Open")
+    gate.transition("Open", "X", "Open", actions=[Action("take")])
+    model = parse_model(ASYNC_MODEL)
+    plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
+    channels = assign_ipc(dependency_graph(plan, model))
+    behaviors = {
+        "A#0": {"U": _producer_machine()},
+        "B#0": {"V": _consumer_machine(), "W": gate.build()},  # only W defers X
+    }
+    world = instantiate(plan, channels, behaviors)
+    trace, metrics = world.run(
+        parse_scenario(
+            "stimulus B#0 X at 100 every 0 priority 5 size 1\n"
+            "stimulus B#0 GO at 200 every 0 priority 5 size 1\n"
+        ),
+        500,
+    )
+    assert [(r.time, r.detail) for r in trace.rows_of("defer", "B#0")] == [(100, "W/X")]
+    stats = metrics.process("B#0")
+    assert (stats.deferrals, stats.discards) == (1, 0)
+    # GO moves the gate out of Wait, which recalls X into the same tick
+    assert [(r.time, r.detail) for r in trace.rows_of("recall", "B#0")] == [(200, "X")]
+    dispatched = [(r.time, r.detail) for r in trace.rows_of("dispatch", "B#0")]
+    assert dispatched == [(200, "W/GO d1 actions 0"), (200, "W/X d2 actions 1")]
+    assert world.processes["B#0"].machines["W"].current == "Open"
+
+
 def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
     guard_calls = []
     action_times = []
@@ -253,7 +290,7 @@ def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
     plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
     channels = assign_ipc(dependency_graph(plan, model))
     world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"V": b.build()}})
-    trace, metrics = run(world, parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 8"), 1000)
+    trace, metrics = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 8"), 1000)
     fired = metrics.process("B#0").dispatches
     assert fired > 0
     assert len(guard_calls) == fired
@@ -266,7 +303,7 @@ def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
 def test_message_queue_delivery_end_to_end():
     world, channels = _world()
     scenario = parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 16")
-    trace, metrics = run(world, scenario, 1000)
+    trace, metrics = world.run(scenario, 1000)
     cid = "mq:A#0:B#0:U"
     assert any(c.id == cid for c in channels)
     stats = metrics.links[(cid, "A#0", "B#0")]
@@ -299,7 +336,7 @@ def test_send_to_dead_reader_counts_sent_only():
     scenario = parse_scenario(
         "stimulus A#0 POKE at 10 every 100 priority 5 size 16\nfault kill B#0 at 500"
     )
-    trace, metrics = run(world, scenario, 1500)
+    trace, metrics = world.run(scenario, 1500)
     stats = metrics.links[("mq:A#0:B#0:U", "A#0", "B#0")]
     assert stats.sent > stats.delivered > 0
     undeliverable = [r for r in trace.rows_of("send") if "undeliverable" in r.detail]
@@ -320,7 +357,7 @@ def test_shared_segment_keeps_only_latest_write():
 
 def test_periodic_segment_written_by_transmitter_without_stimuli():
     world, _ = _world(PERIODIC_MODEL, consumer_signals=("U",))
-    trace, metrics = run(world, Scenario(), 1000)
+    trace, metrics = world.run(Scenario(), 1000)
     sends = trace.rows_of("send", "A#0")
     assert sends and all("shm:A#0:U" in r.detail for r in sends)
     # period 100 over 1000 ms -> about ten refreshes, one per period
@@ -372,7 +409,7 @@ def test_killed_process_goes_silent():
     scenario = parse_scenario(
         "stimulus A#0 POKE at 10 every 50 priority 5 size 8\nfault kill A#0 at 500"
     )
-    trace, metrics = run(world, scenario, 1500)
+    trace, metrics = world.run(scenario, 1500)
     after = [
         r
         for r in trace.rows
@@ -393,7 +430,7 @@ def test_reader_fault_is_graceful_degradation():
     scenario = parse_scenario(
         "stimulus A#0 POKE at 10 every 100 priority 5 size 16\nfault kill B#0 at 500"
     )
-    _, metrics = run(world, scenario, 1500)
+    _, metrics = world.run(scenario, 1500)
     report = degradation_report(metrics, plan)
     assert report.verdict == "graceful"
     assert report.failed == ("B#0",)
@@ -409,7 +446,7 @@ def test_killing_every_process_is_total_loss():
         "stimulus A#0 POKE at 10 every 100 priority 5 size 16\n"
         "fault kill B#0 at 400\nfault kill A#0 at 600"
     )
-    _, metrics = run(world, scenario, 1500)
+    _, metrics = world.run(scenario, 1500)
     report = degradation_report(metrics, plan)
     assert report.verdict == "total"
     assert set(report.failed) == {"A#0", "B#0"}
@@ -426,7 +463,7 @@ def test_loss_not_incident_to_a_fault_is_total():
 
 def test_no_faults_no_loss_is_graceful():
     world, _ = _world()
-    _, metrics = run(world, parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 16"), 1000)
+    _, metrics = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 16"), 1000)
     report = degradation_report(metrics, world.plan)
     assert report.verdict == "graceful"
     assert report.failed == () and report.lost_links == ()
@@ -457,15 +494,15 @@ def test_metrics_to_text_sections_and_sorting():
 
 def test_world_is_single_use():
     world, _ = _world()
-    run(world, Scenario(), 100)
+    world.run(Scenario(), 100)
     with pytest.raises(RuntimeError):
-        run(world, Scenario(), 100)
+        world.run(Scenario(), 100)
 
 
 def test_horizon_must_be_positive():
     world, _ = _world()
     with pytest.raises(ValueError):
-        run(world, Scenario(), 0)
+        world.run(Scenario(), 0)
 
 
 def test_missing_behavior_is_reported_with_node_id():
@@ -479,11 +516,11 @@ def test_missing_behavior_is_reported_with_node_id():
 
 def test_one_shot_stimulus_fires_once():
     world, _ = _world()
-    trace, _ = run(world, parse_scenario("stimulus A#0 POKE at 50 every 0 priority 5 size 4"), 1000)
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 50 every 0 priority 5 size 4"), 1000)
     assert len(trace.rows_of("stimulus", "A#0")) == 1
 
 
 def test_repeating_stimulus_fires_on_schedule():
     world, _ = _world()
-    trace, _ = run(world, parse_scenario("stimulus A#0 POKE at 50 every 200 priority 5 size 4"), 1000)
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 50 every 200 priority 5 size 4"), 1000)
     assert [r.time for r in trace.rows_of("stimulus", "A#0")] == [50, 250, 450, 650, 850]

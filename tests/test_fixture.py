@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from viewcase.comm import CommConfig, ReassemblyBuffer
-from viewcase.engine import degradation_report, parse_scenario, run
+from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
     HEALTH_SOURCE,
@@ -13,7 +13,6 @@ from viewcase.fixture import (
     build_world,
     degradation_scenario,
     failover_scenario,
-    fixture_model,
     scale_peers,
     standby_map,
 )
@@ -52,10 +51,6 @@ def test_fixture_model_census(model):
     assert triggers["Operator"] == ["ExchangeStatus", "DisplayStatus", "ReportHealth"]
     health_owners = [a for a, ucs in triggers.items() if "ReportHealth" in ucs]
     assert health_owners == ["Operator", "LocalHost", "StandbyCI", "PeerCI"]
-
-
-def test_fixture_model_text_round_trips():
-    assert parse_model(fixture_model()) == parse_model(FIXTURE_MODEL)
 
 
 def test_scale_peers_rewrites_multiplicity(model):
@@ -118,8 +113,8 @@ def test_generic_behaviors_back_arbitrary_models():
         "flow Route -> Node async size 96\n"
     )
     plan, channels, world = build_world(parse_model(text), with_failover=False)
-    trace, metrics = run(
-        world, parse_scenario("stimulus Gw#0 Route at 50 every 100 priority 120 size 48"), 2000
+    trace, metrics = world.run(
+        parse_scenario("stimulus Gw#0 Route at 50 every 100 priority 120 size 48"), 2000
     )
     assert metrics.process("Gw#0").dispatches > 0
     for reader in ("Node#0", "Node#1"):
@@ -173,7 +168,7 @@ def test_standby_map_empty_without_standby_actor():
 
 def test_build_world_fault_free_smoke():
     plan, channels, world = build_world()
-    trace, metrics = run(world, parse_scenario(degradation_scenario(kill=None)), 2000)
+    trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 2000)
     assert sum(p.dispatches for p in metrics.processes.values()) > 100
     assert sum(p.discards for p in metrics.processes.values()) == 0
     assert all(p.watchdog_trips == 0 for p in metrics.processes.values())
@@ -182,7 +177,7 @@ def test_build_world_fault_free_smoke():
 
 def test_reassembly_buffers_are_resources_not_variables():
     plan, channels, world = build_world()
-    run(world, parse_scenario(degradation_scenario(kill=None)), 1000)
+    world.run(parse_scenario(degradation_scenario(kill=None)), 1000)
     machines = [m for proc in world.processes.values() for m in proc.machines.values()]
     assert not any(isinstance(v, ReassemblyBuffer) for m in machines for v in m.variables.values())
     assert sum(isinstance(m.resources.get("rx"), ReassemblyBuffer) for m in machines) == 8
@@ -191,7 +186,7 @@ def test_reassembly_buffers_are_resources_not_variables():
 def test_completed_reassembly_keys_expire_after_the_timeout():
     timeout = 1000
     plan, channels, world = build_world(comm_config=CommConfig(reassembly_timeout=timeout))
-    trace, _ = run(world, parse_scenario(degradation_scenario(kill=None)), 4 * timeout)
+    trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 4 * timeout)
     held = completed = 0
     for pid, proc in world.processes.items():
         for key, machine in proc.machines.items():
@@ -216,8 +211,7 @@ def test_build_world_memory_bound_policy():
     )
     assert plan.estimated_footprint <= 50000
     assert len(plan.shared_service_nodes) == 2
-    trace, metrics = run(
-        world,
+    trace, metrics = world.run(
         parse_scenario("stimulus Operator#* EQUIP_STATUS at 100 every 500 priority 140 size 64"),
         1500,
     )
@@ -227,7 +221,7 @@ def test_build_world_memory_bound_policy():
 
 def test_health_segments_are_scan_only():
     plan, channels, world = build_world()
-    trace, _ = run(world, parse_scenario(degradation_scenario(kill=None)), 1500)
+    trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 1500)
     health_channels = {c.id for c in channels if c.source == HEALTH_SOURCE}
     assert len(health_channels) == 10
     sampled = {r.detail.split()[0] for r in trace.rows_of("sample")}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewcase.fixture import fixture_model, scale_peers
+from viewcase.fixture import FIXTURE_MODEL, scale_peers
 from viewcase.ipc import (
     DEFAULT_QUEUE_CAPACITY,
     ChannelKind,
@@ -22,7 +22,7 @@ from viewcase.partition import MappingPolicy, Objective, build_plan, plan_diff
 
 @pytest.fixture(scope="module")
 def model():
-    return parse_model(fixture_model())
+    return parse_model(FIXTURE_MODEL)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewcase.fixture import fixture_model, scale_peers
+from viewcase.fixture import FIXTURE_MODEL, scale_peers
 from viewcase.model import (
     Actor,
     Instantiation,
@@ -29,7 +29,7 @@ from viewcase.partition import (
 
 @pytest.fixture(scope="module")
 def model():
-    return parse_model(fixture_model())
+    return parse_model(FIXTURE_MODEL)
 
 
 @pytest.fixture(scope="module")
