@@ -28,7 +28,6 @@ from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessNode, ProcessPlan, build_plan
 from .statechart import Action, ActionContext, ActorMessage, MachineBuilder, StateMachine
 
-AUTH_KEY = b"viewcase"
 HEALTH_SOURCE = "ReportHealth"
 TAKEOVER_PRIORITY = 250
 
@@ -113,22 +112,24 @@ def _authenticate():
     return fn
 
 
-def _encode(lane: int, data_type: str, link: comm.LinkType, mtu: int, key: bytes):
+def _encode(
+    lane: int, data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]
+):
     """Packetize the staged body and frame every packet for the link."""
 
     def fn(ctx: ActionContext) -> None:
         n = ctx.vars["produced"] = ctx.vars.get("produced", 0) + 1
         app = comm.AppMessage((lane << 20) | n, "", "", data_type, ctx.vars.pop("_body"))
-        ctx.vars["_frames"] = [
-            comm.convert_to_frame(p, link) for p in comm.packetize(app, mtu, key)
-        ]
+        packets = comm.packetize(
+            app, cfg.mtu_payload, cfg.auth_key, table, cfg.default_priority
+        )
+        ctx.vars["_frames"] = [comm.convert_to_frame(p, link) for p in packets]
 
     return fn
 
 
-def _transmit(uc: str, data_type: str):
+def _transmit(uc: str, priority: int):
     def fn(ctx: ActionContext) -> None:
-        priority = comm.classify_priority(data_type)
         for frame in ctx.vars.pop("_frames"):
             ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", frame, priority))
 
@@ -150,16 +151,19 @@ def _deframe():
     return fn
 
 
-def _reassemble(key: bytes, timeout: int):
+def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
     """Feed the decoded packet to the machine's buffer, a resource: a failed
     action does not roll it back, and no dispatch copies it."""
 
     def fn(ctx: ActionContext) -> None:
+        timeout = cfg.reassembly_timeout
         pkt = ctx.vars.pop("_pkt", None)
         if pkt is None:
             return
         buf = ctx.res.setdefault("rx", comm.ReassemblyBuffer(owner="local"))
-        outcome = comm.reassemble(buf, pkt, now=ctx.now, timeout=timeout, key=key, src="wire")
+        outcome = comm.reassemble(
+            buf, pkt, now=ctx.now, timeout=timeout, key=cfg.auth_key, src="wire", table=table
+        )
         # completed keys are stored in completion order: the stale ones lead
         done = buf.completed
         while done:
@@ -185,11 +189,11 @@ def _codec_machine(
     link: comm.LinkType,
     trigger: str,
     leaf: str,
-    mtu: int,
-    key: bytes,
-    timeout: int,
+    cfg: comm.CommConfig,
+    table: dict[str, int],
 ) -> StateMachine:
     """Endpoint that both produces framed traffic and ingests it."""
+    priority = comm.classify_priority("track_data", table, cfg.default_priority)
     b = MachineBuilder(label)
     b.state("Top", initial=leaf)
     b.state(leaf, parent="Top")
@@ -199,15 +203,15 @@ def _codec_machine(
         leaf,
         actions=(
             Action("authenticate", _authenticate()),
-            Action("encode", _encode(lane, "track_data", link, mtu, key)),
-            Action("transmit", _transmit(uc, "track_data")),
+            Action("encode", _encode(lane, "track_data", link, cfg, table)),
+            Action("transmit", _transmit(uc, priority)),
         ),
     )
     b.transition(
         leaf,
         "DATA_PKT",
         leaf,
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key, timeout))),
+        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table))),
     )
     b.transition(leaf, "ExchangeStatus", leaf, actions=(Action("note_status", _bump("status_seen")),))
     machine = b.build()
@@ -250,7 +254,7 @@ def _monitor_machine(label: str) -> StateMachine:
     return b.build()
 
 
-def _standby_machine(label: str, key: bytes, timeout: int) -> StateMachine:
+def _standby_machine(label: str, cfg: comm.CommConfig, table: dict[str, int]) -> StateMachine:
     b = MachineBuilder(label)
     b.state("Top", initial="Standby")
     b.state("Standby", parent="Top", defer=("DATA_PKT",))
@@ -261,7 +265,7 @@ def _standby_machine(label: str, key: bytes, timeout: int) -> StateMachine:
         "Active",
         "DATA_PKT",
         "Active",
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(key, timeout))),
+        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table))),
     )
     b.transition("Standby", "ExchangeStatus", "Standby", actions=(Action("note_status", _bump("status_seen")),))
     b.transition("Active", "ExchangeStatus", "Active", actions=(Action("note_status", _bump("status_seen")),))
@@ -301,15 +305,15 @@ _FIXTURE_ACTORS = {"Operator", "LocalHost", "StandbyCI", "CommEquipment", "PeerC
 def build_behaviors(
     plan: ProcessPlan,
     channels: list[IpcChannel] | None = None,
-    mtu_payload: int = 1000,
-    auth_key: bytes = AUTH_KEY,
-    reassembly_timeout: int = comm.DEFAULT_CONFIG.reassembly_timeout,
+    cfg: comm.CommConfig = comm.DEFAULT_CONFIG,
 ) -> dict[str, dict[str, StateMachine]]:
     """One behavior set per process node, keyed by the machine's use case.
 
     Message-id lanes are disjoint per node so reassembly keys from
-    different producers never collide at a shared consumer.
+    different producers never collide at a shared consumer. The codec
+    machines take MTU, key, reassembly timeout and priorities from cfg.
     """
+    table = cfg.priority_table()
     out: dict[str, dict[str, StateMachine]] = {}
     host_lane, peer_lane = 1, 16
     for node in plan.all_nodes():
@@ -321,8 +325,7 @@ def build_behaviors(
             lane, host_lane = host_lane, host_lane + 1
             out[node.id] = {
                 "SendData": _codec_machine(
-                    node.id, "SendData", lane, comm.LinkType.LINK_A, "SEND_REQ", "Idle",
-                    mtu_payload, auth_key, reassembly_timeout,
+                    node.id, "SendData", lane, comm.LinkType.LINK_A, "SEND_REQ", "Idle", cfg, table
                 )
             }
         elif actor == "PeerCI":
@@ -330,12 +333,12 @@ def build_behaviors(
             out[node.id] = {
                 "ReceiveData": _codec_machine(
                     node.id, "ReceiveData", lane, comm.LinkType.LINK_B, "RX_DATA", "Listening",
-                    mtu_payload, auth_key, reassembly_timeout,
+                    cfg, table,
                 ),
                 "MaintainSession": _session_machine(f"{node.id}:session"),
             }
         elif actor == "StandbyCI":
-            out[node.id] = {"TakeOver": _standby_machine(node.id, auth_key, reassembly_timeout)}
+            out[node.id] = {"TakeOver": _standby_machine(node.id, cfg, table)}
         elif actor == "Operator":
             out[node.id] = {"ExchangeStatus": _operator_machine(node.id)}
         elif actor == "CommEquipment":
@@ -400,9 +403,7 @@ def build_world(
     cfg = comm_config or comm.DEFAULT_CONFIG
     plan = build_plan(model, policy)
     channels = assign_ipc(dependency_graph(plan, model))
-    behaviors = build_behaviors(
-        plan, channels, cfg.mtu_payload, cfg.auth_key, cfg.reassembly_timeout
-    )
+    behaviors = build_behaviors(plan, channels, cfg)
     failover = None
     if with_failover:
         monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
@@ -421,6 +422,8 @@ def build_world(
             dead_threshold=cfg.dead_threshold,
             monitor_process=monitor,
             alert_channel=alert_channel,
+            priorities=cfg.priority_table(),
+            default_priority=cfg.default_priority,
         )
     world = instantiate(
         plan,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewcase import comm
 from viewcase.comm import (
     DEFAULT_CONFIG,
     DEFAULT_PRIORITIES,
@@ -94,6 +95,71 @@ def test_crc16_matches_bitwise_reference(data):
 @given(st.binary(max_size=16), st.binary(max_size=64))
 def test_auth_tag_matches_fnv_reference(key, data):
     assert auth_tag(key, data) == _fnv1a(key + data)
+
+
+# --- the memoized tag ------------------------------------------------------------------
+
+_TAG_POOL = [
+    (b"", b""),
+    (b"k", b"a"),
+    (b"", b"ka"),  # same key || data as the one above, different split
+    (KEY, b"payload"),
+    (KEY, bytes(range(256))),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(_TAG_POOL) - 1), st.binary(max_size=24)),
+        min_size=129,
+        max_size=200,
+    )
+)
+def test_memoized_auth_tag_matches_reference_through_hits_and_evictions(steps):
+    # each step tags one pooled input (repeats hit) and one fresh input;
+    # more than 128 fresh inputs overflow the cache, so pooled ones get evicted too
+    comm._fnv1a.cache_clear()
+    for i, (pooled, blob) in enumerate(steps):
+        key, data = _TAG_POOL[pooled]
+        assert auth_tag(key, data) == _fnv1a(key + data)
+        fresh = i.to_bytes(2, "big") + blob
+        assert auth_tag(b"fresh", fresh) == _fnv1a(b"fresh" + fresh)
+    info = comm._fnv1a.cache_info()
+    assert info.hits > 0
+    assert info.misses > info.maxsize == info.currsize
+
+
+def test_forgeries_are_rejected_while_the_genuine_tag_is_cached():
+    (pkt,) = packetize(_msg(), 1000, KEY)
+    hits = comm._fnv1a.cache_info().hits
+    assert verify_packet(KEY, pkt)
+    assert comm._fnv1a.cache_info().hits == hits + 1  # the tag packetize computed
+    forged_payload = Packet(
+        pkt.msg_id, pkt.seq_index, pkt.total_count, pkt.priority, b"payloaX", pkt.auth_tag
+    )
+    forged_tag = Packet(
+        pkt.msg_id, pkt.seq_index, pkt.total_count, pkt.priority, pkt.payload, pkt.auth_tag ^ 1
+    )
+    assert not verify_packet(KEY, forged_payload)
+    assert not verify_packet(KEY, forged_tag)
+    assert not verify_packet(b"wrong", pkt)
+    assert verify_packet(KEY, pkt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=16), st.binary(max_size=64))
+def test_auth_tag_accepts_bytearray_and_memoryview(key, data):
+    expected = auth_tag(key, data)
+    assert auth_tag(bytearray(key), bytearray(data)) == expected
+    assert auth_tag(memoryview(key), memoryview(data)) == expected
+
+
+def test_auth_tag_of_a_mutated_buffer_is_not_stale():
+    buf = bytearray(b"payload")
+    before = auth_tag(KEY, buf)
+    buf[0] ^= 0xFF
+    assert auth_tag(KEY, buf) == _fnv1a(KEY + bytes(buf)) != before
 
 
 # --- priorities -------------------------------------------------------------------

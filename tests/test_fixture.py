@@ -4,7 +4,14 @@ import hashlib
 
 import pytest
 
-from viewcase.comm import CommConfig, ReassemblyBuffer
+from viewcase import comm
+from viewcase.comm import (
+    CommConfig,
+    LinkType,
+    ReassemblyBuffer,
+    convert_from_frame,
+    parse_comm_config,
+)
 from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
@@ -226,6 +233,71 @@ def test_health_segments_are_scan_only():
     assert len(health_channels) == 10
     sampled = {r.detail.split()[0] for r in trace.rows_of("sample")}
     assert sampled.isdisjoint(health_channels)
+
+
+def test_every_receiver_check_hits_the_tag_cache(monkeypatch):
+    # each packet is tagged once by packetize; every receiver verifies the same
+    # bytes, so on a cache that holds the traffic's reuse distance they all hit
+    produced = []
+    packetize = comm.packetize
+
+    def counting(*args, **kwargs):
+        packets = packetize(*args, **kwargs)
+        produced.extend(packets)
+        return packets
+
+    monkeypatch.setattr(comm, "packetize", counting)
+    plan, channels, world = build_world()
+    comm._fnv1a.cache_clear()
+    world.run(parse_scenario(degradation_scenario(kill=None)), 1500)
+    info = comm._fnv1a.cache_info()
+    assert produced
+    assert info.misses == len(produced)
+    assert info.hits > info.misses  # fan-out: several receivers per packet
+
+
+def _record_sends(monkeypatch, world):
+    sent = []
+    send = world.channel_send
+
+    def recording(channel_id, msg, now):
+        sent.append(msg)
+        return send(channel_id, msg, now)
+
+    monkeypatch.setattr(world, "channel_send", recording)
+    return sent
+
+
+def _frame_priority(frame):
+    link = LinkType.LINK_B if frame[:1] == b"\x7e" else LinkType.LINK_A
+    return convert_from_frame(frame, link).priority
+
+
+def test_configured_priorities_reach_the_simulation(monkeypatch):
+    scenario = parse_scenario(degradation_scenario(kill=None))
+    cfg = parse_comm_config("priority.track_data = 3\npriority.status = 5\n")
+    plan, channels, world = build_world(comm_config=cfg)
+    sent = _record_sends(monkeypatch, world)
+    trace, _ = world.run(scenario, 1500)
+    data = [m for m in sent if m.signal == "DATA_PKT"]
+    status = [m for m in sent if m.signal == "EQUIP_STATUS"]
+    assert data and status
+    assert {m.priority for m in data} == {3}
+    assert {_frame_priority(m.body) for m in data} == {3}
+    assert {m.priority for m in status} == {5}
+    default_trace, _ = build_world()[2].run(scenario, 1500)
+    assert trace.to_text() != default_trace.to_text()
+
+
+def test_unlisted_data_types_take_the_configured_default_priority(monkeypatch):
+    cfg = CommConfig(default_priority=7, priorities=(("status", 5),))
+    plan, channels, world = build_world(comm_config=cfg)
+    sent = _record_sends(monkeypatch, world)
+    world.run(parse_scenario(degradation_scenario(kill=None)), 1000)
+    data = [m for m in sent if m.signal == "DATA_PKT"]
+    assert data
+    assert {m.priority for m in data} == {7}
+    assert {_frame_priority(m.body) for m in data} == {7}
 
 
 # sha256 of the four simulate artifacts, recorded before the runtime kept
