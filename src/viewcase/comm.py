@@ -31,7 +31,10 @@ body are escaped as 0x7D followed by the byte XOR 0x20.
 Reassembly is keyed by (src, msg_id): packets may arrive in any order and
 duplicated; a completed key is remembered for one timeout window so late
 duplicates do not rebuild the message. Entries that never complete are
-reported by `scan_timeouts`.
+reported by `scan_timeouts`, which expires from the front and so needs
+insertion order to be time order: true while only `reassemble` changes
+the buffer and `now` never decreases. `reassemble` checks each key it
+touches lazily and needs no such order.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+
+from .engine import FailoverConfig
+from .statechart import ActorMessage
 
 # --- integrity primitives -----------------------------------------------------
 
@@ -275,13 +281,25 @@ def reassemble(
 
 
 def scan_timeouts(buffer: ReassemblyBuffer, now: int, timeout: int) -> list[ReassemblyOutcome]:
-    """Expire incomplete entries (and stale completed-key memory)."""
+    """Expire incomplete entries (and stale completed-key memory).
+
+    Precondition: insertion order is time order, which holds while every
+    change comes from `reassemble` and `now` never decreases. Each dict is
+    then expired from the front, stopping at its first live item.
+    """
     out = []
-    for k in [k for k, e in buffer.entries.items() if now - e.first_seen >= timeout]:
-        del buffer.entries[k]
+    entries, completed = buffer.entries, buffer.completed
+    while entries:
+        k, entry = next(iter(entries.items()))
+        if now - entry.first_seen < timeout:
+            break
+        del entries[k]
         out.append(ReassemblyOutcome(OutcomeKind.REJECTED, reason="timeout", key=k))
-    for k in [k for k, t in buffer.completed.items() if now - t >= timeout]:
-        del buffer.completed[k]
+    while completed:
+        k, done_at = next(iter(completed.items()))
+        if now - done_at < timeout:
+            break
+        del completed[k]
     return out
 
 
@@ -434,8 +452,6 @@ class HealthTable:
 
 def standby_takeover(world, main_id: str, standby_id: str, now: int, detected_at: int) -> None:
     """Rebind the dead main's channel endpoints to the standby process."""
-    from .statechart import ActorMessage  # local import avoids a cycle
-
     world.rebind_endpoints(main_id, standby_id, now)
     world.post_mailbox(
         standby_id, ActorMessage("TAKEOVER", main_id.encode(), 250), now
@@ -463,9 +479,6 @@ def build_failover(
     so link traffic stays constant across runs. The summary's priority is
     `status` classified through priorities/default_priority.
     """
-    from .engine import FailoverConfig
-    from .statechart import ActorMessage
-
     if scan_period < 1:
         raise ValueError("scan_period must be positive")
     table = HealthTable()

@@ -31,7 +31,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ipc import ChannelKind, IpcChannel
 from .partition import ProcessNode, ProcessPlan
@@ -51,7 +51,6 @@ class SimConfig:
     transmitter_period: int = 50
     watchdog_period: int = 100
     watchdog_timeout: int = 300  # 3 x watchdog period
-    max_batch: int = 256  # zero-cost processor outcomes folded into one tick
 
 
 @dataclass(frozen=True)
@@ -278,10 +277,12 @@ class _ActiveDispatch:
     dispatch_no: int
 
 
-@dataclass
-class _MailEntry:
+class _MailEntry(NamedTuple):
+    """Mailbox entry; the smallest entry is dispatched next."""
+
+    rank: int  # -priority
     lane: int  # 0 = recalled, 1 = normal arrival
-    seq: int
+    seq: int  # unique, so entries never compare their messages
     msg: ActorMessage
 
 
@@ -307,11 +308,7 @@ class ProcessInstance:
 
 # --- the world ----------------------------------------------------------------
 
-_EV_FAULT = 0
-_EV_STIMULUS = 1
-_EV_THREAD = 2
-_EV_SCAN = 3
-_EV_TICK = 4
+_MAX_BATCH = 256  # zero-cost processor outcomes folded into one tick
 
 
 class SimWorld:
@@ -352,10 +349,9 @@ class SimWorld:
         self.now = 0
         self.horizon = 0
         self.rng = random.Random(0)
-        self._heap: list[tuple[int, int, int, tuple]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._mail_seq = 0
-        self._recall_seq = 0
         self._ticking: str | None = None  # process whose tick is executing
 
     # -- plumbing --
@@ -371,10 +367,11 @@ class SimWorld:
                 if reader in self.reads:
                     self.reads[reader].append(ch)
 
-    def _schedule(self, time: int, kind: int, payload: tuple) -> None:
+    def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
+        """Run `handler(time, *args)` at `time`; the unique seq keeps handlers uncompared."""
         if time > self.horizon:
             return
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
 
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
@@ -387,12 +384,8 @@ class SimWorld:
         if not proc.alive:
             return
         had_work = proc.has_work()
-        if recalled:
-            self._recall_seq += 1
-            proc.mailbox.append(_MailEntry(0, self._recall_seq, msg))
-        else:
-            self._mail_seq += 1
-            proc.mailbox.append(_MailEntry(1, self._mail_seq, msg))
+        self._mail_seq += 1
+        proc.mailbox.append(_MailEntry(-msg.priority, 0 if recalled else 1, self._mail_seq, msg))
         if not had_work:
             proc.last_progress = now
         self._wake_processor(proc, now)
@@ -402,7 +395,7 @@ class SimWorld:
             proc.tick_scheduled = True
             # a tick in progress already owns this millisecond
             when = now + 1 if self._ticking == proc.id else now
-            self._schedule(when, _EV_TICK, (proc.id,))
+            self._schedule(when, self._on_tick, proc.id)
 
     def channel_send(self, channel_id: str, msg: ActorMessage, now: int) -> bool:
         """Send on a channel; returns False when a full queue blocks the writer."""
@@ -484,13 +477,13 @@ class SimWorld:
         else:
             self.trace(now, spec.process, "-", "stimulus", f"{spec.signal} dropped")
         if spec.every > 0:
-            self._schedule(now + spec.every, _EV_STIMULUS, (spec,))
+            self._schedule(now + spec.every, self._on_stimulus, spec)
 
     def _on_scan(self, now: int) -> None:
         assert self.failover is not None
         self.trace(now, "-", "-", "scan", "heartbeat")
         self.failover.scan_fn(self, now)
-        self._schedule(now + self.failover.scan_period, _EV_SCAN, ())
+        self._schedule(now + self.failover.scan_period, self._on_scan)
 
     def _on_thread(self, now: int, process_id: str, role: ThreadRole) -> None:
         proc = self.processes[process_id]
@@ -507,7 +500,7 @@ class SimWorld:
                     self.trace(now, process_id, "watchdog", "trip", f"no progress for {idle}")
                     self.kill(process_id, now, "watchdog")
                     return
-            self._schedule(now + self._periods[role], _EV_THREAD, (process_id, role))
+            self._schedule(now + self._periods[role], self._on_thread, process_id, role)
 
     def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
         for ch in self.reads[proc.id]:
@@ -597,7 +590,7 @@ class SimWorld:
     def _pick_next(self, proc: ProcessInstance) -> _MailEntry | None:
         if not proc.mailbox:
             return None
-        best = min(proc.mailbox, key=lambda e: (-e.msg.priority, e.lane, e.seq))
+        best = min(proc.mailbox)
         proc.mailbox.remove(best)
         return best
 
@@ -647,7 +640,7 @@ class SimWorld:
             if proc.active is not None:
                 self._spend_ms(proc, now)
                 return
-            for _ in range(self.config.max_batch):
+            for _ in range(_MAX_BATCH):
                 entry = self._pick_next(proc)
                 if entry is None:
                     return
@@ -670,31 +663,22 @@ class SimWorld:
         self.rng = random.Random(seed)
 
         for f in scenario.faults:
-            self._schedule(f.at, _EV_FAULT, (f.process,))
+            self._schedule(f.at, self._on_fault, f.process)
         for s in scenario.stimuli:
-            self._schedule(s.at, _EV_STIMULUS, (s,))
+            self._schedule(s.at, self._on_stimulus, s)
         for proc in self.processes.values():
             for role, period in self._periods.items():
-                self._schedule(period, _EV_THREAD, (proc.id, role))
+                self._schedule(period, self._on_thread, proc.id, role)
         if self.failover is not None:
             # offset by one tick so scans observe the writes of the same period
-            self._schedule(self.failover.scan_period + 1, _EV_SCAN, ())
+            self._schedule(self.failover.scan_period + 1, self._on_scan)
 
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, handler, args = heapq.heappop(self._heap)
             if time > horizon:
                 break
             self.now = time
-            if kind == _EV_FAULT:
-                self._on_fault(time, *payload)
-            elif kind == _EV_STIMULUS:
-                self._on_stimulus(time, *payload)
-            elif kind == _EV_THREAD:
-                self._on_thread(time, *payload)
-            elif kind == _EV_SCAN:
-                self._on_scan(time)
-            elif kind == _EV_TICK:
-                self._on_tick(time, *payload)
+            handler(time, *args)
 
         return SimTrace(tuple(self.trace_rows)), self.metrics
 
@@ -747,10 +731,7 @@ class DegradationReport:
 
 def degradation_report(metrics: Metrics, plan: ProcessPlan) -> DegradationReport:
     """Graceful iff every lossy link touches a failed process and survivors remain."""
-    failed = []
-    for _, pid, _ in metrics.faults:
-        if pid not in failed:
-            failed.append(pid)
+    failed = list(dict.fromkeys(pid for _, pid, _ in metrics.faults))
     lost = tuple(sorted(k for k, s in metrics.links.items() if s.delivered < s.sent))
     intact = tuple(sorted(k for k, s in metrics.links.items() if s.delivered == s.sent))
     node_ids = [n.id for n in plan.all_nodes()]

@@ -164,13 +164,7 @@ def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
         outcome = comm.reassemble(
             buf, pkt, now=ctx.now, timeout=timeout, key=cfg.auth_key, src="wire", table=table
         )
-        # completed keys are stored in completion order: the stale ones lead
-        done = buf.completed
-        while done:
-            k, done_at = next(iter(done.items()))
-            if ctx.now - done_at < timeout:
-                break
-            del done[k]
+        comm.scan_timeouts(buf, ctx.now, timeout)
         ctx.vars[outcome.kind.value] = ctx.vars.get(outcome.kind.value, 0) + 1
         if outcome.kind is comm.OutcomeKind.COMPLETE:
             assert outcome.message is not None

@@ -19,6 +19,7 @@ unroutable flows, bad multiplicities) as diagnostics.
 
 from __future__ import annotations
 
+import graphlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -300,35 +301,16 @@ def trigger_map(model: UseCaseModel) -> dict[str, list[str]]:
 
 def _relation_cycle(model: UseCaseModel) -> list[str] | None:
     """Find one directed cycle in the base->other relation graph, if any."""
-    adj: dict[str, list[str]] = {}
+    graph = graphlib.TopologicalSorter()
+    for u in model.use_cases:
+        graph.add(u.id)
     for r in model.relations:
-        adj.setdefault(r.base, []).append(r.other)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {u.id: WHITE for u in model.use_cases}
-    for r in model.relations:
-        color.setdefault(r.base, WHITE)
-        color.setdefault(r.other, WHITE)
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in adj.get(node, ()):
-            if color.get(nxt, WHITE) == GREY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color.get(nxt, WHITE) == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in list(color):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+        graph.add(r.base)  # the search starts from nodes in order of first mention
+        graph.add(r.other, r.base)
+    try:
+        graph.prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
     return None
 
 

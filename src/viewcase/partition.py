@@ -442,23 +442,19 @@ def render_plan(plan: ProcessPlan, channels: object = None) -> str:
     if channels is not None:
         lines += ["", f"channels: {len(tuple(channels))}"]
         for c in channels:
-            lines += ["", f"channel: {c.id}"]
+            lines += [
+                "",
+                f"channel: {c.id}",
+                f"kind: {c.kind.value}",
+                f"writer: {c.writer}",
+                f"readers: {_fmt(c.readers)}",
+                f"class: {c.klass.value}",
+            ]
             if c.kind.value == "shared-segment":
                 lines += [
-                    "kind: shared-segment",
-                    f"writer: {c.writer}",
-                    f"readers: {_fmt(c.readers)}",
-                    f"class: {c.klass.value}",
                     f"period: {c.period_ms if c.period_ms is not None else 'none'}",
                     f"segment-size: {c.segment_size}",
                 ]
             else:
-                lines += [
-                    "kind: message-queue",
-                    f"writer: {c.writer}",
-                    f"readers: {_fmt(c.readers)}",
-                    f"class: {c.klass.value}",
-                    f"capacity: {c.capacity}",
-                    f"message-size: {c.message_size}",
-                ]
+                lines += [f"capacity: {c.capacity}", f"message-size: {c.message_size}"]
     return "\n".join(lines) + "\n"

@@ -172,9 +172,6 @@ class StateMachine:
             chain.append(self.states[chain[-1]].initial_child)  # type: ignore[arg-type]
         return chain
 
-    def is_leaf(self, sid: str) -> bool:
-        return not self._children.get(sid)
-
     def ancestors(self, sid: str) -> list[str]:
         """sid and its ancestors, innermost first."""
         out = [sid]
@@ -249,26 +246,18 @@ def dispatch(
         return DispatchResult(fired=False, deferred=False)
 
     lca = _lca(machine, transition.scope, transition.target)
-
-    exit_states = []
-    for sid in state_context(machine):
-        if sid == lca:
-            break
-        exit_states.append(sid)
+    context = state_context(machine)
+    exit_states = context[: context.index(lca)]
 
     entry_states = []
     cursor = transition.target
     while cursor != lca:
         entry_states.append(cursor)
         cursor = machine.states[cursor].parent  # type: ignore[assignment]
-        if cursor is None:
-            raise ValueError("target is not below the transition LCA")
     entry_states.reverse()
-    descent = machine._descend(transition.target)[1:]
-    entry_states.extend(descent)
-    new_leaf = entry_states[-1] if entry_states else (
-        transition.target if machine.is_leaf(transition.target) else machine.current
-    )
+    descent = machine._descend(transition.target)
+    entry_states.extend(descent[1:])
+    new_leaf = descent[-1]
 
     plan: list[Action] = []
     for sid in exit_states:
@@ -314,11 +303,6 @@ def dispatch(
         cost_ms=sum(a.cost_ms for a in plan),
         action_costs=tuple(a.cost_ms for a in plan),
     )
-
-
-def mailbox_order(pending: list[ActorMessage]) -> list[ActorMessage]:
-    """Descending priority, FIFO among equals (stable sort)."""
-    return sorted(pending, key=lambda m: -m.priority)
 
 
 class MachineBuilder:

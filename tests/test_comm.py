@@ -648,3 +648,58 @@ def test_link_b_unstuffing_matches_bytewise_reference(raw, trailing_escape):
     data = b"\x7e" + raw + (b"\x7d" if trailing_escape else b"") + b"\x7e"
     expected = _decode_outcome(_deframe_link_b_bytewise, data)
     assert _decode_outcome(lambda d: convert_from_frame(d, LinkType.LINK_B), data) == expected
+
+
+# --- reassembly expiry against the full-scan reference ----------------------------------
+
+
+def _scan_timeouts_full(buffer, now, timeout):
+    """`scan_timeouts` before front expiry: a full scan of both dicts, kept as the reference."""
+    out = []
+    for k in [k for k, e in buffer.entries.items() if now - e.first_seen >= timeout]:
+        del buffer.entries[k]
+        out.append(comm.ReassemblyOutcome(OutcomeKind.REJECTED, reason="timeout", key=k))
+    for k in [k for k, t in buffer.completed.items() if now - t >= timeout]:
+        del buffer.completed[k]
+    return out
+
+
+_EXPIRY_TIMEOUT = 1000
+
+
+def _expiry_packet(msg_id: int, total: int, index: int) -> Packet:
+    return packetize(_msg(bytes(4 * total), msg_id=msg_id), 4, KEY)[index % total]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # time step: `now` never decreases, and often lands exactly on a timeout
+            st.one_of(st.integers(0, 700), st.sampled_from([250, 500, 1000])),
+            st.one_of(
+                st.none(),  # a scan
+                st.tuples(  # a packet: source, msg_id, fragment count, fragment index
+                    st.sampled_from(["a", "b"]), st.integers(0, 4), st.integers(1, 3),
+                    st.integers(0, 2),
+                ),
+            ),
+        ),
+        max_size=40,
+    )
+)
+def test_front_expiry_matches_full_scan_for_nondecreasing_now(steps):
+    fast, ref = ReassemblyBuffer(), ReassemblyBuffer()
+    now = 0
+    for dt, packet in steps:
+        now += dt
+        if packet is None:
+            got = scan_timeouts(fast, now, _EXPIRY_TIMEOUT)
+            assert got == _scan_timeouts_full(ref, now, _EXPIRY_TIMEOUT)
+        else:
+            src, msg_id, total, index = packet
+            pkt = _expiry_packet(msg_id, total, index)
+            got = reassemble(fast, pkt, now, _EXPIRY_TIMEOUT, KEY, src=src)
+            assert got == reassemble(ref, pkt, now, _EXPIRY_TIMEOUT, KEY, src=src)
+        assert list(fast.entries.items()) == list(ref.entries.items())
+        assert list(fast.completed.items()) == list(ref.completed.items())

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewcase.engine import (
     FailoverRecord,
@@ -236,6 +238,20 @@ def test_fifo_within_equal_priority():
         world.post_mailbox("A#0", ActorMessage("LOW", body, 5), 0)
     drained = [world._pick_next(proc).msg.body for _ in range(3)]
     assert drained == [b"1", b"2", b"3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=25))
+def test_mailbox_drains_by_priority_then_recall_lane_then_arrival(posts):
+    world, _ = _world()
+    proc = world.processes["A#0"]
+    for i, (priority, recalled) in enumerate(posts):
+        world.post_mailbox("A#0", ActorMessage("LOW", str(i).encode(), priority), 0, recalled=recalled)
+    drained = []
+    while (entry := world._pick_next(proc)) is not None:
+        drained.append(int(entry.msg.body))
+    expected = sorted(range(len(posts)), key=lambda i: (-posts[i][0], not posts[i][1], i))
+    assert drained == expected
 
 
 def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():

@@ -26,6 +26,7 @@ from viewcase.fixture import (
 from viewcase.ipc import assign_ipc, dependency_graph
 from viewcase.model import Instantiation, parse_model, trigger_map, validate_model
 from viewcase.partition import MappingPolicy, Objective, build_plan, render_plan
+from viewcase.statechart import ActorMessage, dispatch
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,25 @@ def test_completed_reassembly_keys_expire_after_the_timeout():
             held += len(buf.completed)
             completed += machine.variables.get("complete", 0)
     assert 0 < held < completed
+
+
+def _link_a_frames(msg_id, size):
+    app = comm.AppMessage(msg_id, "", "", "track_data", bytes(size))
+    packets = comm.packetize(app, comm.DEFAULT_CONFIG.mtu_payload, comm.DEFAULT_CONFIG.auth_key)
+    return [comm.convert_to_frame(p, LinkType.LINK_A) for p in packets]
+
+
+def test_incomplete_reassembly_entries_expire_after_the_timeout():
+    timeout = comm.DEFAULT_CONFIG.reassembly_timeout
+    _, _, world = build_world()
+    machine = world.processes["PeerCI#0"].machines["ReceiveData"]
+    first, _ = _link_a_frames(1, comm.DEFAULT_CONFIG.mtu_payload + 1)  # two packets
+    (only,) = _link_a_frames(2, 10)
+    dispatch(machine, ActorMessage("DATA_PKT", first), now=0)
+    assert list(machine.resources["rx"].entries) == [("wire", 1)]
+    dispatch(machine, ActorMessage("DATA_PKT", only), now=timeout)
+    assert machine.variables["complete"] == 1
+    assert machine.resources["rx"].entries == {}
 
 
 def test_build_world_memory_bound_policy():

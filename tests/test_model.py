@@ -245,3 +245,61 @@ def test_render_parse_round_trip(model):
 def test_render_is_stable(model):
     once = render_model(model)
     assert render_model(parse_model(once)) == once
+
+
+def _reference_relation_cycle(model):
+    """The hand-rolled DFS that `validate_model` used before graphlib, kept as the reference."""
+    adj = {}
+    for r in model.relations:
+        adj.setdefault(r.base, []).append(r.other)
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {u.id: WHITE for u in model.use_cases}
+    for r in model.relations:
+        color.setdefault(r.base, WHITE)
+        color.setdefault(r.other, WHITE)
+    stack = []
+
+    def visit(node):
+        color[node] = GREY
+        stack.append(node)
+        for nxt in adj.get(node, ()):
+            if color.get(nxt, WHITE) == GREY:
+                return stack[stack.index(nxt):] + [nxt]
+            if color.get(nxt, WHITE) == WHITE:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        color[node] = BLACK
+        return None
+
+    for node in list(color):
+        if color[node] == WHITE:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+@st.composite
+def relation_graphs(draw):
+    """Random relation graphs over declared use cases plus some undeclared ids."""
+    declared = [f"U{i}" for i in range(draw(st.integers(1, 6)))]
+    ids = declared + [f"X{i}" for i in range(draw(st.integers(0, 3)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
+    return UseCaseModel(
+        (Actor("A"),),
+        tuple(UseCase(u, u, ("A",)) for u in declared),
+        tuple(UseCaseRelation(RelationKind.INCLUDE, base, other) for base, other in pairs),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(relation_graphs())
+def test_reported_cycle_matches_reference_dfs(model):
+    cycle = _reference_relation_cycle(model)
+    expected = [] if cycle is None else ["cycle: " + "→".join(cycle)]
+    reported = [d for d in validate_model(model) if d.message.startswith("cycle: ")]
+    assert [d.message for d in reported] == expected
+    if cycle is not None:
+        assert reported[0].location == f"usecase {cycle[0]}"

@@ -14,7 +14,6 @@ from viewcase.statechart import (
     StateMachine,
     Transition,
     dispatch,
-    mailbox_order,
     parse_machine,
     select_transition,
     state_context,
@@ -328,19 +327,6 @@ def test_actions_can_emit_messages():
     assert r.emitted == (("uc:Send", ActorMessage("OUT", b"payload")),)
 
 
-# --- mailbox ordering ---------------------------------------------------------------------
-
-
-def test_mailbox_order_priority_then_fifo():
-    msgs = [
-        ActorMessage("a", b"", 1),
-        ActorMessage("b", b"", 3),
-        ActorMessage("c", b"", 1),
-        ActorMessage("d", b"", 3),
-    ]
-    assert [m.signal for m in mailbox_order(msgs)] == ["b", "d", "a", "c"]
-
-
 def test_empty_signal_is_rejected():
     with pytest.raises(ValueError):
         ActorMessage("")
@@ -459,14 +445,69 @@ def test_discard_never_mutates(built, signal):
     assert (machine.current, machine.variables, machine.deferral_buffer) == before
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=20))
-def test_mailbox_order_is_stable_and_sorted(pairs):
-    msgs = [ActorMessage(f"s{i}", bytes([i % 256]), p) for i, (p, _) in enumerate(pairs)]
-    ordered = mailbox_order(msgs)
-    priorities = [m.priority for m in ordered]
-    assert priorities == sorted(priorities, reverse=True)
-    for p in set(priorities):  # FIFO within equal priority
-        same_in = [m.signal for m in msgs if m.priority == p]
-        same_out = [m.signal for m in ordered if m.priority == p]
-        assert same_in == same_out
+def _reference_transition_plan(machine, transition):
+    """Action ids and new leaf as `dispatch` computed them before the single LCA walk."""
+    a_chain = machine.ancestors(transition.scope)
+    b_set = set(machine.ancestors(transition.target))
+    lca = next(sid for sid in a_chain if sid in b_set)
+    exit_states = []
+    for sid in state_context(machine):
+        if sid == lca:
+            break
+        exit_states.append(sid)
+    entry_states = []
+    cursor = transition.target
+    while cursor != lca:
+        entry_states.append(cursor)
+        cursor = machine.states[cursor].parent
+        if cursor is None:
+            raise ValueError("target is not below the transition LCA")
+    entry_states.reverse()
+    entry_states.extend(machine._descend(transition.target)[1:])
+    target_is_leaf = not machine._children.get(transition.target)
+    new_leaf = entry_states[-1] if entry_states else (
+        transition.target if target_is_leaf else machine.current
+    )
+    ids = [a.id for sid in exit_states for a in machine.states[sid].exit_actions]
+    ids += [a.id for a in transition.actions]
+    ids += [a.id for sid in entry_states for a in machine.states[sid].entry_actions]
+    return tuple(ids), new_leaf
+
+
+@st.composite
+def tree_transitions(draw):
+    """A random state tree with named entry/exit actions, a random current
+    leaf, and one transition from a state in that leaf's context to any state."""
+    n = draw(st.integers(1, 9))
+    parents = [None] + [f"S{draw(st.integers(0, i - 1))}" for i in range(1, n)]
+    children = {}
+    for i, parent in enumerate(parents):
+        if parent is not None:
+            children.setdefault(parent, []).append(f"S{i}")
+    states = [
+        State(
+            f"S{i}",
+            parent,
+            draw(st.sampled_from(children[f"S{i}"])) if f"S{i}" in children else None,
+            (Action(f"enter S{i}"),),
+            (Action(f"exit S{i}"),),
+        )
+        for i, parent in enumerate(parents)
+    ]
+    leaf = draw(st.sampled_from([f"S{i}" for i in range(n) if f"S{i}" not in children]))
+    probe = StateMachine(states, [])
+    scope = draw(st.sampled_from(probe.ancestors(leaf)))
+    target = f"S{draw(st.integers(0, n - 1))}"
+    machine = StateMachine(states, [Transition(scope, "GO", target, (Action("t"),))])
+    machine.current = leaf
+    return machine
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_transitions())
+def test_transition_chains_match_reference_walk(machine):
+    expected_ids, expected_leaf = _reference_transition_plan(machine, machine.transitions[0])
+    result = dispatch(machine, ActorMessage("GO"))
+    assert result.fired
+    assert result.actions_run == expected_ids
+    assert machine.current == expected_leaf
