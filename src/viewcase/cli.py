@@ -6,6 +6,9 @@
     viewcase simulate --model m.ucm --scenario s.scn --horizon 8000 --seed 0 --out DIR
     viewcase report   --model m.ucm --scenario s.scn --horizon 8000 --seed 0
 
+`simulate` and `report` take `--config comm.cfg`, the `key = value`
+communication settings (MTU, timeouts, scan period, priorities).
+
 Exit codes: 0 success, 1 domain failure (invalid model, budget exceeded,
 non-graceful degradation), 2 usage or I/O errors.
 """
@@ -16,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .comm import parse_comm_config
 from .engine import Scenario, ScenarioError, degradation_report, parse_scenario
 from .fixture import build_world
 from .ipc import assign_ipc, dependency_graph, emit_component_graph
@@ -106,6 +110,12 @@ def cmd_graph(args) -> int:
 
 
 def _simulate(args):
+    comm_config = None
+    if args.config is not None:
+        try:
+            comm_config = parse_comm_config(_read_text(args.config))
+        except ValueError as exc:
+            raise _UsageError(f"{args.config}: {exc}") from None
     model = _load_model(args)
     if model is None:
         return None
@@ -117,7 +127,7 @@ def _simulate(args):
             print(f"{args.scenario}: {exc}", file=sys.stderr)
             return None
     try:
-        plan, channels, world = build_world(model, _policy(args))
+        plan, channels, world = build_world(model, _policy(args), comm_config=comm_config)
     except BudgetExceeded as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return None
@@ -163,6 +173,8 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default=None, help="scenario file (faults and stimuli)")
     p.add_argument("--horizon", type=int, default=10000, help="virtual milliseconds to run")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None,
+                   help="communication config file of 'key = value' lines (default built-in)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -534,11 +534,16 @@ class CommConfig:
 
 DEFAULT_CONFIG = CommConfig()
 
-_INT_KEYS = ("mtu_payload", "reassembly_timeout", "scan_period", "dead_threshold", "default_priority")
+_COUNT_KEYS = ("mtu_payload", "reassembly_timeout", "scan_period", "dead_threshold")
+_INT_KEYS = (*_COUNT_KEYS, "default_priority")
 
 
 def parse_comm_config(text: str) -> CommConfig:
-    """Parse `key = value` configuration lines (# comments allowed)."""
+    """Parse `key = value` configuration lines (# comments allowed).
+
+    Sizes, periods and thresholds must be at least 1; priorities travel in
+    one header byte, so they must lie in 0..255.
+    """
     values: dict[str, object] = {}
     priorities: dict[str, int] = dict(DEFAULT_PRIORITIES)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -549,19 +554,23 @@ def parse_comm_config(text: str) -> CommConfig:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "auth_key":
+            values[key] = value.encode()
+            continue
+        if key not in _INT_KEYS and not key.startswith("priority."):
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key == "auth_key":
-                values[key] = value.encode()
-            elif key.startswith("priority."):
-                priorities[key[len("priority."):]] = int(value)
-            else:
-                raise KeyError
-        except KeyError:
-            raise ValueError(f"line {lineno}: unknown key {key!r}") from None
+            number = int(value)
         except ValueError:
             raise ValueError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
+        if key in _COUNT_KEYS and number < 1:
+            raise ValueError(f"line {lineno}: {key} must be at least 1, got {number}")
+        if key not in _COUNT_KEYS and not 0 <= number <= 255:
+            raise ValueError(f"line {lineno}: {key} must be in 0..255, got {number}")
+        if key in _INT_KEYS:
+            values[key] = number
+        else:
+            priorities[key[len("priority."):]] = number
     return CommConfig(priorities=tuple(priorities.items()), **values)  # type: ignore[arg-type]
 
 

@@ -146,8 +146,7 @@ def parse_scenario(text: str) -> Scenario:
 # --- trace and metrics --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     time: int
     process: str
     thread: str

@@ -28,9 +28,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 Guard = Callable[["ActorMessage", dict], bool]
+
+# Shared by every state that defers nothing, and by every context that does.
+_NO_DEFERRALS: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class State:
     initial_child: str | None = None
     entry_actions: tuple[Action, ...] = ()
     exit_actions: tuple[Action, ...] = ()
-    deferred_signals: frozenset[str] = frozenset()
+    deferred_signals: frozenset[str] = _NO_DEFERRALS
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,26 @@ class DispatchResult:
     action_costs: tuple[int | float, ...] = ()  # parallel to actions_run
 
 
+class _Plan(NamedTuple):
+    """What firing one transition from one leaf does, action by action."""
+
+    actions: tuple[Action, ...]
+    costs: tuple[int | float, ...]
+    cost_ms: int | float
+    new_leaf: str
+
+
 class StateMachine:
     """Mutable machine instance; quiescent between dispatches.
 
     `variables` is the machine's extended state and is rolled back when an
     action fails. `resources` holds long-lived objects such as codec
     buffers; like OS resources, they are not rolled back.
+
+    States and transitions are fixed after construction. Dispatch compiles
+    tables from them on first use and never invalidates them: transition
+    indices by signal, each leaf's context and deferred signals, and the
+    action plan of each (leaf, transition index) pair.
     """
 
     def __init__(
@@ -164,6 +181,9 @@ class StateMachine:
                 if end not in self.states:
                     raise ValueError(f"transition references unknown state {end!r}")
         self.current = self._descend(self.root)[-1] if self._children.get(self.root) else self.root
+        self._by_signal: dict[str, tuple[int, ...]] | None = None
+        self._chains: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
+        self._plans: dict[tuple[str, int], _Plan] = {}
 
     def _descend(self, sid: str) -> list[str]:
         """Initial-child chain from sid down to a leaf, inclusive."""
@@ -179,23 +199,51 @@ class StateMachine:
             out.append(self.states[out[-1]].parent)  # type: ignore[arg-type]
         return out
 
+    def _candidates(self, signal: str) -> tuple[int, ...]:
+        """Indices of the transitions on `signal`, in declaration order."""
+        table = self._by_signal
+        if table is None:
+            lists: dict[str, list[int]] = {}
+            for i, t in enumerate(self.transitions):
+                lists.setdefault(t.signal, []).append(i)
+            table = self._by_signal = {sig: tuple(ix) for sig, ix in lists.items()}
+        return table.get(signal, ())
+
+    def _chain(self, sid: str) -> tuple[tuple[str, ...], frozenset[str]]:
+        """sid's context, innermost first, and the signals deferred along it."""
+        entry = self._chains.get(sid)
+        if entry is None:
+            context = tuple(self.ancestors(sid))
+            deferring = [d for s in context if (d := self.states[s].deferred_signals)]
+            if not deferring:
+                deferred = _NO_DEFERRALS
+            elif len(deferring) == 1:
+                deferred = deferring[0]
+            else:
+                deferred = frozenset().union(*deferring)
+            entry = self._chains[sid] = (context, deferred)
+        return entry
+
     def dispatch(self, msg: ActorMessage) -> DispatchResult:
         return dispatch(self, msg)
 
 
 def state_context(machine: StateMachine) -> list[str]:
     """Active state chain, current leaf first, root last."""
-    return machine.ancestors(machine.current)
+    return list(machine._chain(machine.current)[0])
 
 
 def select_transition(machine: StateMachine, msg: ActorMessage) -> Transition | None:
     """Innermost-precedence lookup along the state context."""
-    for sid in state_context(machine):
+    candidates = machine._candidates(msg.signal)
+    if not candidates:
+        return None
+    transitions = machine.transitions
+    for sid in machine._chain(machine.current)[0]:
         matches = [
             t
-            for t in machine.transitions
-            if t.scope == sid
-            and t.signal == msg.signal
+            for i in candidates
+            if (t := transitions[i]).scope == sid
             and (t.guard is None or t.guard(msg, machine.variables))
         ]
         if len(matches) > 1:
@@ -214,9 +262,60 @@ def _lca(machine: StateMachine, a: str, b: str) -> str:
     raise ValueError(f"states {a!r} and {b!r} share no ancestor")
 
 
-def _defers(machine: StateMachine, context: list[str], signal: str) -> bool:
-    """Whether a state in `context` defers `signal`."""
-    return any(signal in machine.states[s].deferred_signals for s in context)
+def _walk(machine: StateMachine, transition: Transition) -> _Plan:
+    """Exit chain up to the LCA, transition actions, entry chain down to a leaf."""
+    lca = _lca(machine, transition.scope, transition.target)
+    context = state_context(machine)
+    exit_states = context[: context.index(lca)]
+
+    entry_states = []
+    cursor = transition.target
+    while cursor != lca:
+        entry_states.append(cursor)
+        cursor = machine.states[cursor].parent  # type: ignore[assignment]
+    entry_states.reverse()
+    descent = machine._descend(transition.target)
+    entry_states.extend(descent[1:])
+
+    plan: list[Action] = []
+    for sid in exit_states:
+        plan.extend(machine.states[sid].exit_actions)
+    plan.extend(transition.actions)
+    for sid in entry_states:
+        plan.extend(machine.states[sid].entry_actions)
+    costs = tuple(a.cost_ms for a in plan)
+    return _Plan(tuple(plan), costs, sum(costs), descent[-1])
+
+
+def _plan(machine: StateMachine, transition: Transition) -> _Plan:
+    """The cached plan of `transition` from the current leaf; a transition
+    that is not the machine's own is walked every time."""
+    transitions = machine.transitions
+    index = next(
+        (i for i in machine._candidates(transition.signal) if transitions[i] is transition), None
+    )
+    if index is None:
+        return _walk(machine, transition)
+    key = (machine.current, index)
+    plan = machine._plans.get(key)
+    if plan is None:
+        plan = machine._plans[key] = _walk(machine, transition)
+    return plan
+
+
+_ATOMS = frozenset({int, float, bool, str, bytes, type(None)})
+_STR = frozenset({str})
+
+
+def _snapshot(variables: dict) -> dict:
+    """Rollback copy of `variables`: shallow when it holds only atoms."""
+    if (
+        type(variables) is dict
+        and _STR.issuperset(map(type, variables))
+        and _ATOMS.issuperset(map(type, variables.values()))
+    ):
+        return dict(variables)
+    return copy.deepcopy(variables)
 
 
 _SELECT = object()  # dispatch's default: select the transition itself
@@ -236,44 +335,29 @@ def dispatch(
     rolled back. A caller that has already run `select_transition(machine,
     msg)` passes its result (None included) as `transition`, so guards run
     once per dispatch. `now` reaches the actions as `ctx.now`.
+
+    The rollback snapshot of the variables is a shallow `dict` copy when
+    every key is a `str` and every value an int, float, bool, str, bytes or
+    None; `copy.deepcopy` returns those very objects, so the copies are
+    equal. Any other variables are deep-copied.
     """
     if transition is _SELECT:
         transition = select_transition(machine, msg)
     if transition is None:
-        if _defers(machine, state_context(machine), msg.signal):
+        if msg.signal in machine._chain(machine.current)[1]:
             machine.deferral_buffer.append(msg)
             return DispatchResult(fired=False, deferred=True)
         return DispatchResult(fired=False, deferred=False)
 
-    lca = _lca(machine, transition.scope, transition.target)
-    context = state_context(machine)
-    exit_states = context[: context.index(lca)]
-
-    entry_states = []
-    cursor = transition.target
-    while cursor != lca:
-        entry_states.append(cursor)
-        cursor = machine.states[cursor].parent  # type: ignore[assignment]
-    entry_states.reverse()
-    descent = machine._descend(transition.target)
-    entry_states.extend(descent[1:])
-    new_leaf = descent[-1]
-
-    plan: list[Action] = []
-    for sid in exit_states:
-        plan.extend(machine.states[sid].exit_actions)
-    plan.extend(transition.actions)
-    for sid in entry_states:
-        plan.extend(machine.states[sid].entry_actions)
-
+    plan = _plan(machine, transition)
     saved_current = machine.current
-    saved_vars = copy.deepcopy(machine.variables)
+    saved_vars = _snapshot(machine.variables)
     saved_buffer = list(machine.deferral_buffer)
 
     ctx = ActionContext(machine, msg, now=now)
     ran: list[str] = []
     try:
-        for action in plan:
+        for action in plan.actions:
             if action.fn is not None:
                 action.fn(ctx)
             ran.append(action.id)
@@ -281,18 +365,14 @@ def dispatch(
         machine.current = saved_current
         machine.variables = saved_vars
         machine.deferral_buffer = saved_buffer
-        failed = plan[len(ran)].id if len(ran) < len(plan) else "?"
+        failed = plan.actions[len(ran)].id if len(ran) < len(plan.actions) else "?"
         raise ActionFailure(failed, exc) from exc
 
-    machine.current = new_leaf
+    machine.current = plan.new_leaf
 
-    new_context = state_context(machine)
-    recalled = tuple(
-        m for m in machine.deferral_buffer if not _defers(machine, new_context, m.signal)
-    )
-    machine.deferral_buffer = [
-        m for m in machine.deferral_buffer if _defers(machine, new_context, m.signal)
-    ]
+    deferred = machine._chain(plan.new_leaf)[1]
+    recalled = tuple(m for m in machine.deferral_buffer if m.signal not in deferred)
+    machine.deferral_buffer = [m for m in machine.deferral_buffer if m.signal in deferred]
 
     return DispatchResult(
         fired=True,
@@ -300,8 +380,8 @@ def dispatch(
         emitted=tuple(ctx.emitted),
         actions_run=tuple(ran),
         recalled=recalled,
-        cost_ms=sum(a.cost_ms for a in plan),
-        action_costs=tuple(a.cost_ms for a in plan),
+        cost_ms=plan.cost_ms,
+        action_costs=plan.costs,
     )
 
 
@@ -336,7 +416,7 @@ class MachineBuilder:
                 initial,
                 self._as_actions(entry),
                 self._as_actions(exit),
-                frozenset(defer),
+                frozenset(defer) or _NO_DEFERRALS,
             )
         )
         return self
@@ -379,7 +459,7 @@ def parse_machine(
                 name = parts[1]
             elif kind == "state":
                 sid = parts[1]
-                spec = {"parent": None, "initial": None, "defer": frozenset()}
+                spec = {"parent": None, "initial": None, "defer": _NO_DEFERRALS}
                 i = 2
                 while i < len(parts):
                     if parts[i] == "parent":

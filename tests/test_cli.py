@@ -3,6 +3,7 @@
 import pytest
 
 from viewcase.cli import main
+from viewcase.comm import DEFAULT_CONFIG, render_comm_config
 from viewcase.fixture import FIXTURE_MODEL, degradation_scenario
 
 BAD_MODEL = (
@@ -177,3 +178,46 @@ def test_report_nongraceful_exits_one(model_file, tmp_path, capsys):
 def test_horizon_must_be_positive_via_cli(model_file, capsys):
     assert main(["report", "--model", model_file, "--horizon", "0"]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+# --- --config --------------------------------------------------------------------------
+
+ARTIFACTS = ("trace.tsv", "metrics.txt", "report.txt", "plan.txt")
+
+
+def _simulate_bytes(model_file, scenario_file, out_dir, *extra):
+    code = main([
+        "simulate", "--model", model_file, "--scenario", scenario_file,
+        "--horizon", "2000", "--out", str(out_dir), *extra,
+    ])
+    assert code == 0
+    return {name: (out_dir / name).read_bytes() for name in ARTIFACTS}
+
+
+def test_default_config_file_changes_no_artifact(model_file, scenario_file, tmp_path):
+    cfg = tmp_path / "comm.cfg"
+    cfg.write_text(render_comm_config(DEFAULT_CONFIG), encoding="utf-8")  # as make_fixture.py writes it
+    plain = _simulate_bytes(model_file, scenario_file, tmp_path / "plain")
+    configured = _simulate_bytes(model_file, scenario_file, tmp_path / "cfg", "--config", str(cfg))
+    assert configured == plain
+
+
+def test_config_file_reaches_the_simulation(model_file, scenario_file, tmp_path):
+    cfg = tmp_path / "small-mtu.cfg"
+    cfg.write_text("mtu_payload = 200\n", encoding="utf-8")
+    plain = _simulate_bytes(model_file, scenario_file, tmp_path / "plain")
+    small = _simulate_bytes(model_file, scenario_file, tmp_path / "small", "--config", str(cfg))
+    assert small["trace.tsv"] != plain["trace.tsv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("text", ["mtu_payload 200\n", "mtu_payload = 0\n"])
+def test_malformed_config_file_is_usage_error(model_file, tmp_path, capsys, command, text):
+    cfg = tmp_path / "broken.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    argv = [command, "--model", model_file, "--horizon", "500", "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 1" in err

@@ -510,6 +510,24 @@ def test_parse_comm_config_errors_carry_line_numbers(text, line):
     assert f"line {line}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mtu_payload = 0",
+        "reassembly_timeout = 0",
+        "scan_period = -5",
+        "dead_threshold = 0",
+        "default_priority = 256",
+        "priority.status = -1",
+    ],
+)
+def test_parse_comm_config_rejects_values_the_simulation_cannot_use(text):
+    with pytest.raises(ValueError) as err:
+        parse_comm_config("# tuning\n" + text)
+    assert "line 2" in str(err.value)
+    assert parse_comm_config("mtu_payload = 1\ndefault_priority = 255\npriority.status = 0\n")
+
+
 def test_comm_config_render_round_trip():
     cfg = CommConfig(mtu_payload=64, auth_key=b"k", priorities=(("status", 9),))
     assert parse_comm_config(render_comm_config(cfg)) == CommConfig(

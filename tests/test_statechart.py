@@ -1,14 +1,18 @@
 """Hierarchical statechart semantics: selection, ordering, deferral, atomicity."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewcase.statechart import (
     Action,
+    ActionContext,
     ActionFailure,
     ActorMessage,
     AmbiguousTransition,
+    DispatchResult,
     MachineBuilder,
     State,
     StateMachine,
@@ -511,3 +515,268 @@ def test_transition_chains_match_reference_walk(machine):
     assert result.fired
     assert result.actions_run == expected_ids
     assert machine.current == expected_leaf
+
+
+# --- compiled dispatch tables ------------------------------------------------------------
+
+
+def test_states_that_defer_nothing_share_one_empty_set():
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top")
+    b.state("B", parent="Top", defer=("X",))
+    built = b.build()
+    parsed = parse_machine("machine M\nstate Top initial Idle\nstate Idle parent Top\n")
+    shared = built.states["Top"].deferred_signals
+    assert shared == frozenset()
+    assert built.states["A"].deferred_signals is shared
+    assert parsed.states["Top"].deferred_signals is shared
+    assert parsed.states["Idle"].deferred_signals is shared
+    assert built.states["B"].deferred_signals == frozenset({"X"})
+
+
+def _oracle_select(machine, msg):
+    """`select_transition` as it was before the per-signal candidate table."""
+    for sid in machine.ancestors(machine.current):
+        matches = [
+            t
+            for t in machine.transitions
+            if t.scope == sid
+            and t.signal == msg.signal
+            and (t.guard is None or t.guard(msg, machine.variables))
+        ]
+        if len(matches) > 1:
+            raise AmbiguousTransition(sid, msg.signal)
+        if matches:
+            return matches[0]
+    return None
+
+
+def _oracle_dispatch(machine, msg):
+    """`dispatch` as it was before plans, contexts and snapshots were cached."""
+
+    def defers(context, signal):
+        return any(signal in machine.states[s].deferred_signals for s in context)
+
+    transition = _oracle_select(machine, msg)
+    if transition is None:
+        if defers(machine.ancestors(machine.current), msg.signal):
+            machine.deferral_buffer.append(msg)
+            return DispatchResult(fired=False, deferred=True)
+        return DispatchResult(fired=False, deferred=False)
+
+    b_set = set(machine.ancestors(transition.target))
+    lca = next(sid for sid in machine.ancestors(transition.scope) if sid in b_set)
+    context = machine.ancestors(machine.current)
+    exit_states = context[: context.index(lca)]
+    entry_states = []
+    cursor = transition.target
+    while cursor != lca:
+        entry_states.append(cursor)
+        cursor = machine.states[cursor].parent
+    entry_states.reverse()
+    descent = machine._descend(transition.target)
+    entry_states.extend(descent[1:])
+    plan = [a for sid in exit_states for a in machine.states[sid].exit_actions]
+    plan.extend(transition.actions)
+    plan.extend(a for sid in entry_states for a in machine.states[sid].entry_actions)
+
+    saved = (machine.current, copy.deepcopy(machine.variables), list(machine.deferral_buffer))
+    ctx = ActionContext(machine, msg)
+    ran = []
+    try:
+        for action in plan:
+            if action.fn is not None:
+                action.fn(ctx)
+            ran.append(action.id)
+    except Exception as exc:
+        machine.current, machine.variables, machine.deferral_buffer = saved
+        raise ActionFailure(plan[len(ran)].id, exc) from exc
+    machine.current = descent[-1]
+    new_context = machine.ancestors(machine.current)
+    recalled = tuple(m for m in machine.deferral_buffer if not defers(new_context, m.signal))
+    machine.deferral_buffer = [m for m in machine.deferral_buffer if defers(new_context, m.signal)]
+    return DispatchResult(
+        fired=True,
+        deferred=False,
+        emitted=tuple(ctx.emitted),
+        actions_run=tuple(ran),
+        recalled=recalled,
+        cost_ms=sum(a.cost_ms for a in plan),
+        action_costs=tuple(a.cost_ms for a in plan),
+    )
+
+
+_SIGNALS = ("A", "B", "C", "D")
+
+
+@st.composite
+def machine_specs(draw):
+    """Plain data for a random state tree with deferrals, entry/exit actions
+    of random cost, and guarded transitions, plus a message sequence and
+    whether each message is selected before its dispatch."""
+    n = draw(st.integers(2, 8))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    children = {}
+    for i, parent in enumerate(parents):
+        if parent is not None:
+            children.setdefault(parent, []).append(i)
+    states = [
+        (
+            parent,
+            draw(st.sampled_from(children[i])) if i in children else None,
+            # a deferring root would hold its signals forever
+            frozenset() if parent is None else draw(st.frozensets(st.sampled_from(_SIGNALS), max_size=2)),
+            draw(st.integers(0, 3)),  # entry cost
+            draw(st.integers(0, 3)),  # exit cost
+        )
+        for i, parent in enumerate(parents)
+    ]
+    transitions = [
+        (scope, *rest)
+        for scope in range(n)  # every state gets a few, so no leaf is a dead end
+        for rest in draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_SIGNALS[:-1]),  # "D" is only ever deferred
+                    st.integers(0, n - 1),  # target
+                    st.sampled_from([None, 0, 1, 2]),  # guard
+                    st.booleans(),  # has an action that sometimes fails
+                ),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    ]
+    messages = draw(st.lists(st.tuples(st.sampled_from(_SIGNALS), st.booleans()), min_size=1, max_size=30))
+    return states, transitions, messages, draw(st.booleans())
+
+
+def _build_from_spec(states, transitions, with_list, log):
+    """A machine whose guards and actions log to `log`; `with_list` adds a
+    list variable, so the rollback snapshot takes the deepcopy path."""
+
+    def guard(k, tid):
+        def fn(msg, variables):
+            log.append(("guard", tid, msg.signal))
+            return (variables["n"] + k) % 3 != 0
+
+        return fn
+
+    def step(name, fails):
+        def fn(ctx):
+            log.append(("action", name))
+            ctx.vars["n"] += 1
+            if with_list:
+                ctx.vars["trail"].append(name)
+            if fails and ctx.vars["n"] % 4 == 3:
+                raise RuntimeError(name)
+
+        return fn
+
+    built = [
+        State(
+            f"S{i}",
+            None if parent is None else f"S{parent}",
+            None if initial is None else f"S{initial}",
+            (Action(f"enter S{i}", step(f"enter S{i}", False), entry_cost),),
+            (Action(f"exit S{i}", step(f"exit S{i}", False), exit_cost),),
+            frozenset(defer),
+        )
+        for i, (parent, initial, defer, entry_cost, exit_cost) in enumerate(states)
+    ]
+    trans = [
+        Transition(
+            f"S{scope}",
+            signal,
+            f"S{target}",
+            (Action(f"t{tid}", step(f"t{tid}", fails), 2),),
+            None if k is None else guard(k, tid),
+        )
+        for tid, (scope, signal, target, k, fails) in enumerate(transitions)
+    ]
+    variables = {"n": 0, "trail": []} if with_list else {"n": 0}
+    return StateMachine(built, trans, variables)
+
+
+def _step(fn):
+    try:
+        return fn(), None
+    except (AmbiguousTransition, ActionFailure) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine_specs())
+def test_compiled_dispatch_matches_uncompiled_reference(spec):
+    states, transitions, messages, with_list = spec
+    compiled_log, oracle_log = [], []
+    compiled = _build_from_spec(states, transitions, with_list, compiled_log)
+    oracle = _build_from_spec(states, transitions, with_list, oracle_log)
+    for signal, preselect in messages:
+        msg = ActorMessage(signal)
+        if preselect:  # the engine's path: select, then pass the result on
+            got, got_error = _step(lambda: dispatch(compiled, msg, select_transition(compiled, msg)))
+        else:
+            got, got_error = _step(lambda: dispatch(compiled, msg))
+        want, want_error = _step(lambda: _oracle_dispatch(oracle, msg))
+        assert compiled_log == oracle_log
+        assert got_error == want_error
+        assert compiled.current == oracle.current
+        assert compiled.variables == oracle.variables
+        assert compiled.deferral_buffer == oracle.deferral_buffer
+        if got_error is not None and got_error[0] is AmbiguousTransition:
+            return
+        if got is not None:
+            assert (got.fired, got.deferred, got.recalled) == (want.fired, want.deferred, want.recalled)
+            assert got.actions_run == want.actions_run
+            assert got.action_costs == want.action_costs
+            assert got.cost_ms == want.cost_ms
+            assert state_context(compiled) == oracle.ancestors(oracle.current)
+
+
+def _failing_machine(touch, variables):
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top")
+    b.state("B", parent="Top")
+    b.transition("A", "GO", "B", actions=[Action("touch", touch), _exploding("bad")])
+    return b.build(variables)
+
+
+def test_failed_action_restores_mutated_list_and_nested_dict():
+    def touch(ctx):
+        ctx.vars["log"].append("x")
+        ctx.vars["nested"]["inner"]["k"] = 99
+        ctx.vars["nested"]["extra"] = [1]
+
+    m = _failing_machine(touch, {"n": 1, "log": ["a"], "nested": {"inner": {"k": 1}}})
+    with pytest.raises(ActionFailure):
+        m.dispatch(ActorMessage("GO"))
+    assert m.current == "A"
+    assert m.variables == {"n": 1, "log": ["a"], "nested": {"inner": {"k": 1}}}
+
+
+def test_failed_action_restores_atom_only_variables_exactly():
+    def touch(ctx):
+        ctx.vars["n"] = 2
+        del ctx.vars["gone"]
+        ctx.vars["new"] = b"staged"
+
+    before = {"n": 1, "gone": "s", "x": 1.5, "flag": True, "raw": b"\x00", "none": None}
+    m = _failing_machine(touch, before)
+    with pytest.raises(ActionFailure):
+        m.dispatch(ActorMessage("GO"))
+    assert m.variables == before
+    assert list(m.variables) == list(before)  # key order kept too
+
+
+def test_failed_action_restores_dict_with_non_str_key():
+    def touch(ctx):
+        ctx.vars[7] = "changed"
+        ctx.vars["n"] += 1
+
+    m = _failing_machine(touch, {7: "seven", "n": 1})
+    with pytest.raises(ActionFailure):
+        m.dispatch(ActorMessage("GO"))
+    assert m.variables == {7: "seven", "n": 1}
