@@ -24,7 +24,9 @@ from .engine import Scenario, ScenarioError, degradation_report, parse_scenario
 from .fixture import build_world
 from .ipc import assign_ipc, dependency_graph, emit_component_graph
 from .model import ModelError, UseCaseModel, parse_model, validate_model
-from .partition import BudgetExceeded, MappingPolicy, Objective, build_plan, render_plan
+from .partition import (
+    DEFAULT_INLINE_THRESHOLD, BudgetExceeded, MappingPolicy, Objective, build_plan, render_plan,
+)
 
 _OBJECTIVES = {"ft": Objective.FAULT_TOLERANCE, "mem": Objective.MEMORY_BOUND}
 
@@ -165,7 +167,7 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="ft",
                    help="ft = fault tolerance, mem = memory bound")
     p.add_argument("--memory-budget", type=int, default=None)
-    p.add_argument("--inline-threshold", type=int, default=4096)
+    p.add_argument("--inline-threshold", type=int, default=DEFAULT_INLINE_THRESHOLD)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -219,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import FailoverConfig
+from .model import strip_comment
 from .statechart import ActorMessage
 
 # --- integrity primitives -----------------------------------------------------
@@ -95,7 +96,7 @@ def classify_priority(
 def data_type_for_priority(
     priority: int, table: dict[str, int] | None = None
 ) -> str:
-    """Inverse of classify_priority; the table is injective by construction."""
+    """Inverse of classify_priority for the one-to-one tables parse_comm_config accepts."""
     for name, value in (DEFAULT_PRIORITIES if table is None else table).items():
         if value == priority:
             return name
@@ -400,7 +401,6 @@ class HealthStatus(Enum):
 @dataclass
 class HealthRecord:
     counter: int
-    last_update: int
     last_scanned: int | None = None
     misses: int = 0
     status: HealthStatus = HealthStatus.OK
@@ -418,12 +418,12 @@ class HealthTable:
     records: dict[str, HealthRecord] = field(default_factory=dict)
 
     def observe(self, process: str, counter: int, now: int) -> None:
+        """Record a heartbeat counter; `scan` judges progress, so `now` is not kept."""
         rec = self.records.get(process)
         if rec is None:
-            self.records[process] = HealthRecord(counter, now)
-        elif counter != rec.counter:
+            self.records[process] = HealthRecord(counter)
+        else:
             rec.counter = counter
-            rec.last_update = now
 
     def scan(self, now: int, dead_threshold: int) -> list[Alert]:
         """Edge-triggered health pass: Late after one miss, Dead after dead_threshold."""
@@ -449,20 +449,12 @@ class HealthTable:
 
 # --- failover ------------------------------------------------------------------------
 
-
-def standby_takeover(world, main_id: str, standby_id: str, now: int, detected_at: int) -> None:
-    """Rebind the dead main's channel endpoints to the standby process."""
-    world.rebind_endpoints(main_id, standby_id, now)
-    world.post_mailbox(
-        standby_id, ActorMessage("TAKEOVER", main_id.encode(), 250), now
-    )
-    world.trace(now, standby_id, "-", "takeover", f"from {main_id}")
-    world.metrics.record_failover(main_id, standby_id, detected_at, now)
+HEALTH_SOURCE = "ReportHealth"  # use case whose segments carry the heartbeats
+TAKEOVER_PRIORITY = 250
 
 
 def build_failover(
     standby_map: dict[str, str],
-    health_source: str = "ReportHealth",
     scan_period: int = 100,
     dead_threshold: int = 3,
     monitor_process: str | None = None,
@@ -472,12 +464,12 @@ def build_failover(
 ):
     """Wire a heartbeat scan into the engine.
 
-    Every scan reads the health segments into a HealthTable, raises
-    edge-triggered alerts, takes over for dead mains listed in
-    standby_map, and (when a monitor process is configured) sends one
-    status summary through the alert channel regardless of alert count,
-    so link traffic stays constant across runs. The summary's priority is
-    `status` classified through priorities/default_priority.
+    Every scan reads the HEALTH_SOURCE segments into a HealthTable, raises
+    edge-triggered alerts, moves each dead main in standby_map onto its
+    standby (endpoints plus a TAKEOVER message), and, when a monitor is
+    configured, sends one status summary through the alert channel whatever
+    the alert count, so link traffic stays constant across runs. The
+    summary's priority is `status` classified through the priority table.
     """
     if scan_period < 1:
         raise ValueError("scan_period must be positive")
@@ -486,19 +478,24 @@ def build_failover(
 
     def scan(world, now: int) -> None:
         for ch in world.channels.values():
-            if ch.channel.source == health_source and hasattr(ch, "version"):
+            if ch.channel.source == HEALTH_SOURCE and hasattr(ch, "version"):
                 table.observe(ch.channel.writer, ch.version, now)
         alerts = table.scan(now, dead_threshold)
         for alert in alerts:
-            world.trace(now, alert.process, "-", "alert", alert.status.value)
-            if alert.status is HealthStatus.DEAD:
-                standby = standby_map.get(alert.process)
-                if (
-                    standby
-                    and standby in world.processes
-                    and world.processes[standby].alive
-                ):
-                    standby_takeover(world, alert.process, standby, now, now)
+            main = alert.process
+            world.trace(now, main, "-", "alert", alert.status.value)
+            standby = standby_map.get(main)
+            if (
+                alert.status is HealthStatus.DEAD
+                and standby in world.processes
+                and world.processes[standby].alive
+            ):
+                world.rebind_endpoints(main, standby, now)
+                world.post_mailbox(
+                    standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY), now
+                )
+                world.trace(now, standby, "-", "takeover", f"from {main}")
+                world.metrics.record_failover(main, standby, now, now)
         if (
             monitor_process
             and alert_channel
@@ -539,15 +536,18 @@ _INT_KEYS = (*_COUNT_KEYS, "default_priority")
 
 
 def parse_comm_config(text: str) -> CommConfig:
-    """Parse `key = value` configuration lines (# comments allowed).
+    """Parse `key = value` configuration lines (comments as in model files).
 
     Sizes, periods and thresholds must be at least 1; priorities travel in
-    one header byte, so they must lie in 0..255.
+    one header byte, so they must lie in 0..255. A reassembled message's
+    type is read back from its priority, so no two types may share one and
+    none may equal default_priority.
     """
     values: dict[str, object] = {}
     priorities: dict[str, int] = dict(DEFAULT_PRIORITIES)
+    set_at: dict[str, int] = {}  # key -> line that last set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -571,6 +571,13 @@ def parse_comm_config(text: str) -> CommConfig:
             values[key] = number
         else:
             priorities[key[len("priority."):]] = number
+        set_at[key] = lineno
+    owner = {values.get("default_priority", DEFAULT_PRIORITY): "default_priority"}
+    for key, number in ((f"priority.{name}", n) for name, n in priorities.items()):
+        other = owner.setdefault(number, key)
+        if other != key:
+            lineno = max(set_at.get(key, 0), set_at.get(other, 0))
+            raise ValueError(f"line {lineno}: {key} and {other} are both {number}; types must differ")
     return CommConfig(priorities=tuple(priorities.items()), **values)  # type: ignore[arg-type]
 
 

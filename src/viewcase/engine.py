@@ -30,27 +30,21 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, NamedTuple
 
 from .ipc import ChannelKind, IpcChannel
+from .model import strip_comment
 from .partition import ProcessNode, ProcessPlan
-from .statechart import ActorMessage, StateMachine, dispatch, select_transition
-
-
-class ThreadRole(Enum):
-    WATCHDOG = "watchdog"
-    RECEIVER = "receiver"
-    PROCESSOR = "processor"
-    TRANSMITTER = "transmitter"
+from .statechart import ActorMessage, DispatchResult, StateMachine, dispatch, select_transition
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Thread periods; the watchdog trips after 3 x watchdog_period without progress."""
+
     receiver_period: int = 50
     transmitter_period: int = 50
     watchdog_period: int = 100
-    watchdog_timeout: int = 300  # 3 x watchdog period
 
 
 @dataclass(frozen=True)
@@ -96,19 +90,11 @@ class ScenarioError(Exception):
         self.line = line
 
 
-def _strip_comment(raw: str) -> str:
-    """Drop `#` comments; `#` inside a token (process ids) is not a comment."""
-    for i, c in enumerate(raw):
-        if c == "#" and (i == 0 or raw[i - 1] in " \t"):
-            return raw[:i]
-    return raw
-
-
 def parse_scenario(text: str) -> Scenario:
     faults: list[FaultSpec] = []
     stimuli: list[StimulusSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         parts = line.split()
@@ -267,13 +253,13 @@ ChannelRt = MessageQueueRt | SharedSegmentRt
 
 @dataclass
 class _ActiveDispatch:
-    machine_key: str
-    signal: str
-    pending_actions: list[tuple[str, int | float]]
-    ms_left: int | float
-    emitted: tuple[tuple[str, ActorMessage], ...]
-    recalled: tuple[ActorMessage, ...]
-    dispatch_no: int
+    """A fired dispatch whose actions are still spending virtual time."""
+
+    result: DispatchResult
+    label: str  # "<machine key>/<signal>", as traced
+    number: str  # "d<n>", as traced
+    step: int = 0  # actions started so far
+    ms_left: int | float = 0
 
 
 class _MailEntry(NamedTuple):
@@ -327,11 +313,11 @@ class SimWorld:
         self.failover = failover
         self.scan_only_sources = scan_only_sources
         self.processes = processes
-        # the periodic threads, in the order their first activations are scheduled
+        # periodic threads by trace name, in the order their first activations are scheduled
         self._periods = {
-            ThreadRole.WATCHDOG: config.watchdog_period,
-            ThreadRole.RECEIVER: config.receiver_period,
-            ThreadRole.TRANSMITTER: config.transmitter_period,
+            "watchdog": config.watchdog_period,
+            "receiver": config.receiver_period,
+            "transmitter": config.transmitter_period,
         }
         self.channels: dict[str, ChannelRt] = {}
         for c in channels:
@@ -484,17 +470,17 @@ class SimWorld:
         self.failover.scan_fn(self, now)
         self._schedule(now + self.failover.scan_period, self._on_scan)
 
-    def _on_thread(self, now: int, process_id: str, role: ThreadRole) -> None:
+    def _on_thread(self, now: int, process_id: str, role: str) -> None:
         proc = self.processes[process_id]
         if proc.alive:
-            self.trace(now, process_id, role.value, "activate", "")
-            if role is ThreadRole.RECEIVER:
+            self.trace(now, process_id, role, "activate", "")
+            if role == "receiver":
                 self._receiver_pass(proc, now)
-            elif role is ThreadRole.TRANSMITTER:
+            elif role == "transmitter":
                 self._transmitter_pass(proc, now)
-            elif role is ThreadRole.WATCHDOG:
+            else:
                 idle = now - proc.last_progress
-                if proc.has_work() and idle >= self.config.watchdog_timeout:
+                if proc.has_work() and idle >= 3 * self.config.watchdog_period:
                     self.metrics.process(process_id).watchdog_trips += 1
                     self.trace(now, process_id, "watchdog", "trip", f"no progress for {idle}")
                     self.kill(process_id, now, "watchdog")
@@ -540,50 +526,36 @@ class SimWorld:
             proc.outbound = remaining
 
     def resolve_destination(self, proc: ProcessInstance, token: str) -> list[str]:
-        """Map an emission destination to channel ids.
-
-        `uc:<UseCase>` fans out to every channel the process currently
-        writes for that use case; a raw channel id passes through.
-        """
-        if token.startswith("uc:"):
-            source = token[3:]
-            return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == source]
-        return [token] if token in self.channels else []
+        """Map an emission destination `uc:<UseCase>` to every channel the
+        process currently writes for that use case."""
+        if not token.startswith("uc:"):
+            raise ValueError(f"emission destination {token!r} is not uc:<UseCase>")
+        source = token[3:]
+        return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == source]
 
     def _complete_dispatch(self, proc: ProcessInstance, active: _ActiveDispatch, now: int) -> None:
-        for token, msg in active.emitted:
+        for token, msg in active.result.emitted:
             for channel_id in self.resolve_destination(proc, token):
                 proc.outbound.append((channel_id, msg))
-        for msg in active.recalled:
+        for msg in active.result.recalled:
             self.trace(now, proc.id, "processor", "recall", msg.signal)
             self.post_mailbox(proc.id, msg, now, recalled=True)
         stats = self.metrics.process(proc.id)
         stats.dispatches += 1
         proc.last_progress = now
         proc.active = None
-        self.trace(
-            now,
-            proc.id,
-            "processor",
-            "complete",
-            f"{active.machine_key}/{active.signal} d{active.dispatch_no}",
-        )
+        self.trace(now, proc.id, "processor", "complete", f"{active.label} {active.number}")
 
     def _spend_ms(self, proc: ProcessInstance, now: int) -> None:
         a = proc.active
         assert a is not None
-        if a.ms_left <= 0 and a.pending_actions:
-            aid, cost = a.pending_actions.pop(0)
-            a.ms_left = cost
-            self.trace(
-                now,
-                proc.id,
-                "processor",
-                "action",
-                f"{a.machine_key}/{a.signal}/{aid} d{a.dispatch_no}",
-            )
+        actions = a.result.actions_run
+        if a.ms_left <= 0 and a.step < len(actions):
+            a.ms_left = a.result.action_costs[a.step]
+            self.trace(now, proc.id, "processor", "action", f"{a.label}/{actions[a.step]} {a.number}")
+            a.step += 1
         a.ms_left -= 1
-        if a.ms_left <= 0 and not a.pending_actions:
+        if a.ms_left <= 0 and a.step == len(actions):
             self._complete_dispatch(proc, a, now)
 
     def _pick_next(self, proc: ProcessInstance) -> _MailEntry | None:
@@ -601,19 +573,10 @@ class SimWorld:
                 continue
             result = dispatch(machine, msg, transition, now=now)
             proc.dispatch_counter += 1
-            n = proc.dispatch_counter
+            active = _ActiveDispatch(result, f"{key}/{msg.signal}", f"d{proc.dispatch_counter}")
             self.trace(
                 now, proc.id, "processor", "dispatch",
-                f"{key}/{msg.signal} d{n} actions {len(result.actions_run)}",
-            )
-            active = _ActiveDispatch(
-                machine_key=key,
-                signal=msg.signal,
-                pending_actions=list(zip(result.actions_run, result.action_costs)),
-                ms_left=0,
-                emitted=result.emitted,
-                recalled=result.recalled,
-                dispatch_no=n,
+                f"{active.label} {active.number} actions {len(result.actions_run)}",
             )
             if result.cost_ms <= 0:
                 self._complete_dispatch(proc, active, now)

@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import comm
-from .engine import SimConfig, SimWorld, instantiate
+from .engine import SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessNode, ProcessPlan, build_plan
 from .statechart import Action, ActionContext, ActorMessage, MachineBuilder, StateMachine
 
-HEALTH_SOURCE = "ReportHealth"
-TAKEOVER_PRIORITY = 250
+HEALTH_SOURCE = comm.HEALTH_SOURCE
 
 FIXTURE_MODEL = """\
 # Tactical communication interface deployment.
@@ -293,9 +292,6 @@ def _generic_machine(node: ProcessNode, channels: list[IpcChannel] | None) -> St
     return b.build()
 
 
-_FIXTURE_ACTORS = {"Operator", "LocalHost", "StandbyCI", "CommEquipment", "PeerCI"}
-
-
 def build_behaviors(
     plan: ProcessPlan,
     channels: list[IpcChannel] | None = None,
@@ -387,7 +383,6 @@ def standby_map(plan: ProcessPlan) -> dict[str, str]:
 def build_world(
     model: UseCaseModel | None = None,
     policy: MappingPolicy | None = None,
-    sim_config: SimConfig | None = None,
     comm_config: comm.CommConfig | None = None,
     with_failover: bool = True,
 ) -> tuple[ProcessPlan, list[IpcChannel], SimWorld]:
@@ -411,7 +406,6 @@ def build_world(
         )
         failover = comm.build_failover(
             standby_map(plan),
-            health_source=HEALTH_SOURCE,
             scan_period=cfg.scan_period,
             dead_threshold=cfg.dead_threshold,
             monitor_process=monitor,
@@ -423,7 +417,6 @@ def build_world(
         plan,
         channels,
         behaviors,
-        config=sim_config,
         failover=failover,
         scan_only_sources=frozenset({HEALTH_SOURCE}),
     )

@@ -109,31 +109,19 @@ def assign_ipc(edges: list[DependencyEdge]) -> list[IpcChannel]:
     channels = []
     for e in edges:
         uc = e.flow.source
-        if e.flow.klass is FlowClass.PERIODIC:  # R1
+        if e.flow.klass is FlowClass.PERIODIC or len(e.consumers) >= 2:  # R1, R2
+            suffix = "" if e.flow.klass is FlowClass.PERIODIC else f":{e.flow.sink}"
             channels.append(
                 IpcChannel(
-                    id=f"shm:{e.producer}:{uc}",
+                    id=f"shm:{e.producer}:{uc}{suffix}",
                     kind=ChannelKind.SHARED_SEGMENT,
                     writer=e.producer,
                     readers=e.consumers,
-                    klass=FlowClass.PERIODIC,
+                    klass=e.flow.klass,
                     source=uc,
                     message_size=e.flow.message_size,
                     segment_size=e.flow.message_size,
-                    period_ms=e.flow.period_ms,
-                )
-            )
-        elif len(e.consumers) >= 2:  # R2
-            channels.append(
-                IpcChannel(
-                    id=f"shm:{e.producer}:{uc}:{e.flow.sink}",
-                    kind=ChannelKind.SHARED_SEGMENT,
-                    writer=e.producer,
-                    readers=e.consumers,
-                    klass=FlowClass.ASYNC,
-                    source=uc,
-                    message_size=e.flow.message_size,
-                    segment_size=e.flow.message_size,
+                    period_ms=e.flow.period_ms,  # None for async flows
                 )
             )
         else:  # R3

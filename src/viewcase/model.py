@@ -1,7 +1,8 @@
 """Declarative use-case model: types, parser, validator, serializer.
 
-Model files are UTF-8, line oriented, one statement per line, ``#`` starts
-a comment. Statements:
+Model files are UTF-8, line oriented, one statement per line. A ``#`` at
+the start of a word and outside double quotes starts a comment (see
+``strip_comment``), so titles may hold ``#``. Statements:
 
     actor <Name> multiplicity <int> [shared]
     usecase <Id> "<title>" codesize <int>
@@ -143,6 +144,20 @@ def _int(tok: str, line: int, what: str) -> int:
         raise ModelSyntaxError(line, f"expected integer for {what}, got {tok!r}") from None
 
 
+def strip_comment(raw: str) -> str:
+    """Drop a `#` comment; model, machine, scenario and config files share this rule.
+
+    A `#` starts a comment only at the start of a word and outside double
+    quotes, so `PeerCI#3`, `k#1` and `"Send #1 data"` keep theirs.
+    """
+    i = raw.find("#")
+    while i >= 0:
+        if (i == 0 or raw[i - 1] in " \t") and raw.count('"', 0, i) % 2 == 0:
+            return raw[:i]
+        i = raw.find("#", i + 1)
+    return raw
+
+
 def parse_model(text: str) -> UseCaseModel:
     """Parse model-file text into a UseCaseModel.
 
@@ -160,7 +175,7 @@ def parse_model(text: str) -> UseCaseModel:
     pending_refs: list[tuple[int, str, str]] = []  # (line, kind, name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         parts = line.split()

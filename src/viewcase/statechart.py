@@ -30,6 +30,8 @@ import copy
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
+from .model import strip_comment
+
 Guard = Callable[["ActorMessage", dict], bool]
 
 # Shared by every state that defers nothing, and by every context that does.
@@ -449,7 +451,7 @@ def parse_machine(
         return actions.get(aid, Action(aid))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         parts = line.split()

@@ -221,3 +221,15 @@ def test_malformed_config_file_is_usage_error(model_file, tmp_path, capsys, comm
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and "line 1" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_config_with_repeated_priority_is_usage_error(model_file, tmp_path, capsys, command):
+    cfg = tmp_path / "clash.cfg"
+    cfg.write_text("mtu_payload = 500\npriority.command = 200\n", encoding="utf-8")
+    argv = [command, "--model", model_file, "--horizon", "500", "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 2" in err and "priority.command" in err

@@ -1,6 +1,7 @@
 """Wire formats, reassembly, framing, health scans, configuration."""
 
 import random
+import string
 import struct
 
 import pytest
@@ -721,3 +722,66 @@ def test_front_expiry_matches_full_scan_for_nondecreasing_now(steps):
             assert got == reassemble(ref, pkt, now, _EXPIRY_TIMEOUT, KEY, src=src)
         assert list(fast.entries.items()) == list(ref.entries.items())
         assert list(fast.completed.items()) == list(ref.completed.items())
+
+
+# --- comments in values and one-to-one priority tables ------------------------------------
+
+_NO_SPACE_PRINTABLE = "".join(c for c in string.printable if not c.isspace())
+
+
+def test_hash_inside_a_config_value_is_data():
+    cfg = CommConfig(auth_key=b"k#1")
+    assert parse_comm_config(render_comm_config(cfg)).auth_key == b"k#1"
+    assert parse_comm_config("auth_key = k#1  # a comment\n").auth_key == b"k#1"
+
+
+@st.composite
+def _one_to_one_configs(draw):
+    names = [*DEFAULT_PRIORITIES, *draw(st.lists(st.from_regex(r"[a-z]{1,8}", fullmatch=True)))]
+    names = list(dict.fromkeys(names))
+    values = draw(st.lists(st.integers(0, 255), min_size=len(names) + 1,
+                           max_size=len(names) + 1, unique=True))
+    # a value may not begin with `#`: a `#` that starts a word starts a comment
+    key = draw(
+        (st.text(alphabet=_NO_SPACE_PRINTABLE) | st.text(alphabet='k#1"'))
+        .filter(lambda k: not k.startswith("#"))
+    )
+    return CommConfig(
+        auth_key=key.encode(),
+        default_priority=values[0],
+        priorities=tuple(zip(names, values[1:])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_to_one_configs())
+def test_comm_config_with_hash_keys_and_one_to_one_priorities_round_trips(cfg):
+    assert parse_comm_config(render_comm_config(cfg)) == cfg
+    table = cfg.priority_table()
+    for name, value in cfg.priorities:
+        assert data_type_for_priority(value, table) == name
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("priority.command = 200\n", 1),  # the default track_data is 200
+        ("priority.foo = 100\n", 1),  # the default default_priority is 100
+        ("default_priority = 140\n", 1),  # the default status is 140
+        ("priority.a = 7\n\npriority.b = 7\n", 3),
+        ("# tuning\npriority.x = 5\ndefault_priority = 5\n", 3),
+        ("default_priority = 5\npriority.x = 5\n", 2),
+    ],
+)
+def test_parse_comm_config_rejects_priorities_the_wire_cannot_invert(text, line):
+    with pytest.raises(ValueError) as err:
+        parse_comm_config(text)
+    assert str(err.value).startswith(f"line {line}:")
+
+
+def test_priority_swaps_and_fresh_values_are_accepted():
+    cfg = parse_comm_config("priority.track_data = 180\npriority.command = 200\npriority.foo = 7\n")
+    table = cfg.priority_table()
+    assert data_type_for_priority(200, table) == "command"
+    assert data_type_for_priority(180, table) == "track_data"
+    assert data_type_for_priority(7, table) == "foo"

@@ -540,3 +540,21 @@ def test_repeating_stimulus_fires_on_schedule():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 50 every 200 priority 5 size 4"), 1000)
     assert [r.time for r in trace.rows_of("stimulus", "A#0")] == [50, 250, 450, 650, 850]
+
+
+def test_watchdog_timeout_is_three_watchdog_periods():
+    world, _ = _world(config=SimConfig(watchdog_period=50))
+    trace, _ = world.run(
+        parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
+    )
+    trips = trace.rows_of("trip", "A#0")
+    assert [(r.time, r.detail) for r in trips] == [(250, "no progress for 150")]
+
+
+def test_emission_destinations_must_name_a_use_case():
+    world, channels = _world()
+    proc = world.processes["A#0"]
+    assert world.resolve_destination(proc, "uc:U") == [channels[0].id]
+    assert world.resolve_destination(proc, "uc:V") == []
+    with pytest.raises(ValueError, match="uc:<UseCase>"):
+        world.resolve_destination(proc, channels[0].id)

@@ -11,6 +11,7 @@ from viewcase.ipc import (
     DEFAULT_QUEUE_CAPACITY,
     ChannelKind,
     DependencyEdge,
+    IpcChannel,
     UnroutableFlow,
     assign_ipc,
     dependency_graph,
@@ -278,3 +279,57 @@ def test_assignment_is_total_and_typed(edge_list):
             assert c.capacity == DEFAULT_QUEUE_CAPACITY
         else:
             assert c.segment_size == e.flow.message_size
+
+
+def _reference_assign_ipc(edges):
+    """Channel assignment as three separate rule branches, before R1 and R2 shared one."""
+    channels = []
+    for e in edges:
+        uc = e.flow.source
+        if e.flow.klass is FlowClass.PERIODIC:  # R1
+            channels.append(
+                IpcChannel(
+                    id=f"shm:{e.producer}:{uc}",
+                    kind=ChannelKind.SHARED_SEGMENT,
+                    writer=e.producer,
+                    readers=e.consumers,
+                    klass=FlowClass.PERIODIC,
+                    source=uc,
+                    message_size=e.flow.message_size,
+                    segment_size=e.flow.message_size,
+                    period_ms=e.flow.period_ms,
+                )
+            )
+        elif len(e.consumers) >= 2:  # R2
+            channels.append(
+                IpcChannel(
+                    id=f"shm:{e.producer}:{uc}:{e.flow.sink}",
+                    kind=ChannelKind.SHARED_SEGMENT,
+                    writer=e.producer,
+                    readers=e.consumers,
+                    klass=FlowClass.ASYNC,
+                    source=uc,
+                    message_size=e.flow.message_size,
+                    segment_size=e.flow.message_size,
+                )
+            )
+        else:  # R3
+            channels.append(
+                IpcChannel(
+                    id=f"mq:{e.producer}:{e.consumers[0]}:{uc}",
+                    kind=ChannelKind.MESSAGE_QUEUE,
+                    writer=e.producer,
+                    readers=e.consumers,
+                    klass=FlowClass.ASYNC,
+                    source=uc,
+                    message_size=e.flow.message_size,
+                    capacity=DEFAULT_QUEUE_CAPACITY,
+                )
+            )
+    return channels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(edges(), max_size=8))
+def test_assignment_matches_three_branch_reference(edge_list):
+    assert assign_ipc(edge_list) == _reference_assign_ipc(edge_list)

@@ -1,5 +1,7 @@
 """Model-file parsing, validation, and serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from viewcase.model import (
     UseCaseRelation,
     parse_model,
     render_model,
+    strip_comment,
     trigger_map,
     validate_model,
 )
+from viewcase.statechart import parse_machine
 
 BASIC = """\
 # two actors; Remote both triggers a use case and consumes a flow
@@ -303,3 +307,64 @@ def test_reported_cycle_matches_reference_dfs(model):
     assert [d.message for d in reported] == expected
     if cycle is not None:
         assert reported[0].location == f"usecase {cycle[0]}"
+
+
+# --- comments ----------------------------------------------------------------
+
+
+def _old_scenario_strip_comment(raw):
+    """The scenario parser's comment rule before quotes were recognised."""
+    for i, c in enumerate(raw):
+        if c == "#" and (i == 0 or raw[i - 1] in " \t"):
+            return raw[:i]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw,kept",
+    [
+        ("# whole line", ""),
+        ("actor A multiplicity 1  # trailing", "actor A multiplicity 1  "),
+        ("fault kill PeerCI#3 at 5\t# why", "fault kill PeerCI#3 at 5\t"),
+        ("auth_key = k#1", "auth_key = k#1"),
+        ('usecase U "Send #1 data" codesize 5 # note', 'usecase U "Send #1 data" codesize 5 '),
+        ('usecase U "#" codesize 5', 'usecase U "#" codesize 5'),
+        ("codesize 5#x", "codesize 5#x"),
+    ],
+)
+def test_strip_comment_cases(raw, kept):
+    assert strip_comment(raw) == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab#1 \t"))
+def test_strip_comment_without_quotes_matches_the_old_scenario_rule(raw):
+    assert strip_comment(raw) == _old_scenario_strip_comment(raw)
+
+
+def test_title_with_hash_round_trips():
+    model = parse_model('actor A multiplicity 1\nusecase U "Send #1 data" codesize 5\ntrigger A -> U\n')
+    assert model.use_cases[0].title == "Send #1 data"
+    assert parse_model(render_model(model)) == model
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.data())
+def test_render_parse_round_trip_with_hash_in_titles(model, data):
+    titles = st.text(alphabet="ab #1", min_size=1, max_size=12).filter(lambda t: t.strip() == t)
+    model = dataclasses.replace(
+        model,
+        use_cases=tuple(dataclasses.replace(u, title=data.draw(titles)) for u in model.use_cases),
+    )
+    assert parse_model(render_model(model)) == model
+
+
+def test_machine_notation_keeps_hash_inside_a_word():
+    machine = parse_machine(
+        "machine M#1  # the name keeps its hash\n"
+        "state Top initial Idle\n"
+        "state Idle parent Top\n"
+        "trans Idle on GO -> Idle do act  # comment\n"
+    )
+    assert machine.name == "M#1"
+    assert [a.id for a in machine.transitions[0].actions] == ["act"]
