@@ -417,8 +417,8 @@ class Alert:
 class HealthTable:
     records: dict[str, HealthRecord] = field(default_factory=dict)
 
-    def observe(self, process: str, counter: int, now: int) -> None:
-        """Record a heartbeat counter; `scan` judges progress, so `now` is not kept."""
+    def observe(self, process: str, counter: int) -> None:
+        """Record a heartbeat counter; `scan` judges progress against it."""
         rec = self.records.get(process)
         if rec is None:
             self.records[process] = HealthRecord(counter)
@@ -479,7 +479,7 @@ def build_failover(
     def scan(world, now: int) -> None:
         for ch in world.channels.values():
             if ch.channel.source == HEALTH_SOURCE and hasattr(ch, "version"):
-                table.observe(ch.channel.writer, ch.version, now)
+                table.observe(ch.channel.writer, ch.version)
         alerts = table.scan(now, dead_threshold)
         for alert in alerts:
             main = alert.process
@@ -582,12 +582,20 @@ def parse_comm_config(text: str) -> CommConfig:
 
 
 def render_comm_config(cfg: CommConfig) -> str:
+    """Config-file text of `cfg`; ValueError when its auth_key would not read back."""
+    try:
+        key_line = f"auth_key = {cfg.auth_key.decode()}"
+        readable = parse_comm_config(key_line).auth_key == cfg.auth_key
+    except ValueError:  # not UTF-8, or a line break inside the key
+        readable = False
+    if not readable:
+        raise ValueError(f"auth_key {cfg.auth_key!r} would not read back from a config file")
     lines = [
         f"mtu_payload = {cfg.mtu_payload}",
         f"reassembly_timeout = {cfg.reassembly_timeout}",
         f"scan_period = {cfg.scan_period}",
         f"dead_threshold = {cfg.dead_threshold}",
-        f"auth_key = {cfg.auth_key.decode()}",
+        key_line,
         f"default_priority = {cfg.default_priority}",
     ]
     for name, value in cfg.priorities:

@@ -232,7 +232,7 @@ class MessageQueueRt:
     channel: IpcChannel
     writer: str
     readers: list[str]
-    items: list[tuple[int, ActorMessage]] = field(default_factory=list)
+    items: list[ActorMessage] = field(default_factory=list)
 
 
 @dataclass
@@ -395,8 +395,7 @@ class SimWorld:
                 return True
             if len(ch.items) >= (ch.channel.capacity or 0):
                 return False  # writer blocks; caller retries
-            self._mail_seq += 1
-            ch.items.append((self._mail_seq, msg))
+            ch.items.append(msg)
             stats.sent += 1
             stats.delivered += 1
             self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} queued")
@@ -491,7 +490,7 @@ class SimWorld:
         for ch in self.reads[proc.id]:
             if isinstance(ch, MessageQueueRt):
                 items, ch.items = ch.items, []
-                for _, msg in items:
+                for msg in items:
                     self.trace(now, proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
                     self.post_mailbox(proc.id, msg, now)
             else:

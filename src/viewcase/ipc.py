@@ -71,10 +71,6 @@ class UnroutableFlow(Exception):
 
 def dependency_graph(plan: ProcessPlan, model: UseCaseModel) -> list[DependencyEdge]:
     """Derive inter-process edges from the plan's nodes and the model's flows."""
-    producers: dict[str, set[str]] = {}
-    for node in plan.all_nodes():
-        for uc in node.owned_use_cases():
-            producers.setdefault(uc, set()).add(node.id)
     sinks: dict[str, list[str]] = {}
     for node in plan.nodes:
         sinks.setdefault(node.actor, []).append(node.id)
@@ -85,9 +81,10 @@ def dependency_graph(plan: ProcessPlan, model: UseCaseModel) -> list[DependencyE
 
     edges: list[DependencyEdge] = []
     for node in plan.all_nodes():
+        owned = set(node.owned_use_cases())
         periodic_by_source: dict[str, list[TrafficFlow]] = {}
         for flow in model.flows:
-            if node.id not in producers.get(flow.source, ()):
+            if flow.source not in owned:
                 continue
             if flow.klass is FlowClass.PERIODIC:
                 periodic_by_source.setdefault(flow.source, []).append(flow)

@@ -167,7 +167,6 @@ def parse_model(text: str) -> UseCaseModel:
     """
     actors: list[Actor] = []
     use_cases: dict[str, UseCase] = {}
-    uc_order: list[str] = []
     relations: list[UseCaseRelation] = []
     flows: list[TrafficFlow] = []
     triggers: dict[str, list[str]] = {}
@@ -207,7 +206,6 @@ def parse_model(text: str) -> UseCaseModel:
             if uc_id in use_cases:
                 raise DuplicateIdentifierError(lineno, uc_id)
             use_cases[uc_id] = UseCase(uc_id, m.group(2), (), int(m.group(3)))
-            uc_order.append(uc_id)
             triggers.setdefault(uc_id, [])
 
         elif stmt == "trigger":
@@ -270,7 +268,7 @@ def parse_model(text: str) -> UseCaseModel:
 
     finished = tuple(
         UseCase(uc.id, uc.title, tuple(triggers.get(uc.id, ())), uc.code_size)
-        for uc in (use_cases[i] for i in uc_order)
+        for uc in use_cases.values()
     )
     return UseCaseModel(tuple(actors), finished, tuple(relations), tuple(flows))
 

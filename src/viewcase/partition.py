@@ -1,8 +1,17 @@
 """Actor-centric process planning.
 
-Groups use cases into per-actor View Cases, resolves actor instances into
-process nodes under a mapping policy, and places common (included or
-extending) use cases either inline or into dedicated service processes.
+Groups use cases into per-actor View Cases and maps them onto process
+nodes. `build_plan` decides each of the paper's three mapping cases once,
+where it lays out the nodes that follow from it, and records the decision:
+
+1. a use case triggered by several actors is duplicated into every view
+   (fault tolerance) or owned by its first triggering actor in declaration
+   order, the other views holding a reference (memory bound);
+2. an actor with multiplicity k becomes k processes `<Actor>#0..k-1`, or
+   one collapsed process `<Actor>#*` when it is shared or memory is bound;
+3. an included or extending use case is inlined into every process that
+   holds one of its bases, or moved into a `<name>#svc` service process,
+   which may in turn carry smaller use cases it includes.
 
 The two policy objectives trade memory for isolation:
 
@@ -16,7 +25,7 @@ The two policy objectives trade memory for isolation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import Instantiation, UseCaseModel, trigger_map
@@ -121,44 +130,6 @@ def partition_views(model: UseCaseModel) -> list[ViewCase]:
     return [ViewCase(actor, tuple(ucs)) for actor, ucs in trigger_map(model).items()]
 
 
-def _first_trigger(model: UseCaseModel, uc_id: str) -> str:
-    """Owning actor of a multi-triggered use case: first in declaration order."""
-    triggers = set(model.use_case(uc_id).triggers)
-    for a in model.actors:
-        if a.name in triggers:
-            return a.name
-    return model.use_case(uc_id).triggers[0]
-
-
-def resolve_instances(
-    views: list[ViewCase], model: UseCaseModel, policy: MappingPolicy
-) -> list[ProcessNode]:
-    """Turn View Cases into process nodes.
-
-    Fault-tolerance: one node per instance of a per-instance actor, one
-    node for a shared actor. Memory-bound: one collapsed node per actor,
-    and each multi-actor use case is owned by its first triggering actor
-    (other nodes hold a reference).
-    """
-    collapse_all = policy.objective is Objective.MEMORY_BOUND
-    owners: dict[str, str] = {}
-    if collapse_all:
-        for uc in model.use_cases:
-            if len(uc.triggers) >= 2:
-                owners[uc.id] = _first_trigger(model, uc.id)
-
-    nodes: list[ProcessNode] = []
-    for view in views:
-        actor = model.actor(view.actor)
-        refs = tuple(u for u in view.use_cases if owners.get(u, view.actor) != view.actor)
-        if collapse_all or actor.instantiation is Instantiation.SHARED:
-            nodes.append(ProcessNode(f"{actor.name}#*", view, None, refs=refs))
-        else:
-            for k in range(actor.multiplicity):
-                nodes.append(ProcessNode(f"{actor.name}#{k}", view, k, refs=refs))
-    return nodes
-
-
 def _common_use_cases_in_order(model: UseCaseModel) -> list[str]:
     """Relation targets ordered so that every base is placed first."""
     targets = []
@@ -183,137 +154,102 @@ def _common_use_cases_in_order(model: UseCaseModel) -> list[str]:
     return ordered
 
 
-def place_common(
-    model: UseCaseModel, nodes: list[ProcessNode], policy: MappingPolicy
-) -> tuple[list[ProcessNode], list[ProcessNode], list[PlanDecision]]:
-    """Place every included/extending use case: inline or service process."""
-    nodes = list(nodes)
-    service_nodes: list[ProcessNode] = []
+def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
+    """Decide the three mapping cases, build each node once, check the footprint."""
+    memory_bound = policy.objective is Objective.MEMORY_BOUND
+    views = partition_views(model)
+    owner: dict[str, str] = {}  # use case -> first triggering actor in declaration order
+    for view in views:
+        for u in view.use_cases:
+            owner.setdefault(u, view.actor)
     decisions: list[PlanDecision] = []
-    # where does each use case's code live right now?
-    residence: dict[str, list[int]] = {}  # uc id -> indices into nodes
-    for i, n in enumerate(nodes):
-        for u in n.owned_use_cases():
-            residence.setdefault(u, []).append(i)
 
+    # case 1: a use case triggered by several actors
+    for uc in model.use_cases:
+        if len(uc.triggers) < 2:
+            continue
+        if memory_bound:
+            choice = f"single-owner {owner[uc.id]}"
+            why = "memory bound keeps one copy, others reference it"
+        else:
+            choice, why = "duplicate", "each view keeps a copy"
+        decisions.append(
+            PlanDecision(1, uc.id, choice, f"triggered by {len(uc.triggers)} actors; {why}")
+        )
+
+    # case 2: actor multiplicity; each layout entry is a ProcessNode's fields but `inlined`
+    layout: list[dict] = []
+    for view in views:
+        actor = model.actor(view.actor)
+        collapse = memory_bound or actor.instantiation is Instantiation.SHARED
+        refs = tuple(u for u in view.use_cases if owner[u] != actor.name) if memory_bound else ()
+        if collapse:
+            layout.append({"id": f"{actor.name}#*", "view": view, "refs": refs})
+        else:
+            layout += [
+                {"id": f"{actor.name}#{k}", "view": view, "instance_index": k, "refs": refs}
+                for k in range(actor.multiplicity)
+            ]
+        if actor.multiplicity < 2:
+            continue
+        if memory_bound:
+            choice, why = "collapse", "memory bound: one process for all instances"
+        elif collapse:
+            choice, why = "collapse", "shared instantiation: one process for all instances"
+        else:
+            choice = f"instantiate x{actor.multiplicity}"
+            why = "fault tolerance: one process per actor instance"
+        decisions.append(PlanDecision(2, actor.name, choice, why))
+
+    # case 3: each included or extending use case goes inline or into a service
+    inlined: list[list[str]] = [[] for _ in layout]
+    residence: dict[str, list[int]] = {}  # uc id -> layout indices holding its code
+    for i, entry in enumerate(layout):
+        for u in entry["view"].use_cases:
+            if u not in entry["refs"]:
+                residence.setdefault(u, []).append(i)
     for uc_id in _common_use_cases_in_order(model):
         uc = model.use_case(uc_id)
         base_ids = [r.base for r in model.relations if r.other == uc_id]
         host_ids = sorted({i for b in base_ids for i in residence.get(b, [])})
-        inline_ok = (
-            policy.objective is Objective.FAULT_TOLERANCE
-            and uc.code_size <= policy.inline_threshold
-            and host_ids
-        )
-        if inline_ok:
+        if not memory_bound and uc.code_size <= policy.inline_threshold and host_ids:
             for i in host_ids:
-                if uc_id not in nodes[i].inlined:
-                    nodes[i] = replace(nodes[i], inlined=nodes[i].inlined + (uc_id,))
-                    residence.setdefault(uc_id, []).append(i)
-            names = ", ".join(nodes[i].id for i in host_ids)
-            decisions.append(
-                PlanDecision(
-                    3,
-                    uc_id,
-                    "inline",
-                    f"code size {uc.code_size} <= inline threshold "
-                    f"{policy.inline_threshold}; duplicated into {names}",
-                )
+                inlined[i].append(uc_id)
+                residence.setdefault(uc_id, []).append(i)
+            names = ", ".join(layout[i]["id"] for i in host_ids)
+            choice = "inline"
+            why = (
+                f"code size {uc.code_size} <= inline threshold "
+                f"{policy.inline_threshold}; duplicated into {names}"
             )
         else:
-            svc = ProcessNode(
-                f"{uc_id}#svc",
-                ViewCase("", (uc_id,)),
-                None,
-                warnings=(SPOF_WARNING,),
-                service=True,
+            layout.append(
+                {
+                    "id": f"{uc_id}#svc",
+                    "view": ViewCase("", (uc_id,)),
+                    "warnings": (SPOF_WARNING,),
+                    "service": True,
+                }
             )
-            service_nodes.append(svc)
-            nodes.append(svc)  # so deeper includes can land on it
-            residence.setdefault(uc_id, []).append(len(nodes) - 1)
-            if policy.objective is Objective.MEMORY_BOUND:
+            inlined.append([])  # deeper includes can land on the service
+            residence.setdefault(uc_id, []).append(len(layout) - 1)
+            if memory_bound:
                 why = "memory bound keeps one shared copy"
             else:
-                why = (
-                    f"code size {uc.code_size} > inline threshold "
-                    f"{policy.inline_threshold}"
-                )
-            decisions.append(
-                PlanDecision(3, uc_id, "shared-service", f"{why}; {SPOF_WARNING}")
-            )
+                why = f"code size {uc.code_size} > inline threshold {policy.inline_threshold}"
+            choice, why = "shared-service", f"{why}; {SPOF_WARNING}"
+        decisions.append(PlanDecision(3, uc_id, choice, why))
 
-    regular = [n for n in nodes if not n.service]
-    return regular, service_nodes, decisions
-
-
-def _footprint(model: UseCaseModel, nodes: list[ProcessNode]) -> int:
+    nodes = [ProcessNode(**entry, inlined=tuple(inl)) for entry, inl in zip(layout, inlined)]
     size = {u.id: u.code_size for u in model.use_cases}
-    return sum(size[u] for n in nodes for u in n.owned_use_cases())
-
-
-def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
-    """partition_views -> resolve_instances -> place_common -> footprint check."""
-    views = partition_views(model)
-    decisions: list[PlanDecision] = []
-
-    for uc in model.use_cases:
-        if len(uc.triggers) < 2:
-            continue
-        k = len(uc.triggers)
-        if policy.objective is Objective.FAULT_TOLERANCE:
-            decisions.append(
-                PlanDecision(
-                    1, uc.id, "duplicate", f"triggered by {k} actors; each view keeps a copy"
-                )
-            )
-        else:
-            owner = _first_trigger(model, uc.id)
-            decisions.append(
-                PlanDecision(
-                    1,
-                    uc.id,
-                    f"single-owner {owner}",
-                    f"triggered by {k} actors; memory bound keeps one copy, others reference it",
-                )
-            )
-
-    with_views = {v.actor for v in views}
-    for actor in model.actors:
-        if actor.name not in with_views or actor.multiplicity < 2:
-            continue
-        if policy.objective is Objective.MEMORY_BOUND:
-            decisions.append(
-                PlanDecision(
-                    2, actor.name, "collapse", "memory bound: one process for all instances"
-                )
-            )
-        elif actor.instantiation is Instantiation.SHARED:
-            decisions.append(
-                PlanDecision(
-                    2, actor.name, "collapse", "shared instantiation: one process for all instances"
-                )
-            )
-        else:
-            decisions.append(
-                PlanDecision(
-                    2,
-                    actor.name,
-                    f"instantiate x{actor.multiplicity}",
-                    "fault tolerance: one process per actor instance",
-                )
-            )
-
-    nodes = resolve_instances(views, model, policy)
-    nodes, service_nodes, case3 = place_common(model, nodes, policy)
-    decisions.extend(case3)
-
-    footprint = _footprint(model, nodes + service_nodes)
-    if policy.objective is Objective.MEMORY_BOUND:
+    footprint = sum(size[u] for n in nodes for u in n.owned_use_cases())
+    if memory_bound:
         assert policy.memory_budget is not None
         if footprint > policy.memory_budget:
             raise BudgetExceeded(footprint, policy.memory_budget)
-
-    return ProcessPlan(tuple(nodes), tuple(service_nodes), tuple(decisions), footprint, policy)
+    services = tuple(n for n in nodes if n.service)
+    regular = tuple(n for n in nodes if not n.service)
+    return ProcessPlan(regular, services, tuple(decisions), footprint, policy)
 
 
 # --- diffing ----------------------------------------------------------------
@@ -354,13 +290,20 @@ _CHANNEL_FIELDS = (
 )
 
 
-def _field_changes(old: object, new: object, fields: tuple[str, ...]) -> tuple[str, ...]:
-    out = []
-    for f in fields:
-        a, b = getattr(old, f, None), getattr(new, f, None)
-        if a != b:
-            out.append(f"{f}: {a!r} -> {b!r}")
-    return tuple(out)
+def _diff_by_id(old: object, new: object, fields: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
+    """Added ids, removed ids and (id, field changes) pairs of two id-keyed collections."""
+    before = {x.id: x for x in old}  # type: ignore[attr-defined]
+    after = {x.id: x for x in new}  # type: ignore[attr-defined]
+    changed = []
+    for i, x in after.items():
+        if i in before:
+            pairs = ((f, getattr(before[i], f, None), getattr(x, f, None)) for f in fields)
+            delta = tuple(f"{f}: {a!r} -> {b!r}" for f, a, b in pairs if a != b)
+            if delta:
+                changed.append((i, delta))
+    added = tuple(i for i in after if i not in before)
+    removed = tuple(i for i in before if i not in after)
+    return added, removed, tuple(changed)
 
 
 def plan_diff(
@@ -370,29 +313,8 @@ def plan_diff(
     new_channels: object = (),
 ) -> PlanDiff:
     """Structural diff of two plans (and, optionally, their channel tables)."""
-    old_nodes = {n.id: n for n in old.all_nodes()}
-    new_nodes = {n.id: n for n in new.all_nodes()}
-    added = tuple(i for i in new_nodes if i not in old_nodes)
-    removed = tuple(i for i in old_nodes if i not in new_nodes)
-    changed = []
-    for i in new_nodes:
-        if i in old_nodes:
-            delta = _field_changes(old_nodes[i], new_nodes[i], _NODE_FIELDS)
-            if delta:
-                changed.append((i, delta))
-
-    old_ch = {c.id: c for c in old_channels}  # type: ignore[union-attr]
-    new_ch = {c.id: c for c in new_channels}  # type: ignore[union-attr]
-    ch_added = tuple(i for i in new_ch if i not in old_ch)
-    ch_removed = tuple(i for i in old_ch if i not in new_ch)
-    ch_changed = []
-    for i in new_ch:
-        if i in old_ch:
-            delta = _field_changes(old_ch[i], new_ch[i], _CHANNEL_FIELDS)
-            if delta:
-                ch_changed.append((i, delta))
-
-    return PlanDiff(added, removed, tuple(changed), ch_added, ch_removed, tuple(ch_changed))
+    nodes = _diff_by_id(old.all_nodes(), new.all_nodes(), _NODE_FIELDS)
+    return PlanDiff(*nodes, *_diff_by_id(old_channels, new_channels, _CHANNEL_FIELDS))
 
 
 # --- canonical plan document -------------------------------------------------
@@ -433,7 +355,7 @@ def render_plan(plan: ProcessPlan, channels: object = None) -> str:
         lines += [
             "",
             f"service: {n.id}",
-            f"carries: {_fmt(n.view.use_cases)}",
+            f"carries: {_fmt(n.owned_use_cases())}",
             f"warnings: {'; '.join(n.warnings) if n.warnings else 'none'}",
         ]
     lines += ["", "decisions:"]

@@ -425,9 +425,9 @@ def test_unknown_link_name_is_rejected():
 
 def test_health_timeline_late_then_dead():
     table = HealthTable()
-    table.observe("P", 1, 100)
+    table.observe("P", 1)
     assert table.scan(101, 3) == []  # first sight is OK
-    table.observe("P", 2, 150)
+    table.observe("P", 2)
     assert table.scan(201, 3) == []  # counter moved
     # heartbeats stop: one miss -> LATE, third miss -> DEAD, edge-triggered
     assert table.scan(301, 3) == [Alert("P", HealthStatus.LATE, 301)]
@@ -439,10 +439,10 @@ def test_health_timeline_late_then_dead():
 
 def test_health_silent_recovery_from_late():
     table = HealthTable()
-    table.observe("P", 1, 0)
+    table.observe("P", 1)
     table.scan(1, 3)
     assert table.scan(101, 3) == [Alert("P", HealthStatus.LATE, 101)]
-    table.observe("P", 2, 150)  # resumed before the dead threshold
+    table.observe("P", 2)  # resumed before the dead threshold
     assert table.scan(201, 3) == []
     assert table.records["P"].status is HealthStatus.OK
     # relapse alerts again (edge-triggered on each OK->LATE transition)
@@ -451,11 +451,11 @@ def test_health_silent_recovery_from_late():
 
 def test_dead_process_stays_dead_even_if_counter_moves():
     table = HealthTable()
-    table.observe("P", 1, 0)
+    table.observe("P", 1)
     for t in (1, 101, 201, 301):
         table.scan(t, 3)
     assert table.records["P"].status is HealthStatus.DEAD
-    table.observe("P", 99, 400)
+    table.observe("P", 99)
     assert table.scan(401, 3) == []
     assert table.records["P"].status is HealthStatus.DEAD
 
@@ -785,3 +785,24 @@ def test_priority_swaps_and_fresh_values_are_accepted():
     assert data_type_for_priority(200, table) == "command"
     assert data_type_for_priority(180, table) == "track_data"
     assert data_type_for_priority(7, table) == "foo"
+
+
+# --- auth keys a config file can hold ----------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [b"#1", b" k", b"k ", b"a #b", b"a\nb", b"\xff"])
+def test_render_comm_config_rejects_keys_it_cannot_read_back(key):
+    with pytest.raises(ValueError, match="auth_key"):
+        render_comm_config(CommConfig(auth_key=key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary())
+def test_render_comm_config_round_trips_or_refuses(key):
+    cfg = CommConfig(auth_key=key)
+    try:
+        text = render_comm_config(cfg)
+    except ValueError as err:
+        assert "auth_key" in str(err)
+    else:
+        assert parse_comm_config(text) == cfg

@@ -339,12 +339,12 @@ def test_queue_blocks_writer_when_full():
     proc.outbound = [(cid, ActorMessage("DATA", bytes([i]), 5)) for i in range(4)]
     world._transmitter_pass(proc, 0)
     assert [m.body for _, m in proc.outbound] == [b"\x02", b"\x03"]  # head-of-line keeps order
-    assert [m.body for _, m in ch.items] == [b"\x00", b"\x01"]
+    assert [m.body for m in ch.items] == [b"\x00", b"\x01"]
     # drain the queue, retry forwards the rest
     world._receiver_pass(world.processes["B#0"], 1)
     world._transmitter_pass(proc, 2)
     assert proc.outbound == []
-    assert [m.body for _, m in ch.items] == [b"\x02", b"\x03"]
+    assert [m.body for m in ch.items] == [b"\x02", b"\x03"]
 
 
 def test_send_to_dead_reader_counts_sent_only():

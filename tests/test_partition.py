@@ -1,5 +1,7 @@
 """Process planning: view partitioning, instance resolution, common-use-case placement."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,15 @@ from viewcase.partition import (
     BudgetExceeded,
     MappingPolicy,
     Objective,
+    PlanDecision,
+    ProcessNode,
+    ProcessPlan,
+    ViewCase,
+    _common_use_cases_in_order,
     build_plan,
     partition_views,
     plan_diff,
     render_plan,
-    resolve_instances,
 )
 
 
@@ -61,7 +67,7 @@ def test_views_one_per_triggering_actor(model):
 
 
 def test_resolve_instances_fault_tolerance(model):
-    nodes = resolve_instances(partition_views(model), model, MappingPolicy())
+    nodes = build_plan(model, MappingPolicy()).nodes
     ids = [n.id for n in nodes]
     assert ids.count("LocalHost#0") == 1 and "LocalHost#1" in ids
     assert "PeerCI#5" in ids and "PeerCI#6" not in ids
@@ -130,6 +136,22 @@ def test_threshold_boundary_is_inclusive(model):
     plan = build_plan(model, MappingPolicy(inline_threshold=800))
     assert "Authenticate#svc" not in {n.id for n in plan.all_nodes()}
     assert "LogTraffic#svc" in {n.id for n in plan.all_nodes()}
+
+
+def test_use_case_inlined_into_a_service_stays_in_the_plan():
+    model_ = parse_model(
+        "actor A multiplicity 2\n"
+        'usecase U0 "u0" codesize 100\n'
+        'usecase U1 "u1" codesize 9000\n'
+        'usecase U2 "u2" codesize 100\n'
+        "trigger A -> U0\n"
+        "relation include U0 <- U1\n"
+        "relation include U1 <- U2\n"
+    )
+    plan = build_plan(model_, MappingPolicy())
+    assert plan.node("U1#svc").inlined == ("U2",)
+    assert plan.estimated_footprint == 9300  # 2 x U0 + U1 + U2
+    assert "carries: U1 U2" in render_plan(plan)
 
 
 # --- memory-bound plan ---------------------------------------------------------
@@ -325,3 +347,198 @@ def test_footprint_equals_sum_of_owned_sizes(model_):
     assert plan.estimated_footprint == sum(
         size[u] for n in plan.all_nodes() for u in n.owned_use_cases()
     )
+
+
+# --- equivalence with the staged planner ------------------------------------------
+#
+# A staged planner: it decides cases 1 and 2 twice (once for the decision
+# records, once for the nodes) and rebuilds nodes with `replace` for case 3,
+# taking the service nodes from its final node list. The one-pass
+# `build_plan` must give the same plan, or raise the same exception.
+
+
+def _ref_first_trigger(model_, uc_id):
+    triggers = set(model_.use_case(uc_id).triggers)
+    for a in model_.actors:
+        if a.name in triggers:
+            return a.name
+    return model_.use_case(uc_id).triggers[0]
+
+
+def _ref_resolve_instances(views, model_, policy):
+    collapse_all = policy.objective is Objective.MEMORY_BOUND
+    owners = {}
+    if collapse_all:
+        for uc in model_.use_cases:
+            if len(uc.triggers) >= 2:
+                owners[uc.id] = _ref_first_trigger(model_, uc.id)
+    nodes = []
+    for view in views:
+        actor = model_.actor(view.actor)
+        refs = tuple(u for u in view.use_cases if owners.get(u, view.actor) != view.actor)
+        if collapse_all or actor.instantiation is Instantiation.SHARED:
+            nodes.append(ProcessNode(f"{actor.name}#*", view, None, refs=refs))
+        else:
+            for k in range(actor.multiplicity):
+                nodes.append(ProcessNode(f"{actor.name}#{k}", view, k, refs=refs))
+    return nodes
+
+
+def _ref_place_common(model_, nodes, policy):
+    nodes = list(nodes)
+    decisions = []
+    residence = {}
+    for i, n in enumerate(nodes):
+        for u in n.owned_use_cases():
+            residence.setdefault(u, []).append(i)
+    for uc_id in _common_use_cases_in_order(model_):
+        uc = model_.use_case(uc_id)
+        base_ids = [r.base for r in model_.relations if r.other == uc_id]
+        host_ids = sorted({i for b in base_ids for i in residence.get(b, [])})
+        inline_ok = (
+            policy.objective is Objective.FAULT_TOLERANCE
+            and uc.code_size <= policy.inline_threshold
+            and host_ids
+        )
+        if inline_ok:
+            for i in host_ids:
+                if uc_id not in nodes[i].inlined:
+                    nodes[i] = replace(nodes[i], inlined=nodes[i].inlined + (uc_id,))
+                    residence.setdefault(uc_id, []).append(i)
+            names = ", ".join(nodes[i].id for i in host_ids)
+            decisions.append(
+                PlanDecision(
+                    3,
+                    uc_id,
+                    "inline",
+                    f"code size {uc.code_size} <= inline threshold "
+                    f"{policy.inline_threshold}; duplicated into {names}",
+                )
+            )
+        else:
+            svc = ProcessNode(
+                f"{uc_id}#svc", ViewCase("", (uc_id,)), None,
+                warnings=(SPOF_WARNING,), service=True,
+            )
+            nodes.append(svc)
+            residence.setdefault(uc_id, []).append(len(nodes) - 1)
+            if policy.objective is Objective.MEMORY_BOUND:
+                why = "memory bound keeps one shared copy"
+            else:
+                why = f"code size {uc.code_size} > inline threshold {policy.inline_threshold}"
+            decisions.append(PlanDecision(3, uc_id, "shared-service", f"{why}; {SPOF_WARNING}"))
+    regular = [n for n in nodes if not n.service]
+    services = [n for n in nodes if n.service]
+    return regular, services, decisions
+
+
+def _ref_build_plan(model_, policy):
+    views = partition_views(model_)
+    decisions = []
+    for uc in model_.use_cases:
+        if len(uc.triggers) < 2:
+            continue
+        k = len(uc.triggers)
+        if policy.objective is Objective.FAULT_TOLERANCE:
+            decisions.append(
+                PlanDecision(1, uc.id, "duplicate", f"triggered by {k} actors; each view keeps a copy")
+            )
+        else:
+            owner = _ref_first_trigger(model_, uc.id)
+            decisions.append(
+                PlanDecision(
+                    1, uc.id, f"single-owner {owner}",
+                    f"triggered by {k} actors; memory bound keeps one copy, others reference it",
+                )
+            )
+    with_views = {v.actor for v in views}
+    for actor in model_.actors:
+        if actor.name not in with_views or actor.multiplicity < 2:
+            continue
+        if policy.objective is Objective.MEMORY_BOUND:
+            decisions.append(
+                PlanDecision(2, actor.name, "collapse", "memory bound: one process for all instances")
+            )
+        elif actor.instantiation is Instantiation.SHARED:
+            decisions.append(
+                PlanDecision(
+                    2, actor.name, "collapse", "shared instantiation: one process for all instances"
+                )
+            )
+        else:
+            decisions.append(
+                PlanDecision(
+                    2, actor.name, f"instantiate x{actor.multiplicity}",
+                    "fault tolerance: one process per actor instance",
+                )
+            )
+    nodes = _ref_resolve_instances(views, model_, policy)
+    nodes, service_nodes, case3 = _ref_place_common(model_, nodes, policy)
+    decisions.extend(case3)
+    size = {u.id: u.code_size for u in model_.use_cases}
+    footprint = sum(size[u] for n in nodes + service_nodes for u in n.owned_use_cases())
+    if policy.objective is Objective.MEMORY_BOUND and footprint > policy.memory_budget:
+        raise BudgetExceeded(footprint, policy.memory_budget)
+    return ProcessPlan(tuple(nodes), tuple(service_nodes), tuple(decisions), footprint, policy)
+
+
+@st.composite
+def wide_planning_models(draw):
+    """Models beyond `planning_models`: use cases nobody triggers, relations in
+    both directions (cycles included), shared actors, unique actor names."""
+    names = draw(st.lists(_actor_names, min_size=1, max_size=4, unique=True))
+    actors = tuple(
+        Actor(n, draw(st.integers(1, 4)), draw(st.sampled_from(list(Instantiation))))
+        for n in names
+    )
+    n_ucs = draw(st.integers(1, 7))
+    use_cases = tuple(
+        UseCase(
+            f"Uc{i}",
+            f"uc {i}",
+            tuple(draw(st.lists(st.sampled_from(names), max_size=3, unique=True))),
+            draw(st.sampled_from([0, 100, 799, 800, 801, 4096, 4097, 9000])),
+        )
+        for i in range(n_ucs)
+    )
+    pairs = st.tuples(st.integers(0, n_ucs - 1), st.integers(0, n_ucs - 1))
+    relations = tuple(
+        dict.fromkeys(
+            UseCaseRelation(kind, f"Uc{b}", f"Uc{o}")
+            for (b, o), kind in draw(
+                st.lists(st.tuples(pairs, st.sampled_from(list(RelationKind))), max_size=6)
+            )
+            if b != o
+        )
+    )
+    return UseCaseModel(actors, use_cases, relations, ())
+
+
+@st.composite
+def policies(draw):
+    threshold = draw(st.sampled_from([0, 799, 800, 4096]))
+    if draw(st.booleans()):
+        return MappingPolicy(inline_threshold=threshold)
+    budget = draw(st.sampled_from([1, 5000, 20000, 10**9]))
+    return MappingPolicy(Objective.MEMORY_BOUND, memory_budget=budget, inline_threshold=threshold)
+
+
+def _outcome(plan_fn, model_, policy):
+    try:
+        return plan_fn(model_, policy)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_planning_models() | planning_models(), policies())
+def test_one_pass_plan_equals_staged_reference(model_, policy):
+    got = _outcome(build_plan, model_, policy)
+    want = _outcome(_ref_build_plan, model_, policy)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, ProcessPlan)
+    assert render_plan(got) == render_plan(want)
+    assert got.all_nodes() == want.all_nodes()  # every field of every node
+    assert got == want
