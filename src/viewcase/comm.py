@@ -581,23 +581,29 @@ def parse_comm_config(text: str) -> CommConfig:
     return CommConfig(priorities=tuple(priorities.items()), **values)  # type: ignore[arg-type]
 
 
+def _reads_back(key: str, value: str) -> bool:
+    """Whether `parse_comm_config` reads the line `key = value` as that key and value."""
+    line = f"{key} = {value}"
+    left, _, right = strip_comment(line).partition("=")
+    return line.splitlines() == [line] and (left.strip(), right.strip()) == (key, value)
+
+
 def render_comm_config(cfg: CommConfig) -> str:
-    """Config-file text of `cfg`; ValueError when its auth_key would not read back."""
-    try:
-        key_line = f"auth_key = {cfg.auth_key.decode()}"
-        readable = parse_comm_config(key_line).auth_key == cfg.auth_key
-    except ValueError:  # not UTF-8, or a line break inside the key
-        readable = False
-    if not readable:
+    """Config-file text of `cfg`; ValueError naming the auth_key or the
+    priority whose line would not read back."""
+    key = cfg.auth_key.decode(errors="replace")
+    if key.encode() != cfg.auth_key or not _reads_back("auth_key", key):
         raise ValueError(f"auth_key {cfg.auth_key!r} would not read back from a config file")
+    for name, value in cfg.priorities:
+        if not _reads_back(f"priority.{name}", str(value)):
+            raise ValueError(f"priority {name!r} would not read back from a config file")
     lines = [
         f"mtu_payload = {cfg.mtu_payload}",
         f"reassembly_timeout = {cfg.reassembly_timeout}",
         f"scan_period = {cfg.scan_period}",
         f"dead_threshold = {cfg.dead_threshold}",
-        key_line,
+        f"auth_key = {key}",
         f"default_priority = {cfg.default_priority}",
     ]
-    for name, value in cfg.priorities:
-        lines.append(f"priority.{name} = {value}")
+    lines.extend(f"priority.{name} = {value}" for name, value in cfg.priorities)
     return "\n".join(lines) + "\n"

@@ -251,7 +251,7 @@ ChannelRt = MessageQueueRt | SharedSegmentRt
 # --- processes ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _ActiveDispatch:
     """A fired dispatch whose actions are still spending virtual time."""
 
@@ -275,6 +275,8 @@ class _MailEntry(NamedTuple):
 class ProcessInstance:
     node: ProcessNode
     machines: dict[str, StateMachine]
+    id: str = field(init=False)  # node.id
+    stats: ProcessStats = field(init=False, default_factory=ProcessStats)  # Metrics holds it too
     alive: bool = True
     mailbox: list[_MailEntry] = field(default_factory=list)
     outbound: list[tuple[str, ActorMessage]] = field(default_factory=list)  # resolved channel ids
@@ -283,9 +285,8 @@ class ProcessInstance:
     tick_scheduled: bool = False
     dispatch_counter: int = 0
 
-    @property
-    def id(self) -> str:
-        return self.node.id
+    def __post_init__(self) -> None:
+        self.id = self.node.id
 
     def has_work(self) -> bool:
         return self.active is not None or bool(self.mailbox)
@@ -326,9 +327,7 @@ class SimWorld:
             else:
                 self.channels[c.id] = SharedSegmentRt(c, c.writer, list(c.readers))
         self._index_endpoints()
-        self.metrics = Metrics()
-        for pid in processes:
-            self.metrics.process(pid)
+        self.metrics = Metrics(processes={pid: proc.stats for pid, proc in processes.items()})
         self.trace_rows: list[TraceRow] = []
         self.used = False
         self.now = 0
@@ -360,7 +359,8 @@ class SimWorld:
         self._seq += 1
 
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
-        self.trace_rows.append(TraceRow(time, process, thread, event, detail))
+        # TraceRow._make without its length check
+        self.trace_rows.append(tuple.__new__(TraceRow, (time, process, thread, event, detail)))
 
     # -- messaging --
 
@@ -480,7 +480,7 @@ class SimWorld:
             else:
                 idle = now - proc.last_progress
                 if proc.has_work() and idle >= 3 * self.config.watchdog_period:
-                    self.metrics.process(process_id).watchdog_trips += 1
+                    proc.stats.watchdog_trips += 1
                     self.trace(now, process_id, "watchdog", "trip", f"no progress for {idle}")
                     self.kill(process_id, now, "watchdog")
                     return
@@ -539,8 +539,7 @@ class SimWorld:
         for msg in active.result.recalled:
             self.trace(now, proc.id, "processor", "recall", msg.signal)
             self.post_mailbox(proc.id, msg, now, recalled=True)
-        stats = self.metrics.process(proc.id)
-        stats.dispatches += 1
+        proc.stats.dispatches += 1
         proc.last_progress = now
         proc.active = None
         self.trace(now, proc.id, "processor", "complete", f"{active.label} {active.number}")
@@ -584,10 +583,10 @@ class SimWorld:
             return True
         for key, machine in proc.machines.items():  # no machine matched
             if dispatch(machine, msg, None, now=now).deferred:
-                self.metrics.process(proc.id).deferrals += 1
+                proc.stats.deferrals += 1
                 self.trace(now, proc.id, "processor", "defer", f"{key}/{msg.signal}")
                 return False
-        self.metrics.process(proc.id).discards += 1
+        proc.stats.discards += 1
         self.trace(now, proc.id, "processor", "discard", msg.signal)
         return False
 

@@ -27,14 +27,14 @@ by :func:`parse_machine`::
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .model import strip_comment
 
 Guard = Callable[["ActorMessage", dict], bool]
 
-# Shared by every state that defers nothing, and by every context that does.
+# Shared by every state that defers nothing.
 _NO_DEFERRALS: frozenset[str] = frozenset()
 
 
@@ -75,6 +75,11 @@ class Transition:
     guard: Guard | None = None
 
 
+# Where one signal can fire from one leaf: (scope, candidates) pairs, innermost
+# scope first, for each scope that has candidates.
+_Route = tuple[tuple[str, tuple[Transition, ...]], ...]
+
+
 class AmbiguousTransition(Exception):
     def __init__(self, scope: str, signal: str):
         super().__init__(f"two transitions at scope {scope!r} match signal {signal!r}")
@@ -89,12 +94,16 @@ class ActionFailure(Exception):
         self.cause = cause
 
 
-@dataclass
 class ActionContext:
-    machine: "StateMachine"
-    msg: ActorMessage
-    emitted: list[tuple[str, ActorMessage]] = field(default_factory=list)
-    now: int = 0  # virtual ms of the dispatch; 0 outside a simulation
+    """What an action sees: its machine, the message and the dispatch's virtual time."""
+
+    __slots__ = ("machine", "msg", "emitted", "now")
+
+    def __init__(self, machine: "StateMachine", msg: ActorMessage, now: int = 0):
+        self.machine = machine
+        self.msg = msg
+        self.emitted: list[tuple[str, ActorMessage]] = []
+        self.now = now  # virtual ms of the dispatch; 0 outside a simulation
 
     @property
     def vars(self) -> dict:
@@ -108,8 +117,7 @@ class ActionContext:
         self.emitted.append((destination, msg))
 
 
-@dataclass(frozen=True)
-class DispatchResult:
+class DispatchResult(NamedTuple):
     fired: bool
     deferred: bool
     emitted: tuple[tuple[str, ActorMessage], ...] = ()
@@ -119,10 +127,17 @@ class DispatchResult:
     action_costs: tuple[int | float, ...] = ()  # parallel to actions_run
 
 
+# What every dispatch that fires nothing returns.
+_DEFERRED = DispatchResult(fired=False, deferred=True)
+_UNMATCHED = DispatchResult(fired=False, deferred=False)
+
+
 class _Plan(NamedTuple):
     """What firing one transition from one leaf does, action by action."""
 
-    actions: tuple[Action, ...]
+    transition: Transition  # held, so no other object takes its id in the plan's key
+    fns: tuple[Optional[Callable[[ActionContext], None]], ...]
+    ids: tuple[str, ...]
     costs: tuple[int | float, ...]
     cost_ms: int | float
     new_leaf: str
@@ -136,9 +151,9 @@ class StateMachine:
     buffers; like OS resources, they are not rolled back.
 
     States and transitions are fixed after construction. Dispatch compiles
-    tables from them on first use and never invalidates them: transition
-    indices by signal, each leaf's context and deferred signals, and the
-    action plan of each (leaf, transition index) pair.
+    two tables from them on first use and never invalidates them: the route
+    of each (leaf, signal) pair and the action plan of each (leaf, own
+    transition) pair.
     """
 
     def __init__(
@@ -183,9 +198,8 @@ class StateMachine:
                 if end not in self.states:
                     raise ValueError(f"transition references unknown state {end!r}")
         self.current = self._descend(self.root)[-1] if self._children.get(self.root) else self.root
-        self._by_signal: dict[str, tuple[int, ...]] | None = None
-        self._chains: dict[str, tuple[tuple[str, ...], frozenset[str]]] = {}
-        self._plans: dict[tuple[str, int], _Plan] = {}
+        self._routes: dict[tuple[str, str], _Route] = {}  # keyed by (leaf, signal)
+        self._plans: dict[tuple[str, int], _Plan] = {}  # keyed by (leaf, id(transition))
 
     def _descend(self, sid: str) -> list[str]:
         """Initial-child chain from sid down to a leaf, inclusive."""
@@ -201,57 +215,51 @@ class StateMachine:
             out.append(self.states[out[-1]].parent)  # type: ignore[arg-type]
         return out
 
-    def _candidates(self, signal: str) -> tuple[int, ...]:
-        """Indices of the transitions on `signal`, in declaration order."""
-        table = self._by_signal
-        if table is None:
-            lists: dict[str, list[int]] = {}
-            for i, t in enumerate(self.transitions):
-                lists.setdefault(t.signal, []).append(i)
-            table = self._by_signal = {sig: tuple(ix) for sig, ix in lists.items()}
-        return table.get(signal, ())
-
-    def _chain(self, sid: str) -> tuple[tuple[str, ...], frozenset[str]]:
-        """sid's context, innermost first, and the signals deferred along it."""
-        entry = self._chains.get(sid)
-        if entry is None:
-            context = tuple(self.ancestors(sid))
-            deferring = [d for s in context if (d := self.states[s].deferred_signals)]
-            if not deferring:
-                deferred = _NO_DEFERRALS
-            elif len(deferring) == 1:
-                deferred = deferring[0]
-            else:
-                deferred = frozenset().union(*deferring)
-            entry = self._chains[sid] = (context, deferred)
-        return entry
-
     def dispatch(self, msg: ActorMessage) -> DispatchResult:
         return dispatch(self, msg)
 
 
 def state_context(machine: StateMachine) -> list[str]:
     """Active state chain, current leaf first, root last."""
-    return list(machine._chain(machine.current)[0])
+    return machine.ancestors(machine.current)
+
+
+def _deferred_along(machine: StateMachine, leaf: str) -> frozenset[str]:
+    """The signals deferred by `leaf` and its ancestors."""
+    return frozenset().union(*(machine.states[s].deferred_signals for s in machine.ancestors(leaf)))
+
+
+def _route(machine: StateMachine, signal: str) -> _Route:
+    """Where `signal` can fire from the current leaf; built on first use."""
+    key = (machine.current, signal)
+    route = machine._routes.get(key)
+    if route is None:
+        groups = []
+        for scope in machine.ancestors(machine.current):
+            group = tuple(t for t in machine.transitions if t.scope == scope and t.signal == signal)
+            if group:
+                groups.append((scope, group))
+        route = machine._routes[key] = tuple(groups)
+    return route
 
 
 def select_transition(machine: StateMachine, msg: ActorMessage) -> Transition | None:
-    """Innermost-precedence lookup along the state context."""
-    candidates = machine._candidates(msg.signal)
-    if not candidates:
-        return None
-    transitions = machine.transitions
-    for sid in machine._chain(machine.current)[0]:
-        matches = [
-            t
-            for i in candidates
-            if (t := transitions[i]).scope == sid
-            and (t.guard is None or t.guard(msg, machine.variables))
-        ]
-        if len(matches) > 1:
-            raise AmbiguousTransition(sid, msg.signal)
+    """Innermost-precedence lookup along the state context.
+
+    Scopes are tried innermost first; at each, every candidate's guard runs
+    in declaration order, and two that pass are ambiguous.
+    """
+    variables = machine.variables
+    for scope, group in _route(machine, msg.signal):
+        matches = 0
+        for t in group:
+            if t.guard is None or t.guard(msg, variables):
+                matches += 1
+                found = t
+        if matches == 1:
+            return found
         if matches:
-            return matches[0]
+            raise AmbiguousTransition(scope, msg.signal)
     return None
 
 
@@ -286,22 +294,19 @@ def _walk(machine: StateMachine, transition: Transition) -> _Plan:
     for sid in entry_states:
         plan.extend(machine.states[sid].entry_actions)
     costs = tuple(a.cost_ms for a in plan)
-    return _Plan(tuple(plan), costs, sum(costs), descent[-1])
+    fns, ids = tuple(a.fn for a in plan), tuple(a.id for a in plan)
+    return _Plan(transition, fns, ids, costs, sum(costs), descent[-1])
 
 
 def _plan(machine: StateMachine, transition: Transition) -> _Plan:
-    """The cached plan of `transition` from the current leaf; a transition
-    that is not the machine's own is walked every time."""
-    transitions = machine.transitions
-    index = next(
-        (i for i in machine._candidates(transition.signal) if transitions[i] is transition), None
-    )
-    if index is None:
-        return _walk(machine, transition)
-    key = (machine.current, index)
+    """The plan of `transition` from the current leaf; cached for the
+    machine's own transitions, walked every time for any other."""
+    key = (machine.current, id(transition))
     plan = machine._plans.get(key)
     if plan is None:
-        plan = machine._plans[key] = _walk(machine, transition)
+        plan = _walk(machine, transition)
+        if any(t is transition for t in machine.transitions):
+            machine._plans[key] = plan
     return plan
 
 
@@ -346,44 +351,37 @@ def dispatch(
     if transition is _SELECT:
         transition = select_transition(machine, msg)
     if transition is None:
-        if msg.signal in machine._chain(machine.current)[1]:
+        if msg.signal in _deferred_along(machine, machine.current):
             machine.deferral_buffer.append(msg)
-            return DispatchResult(fired=False, deferred=True)
-        return DispatchResult(fired=False, deferred=False)
+            return _DEFERRED
+        return _UNMATCHED
 
     plan = _plan(machine, transition)
     saved_current = machine.current
     saved_vars = _snapshot(machine.variables)
     saved_buffer = list(machine.deferral_buffer)
 
-    ctx = ActionContext(machine, msg, now=now)
-    ran: list[str] = []
+    ctx = ActionContext(machine, msg, now)
     try:
-        for action in plan.actions:
-            if action.fn is not None:
-                action.fn(ctx)
-            ran.append(action.id)
+        for step, fn in enumerate(plan.fns):
+            if fn is not None:
+                fn(ctx)
     except Exception as exc:
         machine.current = saved_current
         machine.variables = saved_vars
         machine.deferral_buffer = saved_buffer
-        failed = plan.actions[len(ran)].id if len(ran) < len(plan.actions) else "?"
-        raise ActionFailure(failed, exc) from exc
+        raise ActionFailure(plan.ids[step], exc) from exc
 
     machine.current = plan.new_leaf
-
-    deferred = machine._chain(plan.new_leaf)[1]
-    recalled = tuple(m for m in machine.deferral_buffer if m.signal not in deferred)
-    machine.deferral_buffer = [m for m in machine.deferral_buffer if m.signal in deferred]
+    recalled: tuple[ActorMessage, ...] = ()
+    buffer = machine.deferral_buffer
+    if buffer:
+        deferred = _deferred_along(machine, plan.new_leaf)
+        recalled = tuple(m for m in buffer if m.signal not in deferred)
+        machine.deferral_buffer = [m for m in buffer if m.signal in deferred]
 
     return DispatchResult(
-        fired=True,
-        deferred=False,
-        emitted=tuple(ctx.emitted),
-        actions_run=tuple(ran),
-        recalled=recalled,
-        cost_ms=plan.cost_ms,
-        action_costs=plan.costs,
+        True, False, tuple(ctx.emitted), plan.ids, recalled, plan.cost_ms, plan.costs
     )
 
 

@@ -806,3 +806,26 @@ def test_render_comm_config_round_trips_or_refuses(key):
         assert "auth_key" in str(err)
     else:
         assert parse_comm_config(text) == cfg
+
+
+# --- priority names a config file can hold -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["a=b", "a\nb", "a\rb", "x #y", "a "])
+def test_render_comm_config_rejects_priority_names_it_cannot_read_back(name):
+    cfg = CommConfig(priorities=(*DEFAULT_PRIORITIES.items(), (name, 5)))
+    with pytest.raises(ValueError) as err:
+        render_comm_config(cfg)
+    assert str(err.value).startswith(f"priority {name!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(min_size=1).filter(lambda name: name not in DEFAULT_PRIORITIES))
+def test_priority_names_round_trip_or_are_refused(name):
+    cfg = CommConfig(priorities=(*DEFAULT_PRIORITIES.items(), (name, 5)))
+    try:
+        text = render_comm_config(cfg)
+    except ValueError as err:
+        assert str(err).startswith(f"priority {name!r}")
+    else:
+        assert parse_comm_config(text) == cfg

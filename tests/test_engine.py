@@ -17,6 +17,7 @@ from viewcase.engine import (
     ScenarioError,
     SimConfig,
     StimulusSpec,
+    TraceRow,
     degradation_report,
     instantiate,
     parse_scenario,
@@ -558,3 +559,17 @@ def test_emission_destinations_must_name_a_use_case():
     assert world.resolve_destination(proc, "uc:V") == []
     with pytest.raises(ValueError, match="uc:<UseCase>"):
         world.resolve_destination(proc, channels[0].id)
+
+
+def test_trace_rows_are_trace_rows():
+    _, _, world = build_world()
+    scenario = parse_scenario("stimulus LocalHost#0 SEND_REQ at 100 every 0 priority 180 size 64\n")
+    trace, _ = world.run(scenario, 400)
+    assert trace.rows and all(type(r) is TraceRow for r in trace.rows)
+    first = trace.rows[0]
+    assert first == TraceRow(first.time, first.process, first.thread, first.event, first.detail)
+    assert trace.rows_of("stimulus") == [TraceRow(100, "LocalHost#0", "-", "stimulus", "SEND_REQ size 64")]
+    sends = [r for r in trace.rows_of("dispatch", "LocalHost#0") if "/SEND_REQ " in r.detail]
+    assert len(sends) == 1
+    assert (sends[0].thread, sends[0].detail.split()[-2:]) == ("processor", ["actions", "3"])
+    assert trace.to_text() == "".join("\t".join(map(str, r)) + "\n" for r in trace.rows)

@@ -355,3 +355,12 @@ def test_artifacts_match_pinned_digests():
         }
         digests[name] = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
     assert digests == _PINNED_ARTIFACTS
+
+
+def test_dispatch_tables_stay_empty_until_the_first_dispatch(model):
+    """Building a world compiles nothing, so set-up cost and memory do not
+    grow with tables that a run may never use."""
+    _, _, world = build_world(scale_peers(model, 500))
+    machines = [m for proc in world.processes.values() for m in proc.machines.values()]
+    assert len(machines) > 1000
+    assert not any(m._routes or m._plans for m in machines)

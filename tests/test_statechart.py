@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viewcase import statechart
 from viewcase.statechart import (
     Action,
     ActionContext,
@@ -780,3 +781,76 @@ def test_failed_action_restores_dict_with_non_str_key():
     with pytest.raises(ActionFailure):
         m.dispatch(ActorMessage("GO"))
     assert m.variables == {7: "seven", "n": 1}
+
+
+# --- route and plan tables ---------------------------------------------------------------
+
+
+def test_equal_transition_that_is_not_the_machines_own_is_walked(monkeypatch):
+    m = _nested_machine([])
+    own = m.transitions[0]
+    twin = Transition(own.scope, own.signal, own.target, own.actions, own.guard)
+    assert twin == own and twin is not own
+    walked = []
+    walk = statechart._walk
+    monkeypatch.setattr(statechart, "_walk", lambda machine, t: walked.append(t) or walk(machine, t))
+    for transition in (own, twin, twin, own):
+        m.current = "LeafA"
+        result = dispatch(m, ActorMessage("GO"), transition)
+        assert result.actions_run == ("exitLeafA", "exitA", "tGo", "enterB", "enterLeafB")
+    # own is walked once and then served from its plan; its twin every time
+    assert [t is own for t in walked] == [True, False, False]
+
+
+def _scoped_machine(log):
+    """Top -> Mid -> Leaf, with logging guards on X at the leaf and the root."""
+
+    def guard(name, passes):
+        def fn(msg, variables):
+            log.append(name)
+            return passes
+
+        return fn
+
+    b = MachineBuilder("scoped")
+    b.state("Top", initial="Mid")
+    b.state("Mid", parent="Top", initial="Leaf")
+    b.state("Leaf", parent="Mid")
+    b.transition("Top", "X", "Leaf", guard=guard("top1", True))
+    b.transition("Leaf", "X", "Leaf", guard=guard("leaf1", False))
+    b.transition("Top", "Y", "Leaf", guard=guard("other", True))
+    b.transition("Top", "X", "Leaf")
+    b.transition("Leaf", "X", "Leaf", guard=guard("leaf2", False))
+    b.transition("Top", "X", "Mid", guard=guard("top2", False))  # runs after the second match
+    return b.build()
+
+
+def test_outer_ambiguity_after_inner_guards_reject():
+    log, oracle_log = [], []
+    with pytest.raises(AmbiguousTransition) as err:
+        select_transition(_scoped_machine(log), ActorMessage("X"))
+    with pytest.raises(AmbiguousTransition) as oracle_err:
+        _oracle_select(_scoped_machine(oracle_log), ActorMessage("X"))
+    assert (err.value.scope, err.value.signal) == ("Top", "X")
+    assert str(err.value) == str(oracle_err.value)
+    assert log == oracle_log == ["leaf1", "leaf2", "top1", "top2"]
+
+
+def test_unfired_dispatches_share_immutable_results():
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top", defer=("LATER",))
+    b.transition("A", "GO", "A")
+    m, other = b.build(), b.build()
+    deferred = dispatch(m, ActorMessage("LATER"))
+    unmatched = dispatch(m, ActorMessage("NOPE"))
+    assert deferred == DispatchResult(fired=False, deferred=True)
+    assert unmatched == DispatchResult(fired=False, deferred=False)
+    assert dispatch(other, ActorMessage("LATER"), None) is deferred
+    assert dispatch(other, ActorMessage("NOPE"), None) is unmatched
+    for result in (deferred, unmatched):
+        with pytest.raises(AttributeError):
+            result.fired = True
+        assert (result.emitted, result.actions_run, result.recalled) == ((), (), ())
+        assert (result.cost_ms, result.action_costs) == (0, ())
+    assert len(m.deferral_buffer) == len(other.deferral_buffer) == 1
