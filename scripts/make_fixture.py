@@ -2,7 +2,8 @@
 """Write the bundled communication-interface fixture to disk.
 
 Produces model.ucm, degradation.scn, failover.scn and comm.cfg so the
-CLI can be driven against real files:
+CLI can be driven against real files. `--peers N` sets the PeerCI
+multiplicity of the model and the peer count of both scenarios:
 
     python3 scripts/make_fixture.py --out fixture/
     viewcase simulate --model fixture/model.ucm --scenario fixture/degradation.scn
@@ -12,7 +13,8 @@ import argparse
 from pathlib import Path
 
 from viewcase.comm import DEFAULT_CONFIG, render_comm_config
-from viewcase.fixture import FIXTURE_MODEL, degradation_scenario, failover_scenario
+from viewcase.fixture import FIXTURE_MODEL, degradation_scenario, failover_scenario, scale_peers
+from viewcase.model import parse_model, render_model
 
 
 def main() -> None:
@@ -24,7 +26,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = {
-        "model.ucm": FIXTURE_MODEL,
+        "model.ucm": render_model(scale_peers(parse_model(FIXTURE_MODEL), args.peers)),
         "degradation.scn": degradation_scenario(peers=args.peers),
         "failover.scn": failover_scenario(peers=args.peers),
         "comm.cfg": render_comm_config(DEFAULT_CONFIG),

@@ -25,8 +25,10 @@ from . import comm
 from .engine import SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
-from .partition import MappingPolicy, ProcessNode, ProcessPlan, build_plan
-from .statechart import Action, ActionContext, ActorMessage, MachineBuilder, StateMachine
+from .partition import MappingPolicy, ProcessPlan, build_plan
+from .statechart import (
+    Action, ActionContext, ActorMessage, Chart, MachineBuilder, State, StateMachine, Transition,
+)
 
 HEALTH_SOURCE = comm.HEALTH_SOURCE
 
@@ -111,14 +113,14 @@ def _authenticate():
     return fn
 
 
-def _encode(
-    lane: int, data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]
-):
-    """Packetize the staged body and frame every packet for the link."""
+def _encode(data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]):
+    """Packetize the staged body and frame every packet for the link; the
+    message id carries the machine's lane from `ctx.vars["lane"]`."""
 
     def fn(ctx: ActionContext) -> None:
         n = ctx.vars["produced"] = ctx.vars.get("produced", 0) + 1
-        app = comm.AppMessage((lane << 20) | n, "", "", data_type, ctx.vars.pop("_body"))
+        msg_id = (ctx.vars["lane"] << 20) | n
+        app = comm.AppMessage(msg_id, "", "", data_type, ctx.vars.pop("_body"))
         packets = comm.packetize(
             app, cfg.mtu_payload, cfg.auth_key, table, cfg.default_priority
         )
@@ -174,81 +176,56 @@ def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
 
 # --- machines ----------------------------------------------------------------
 
+_NOTE_STATUS = Action("note_status", _bump("status_seen"))
 
-def _codec_machine(
-    label: str,
+
+def _loop_chart(leaf: str, loops: list[tuple[str, tuple[Action, ...]]]) -> Chart:
+    """A root over the single leaf `leaf`, which handles each (signal,
+    actions) pair of `loops` in a self-transition."""
+    states = (State("Top", None, leaf), State(leaf, "Top"))
+    return Chart(states, [Transition(leaf, signal, leaf, actions) for signal, actions in loops])
+
+
+def _codec_chart(
     uc: str,
-    lane: int,
     link: comm.LinkType,
     trigger: str,
     leaf: str,
     cfg: comm.CommConfig,
     table: dict[str, int],
-) -> StateMachine:
+) -> Chart:
     """Endpoint that both produces framed traffic and ingests it."""
     priority = comm.classify_priority("track_data", table, cfg.default_priority)
-    b = MachineBuilder(label)
-    b.state("Top", initial=leaf)
-    b.state(leaf, parent="Top")
-    b.transition(
-        leaf,
-        trigger,
-        leaf,
-        actions=(
-            Action("authenticate", _authenticate()),
-            Action("encode", _encode(lane, "track_data", link, cfg, table)),
-            Action("transmit", _transmit(uc, priority)),
-        ),
+    encode = (
+        Action("authenticate", _authenticate()),
+        Action("encode", _encode("track_data", link, cfg, table)),
+        Action("transmit", _transmit(uc, priority)),
     )
-    b.transition(
-        leaf,
-        "DATA_PKT",
-        leaf,
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table))),
-    )
-    b.transition(leaf, "ExchangeStatus", leaf, actions=(Action("note_status", _bump("status_seen")),))
-    machine = b.build()
-    machine.variables["lane"] = lane
-    return machine
+    decode = (Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table)))
+    status = (_NOTE_STATUS,)
+    return _loop_chart(leaf, [(trigger, encode), ("DATA_PKT", decode), ("ExchangeStatus", status)])
 
 
-def _session_machine(label: str) -> StateMachine:
-    b = MachineBuilder(label)
+def _session_chart() -> Chart:
+    b = MachineBuilder()
     b.state("Session", initial="Down")
     b.state("Down", parent="Session", defer=("PEER_MSG",))
     b.state("Up", parent="Session")
     b.transition("Down", "SESSION_UP", "Up", actions=(Action("open_session", _bump("opens")),))
     b.transition("Up", "SESSION_DOWN", "Down", actions=(Action("close_session", _bump("closes")),))
     b.transition("Up", "PEER_MSG", "Up", actions=(Action("relay_peer", _bump("peer_msgs")),))
-    return b.build()
+    return b.chart()
 
 
-def _operator_machine(label: str) -> StateMachine:
-    def record(ctx: ActionContext) -> None:
-        ctx.vars["summaries"] = ctx.vars.get("summaries", 0) + 1
-        text = _as_bytes(ctx.msg.body).decode("utf-8", "replace")
-        if text:
-            ctx.vars["alerts"] = ctx.vars.get("alerts", 0) + len(text.split("|"))
-
-    b = MachineBuilder(label)
-    b.state("Top", initial="Watch")
-    b.state("Watch", parent="Top")
-    b.transition("Watch", "EQUIP_STATUS", "Watch", actions=(Action("record_alerts", record),))
-    return b.build()
+def _record_alerts(ctx: ActionContext) -> None:
+    ctx.vars["summaries"] = ctx.vars.get("summaries", 0) + 1
+    text = _as_bytes(ctx.msg.body).decode("utf-8", "replace")
+    if text:
+        ctx.vars["alerts"] = ctx.vars.get("alerts", 0) + len(text.split("|"))
 
 
-def _monitor_machine(label: str) -> StateMachine:
-    b = MachineBuilder(label)
-    b.state("Top", initial="Scanning")
-    b.state("Scanning", parent="Top")
-    b.transition(
-        "Scanning", "ExchangeStatus", "Scanning", actions=(Action("note_status", _bump("status_seen")),)
-    )
-    return b.build()
-
-
-def _standby_machine(label: str, cfg: comm.CommConfig, table: dict[str, int]) -> StateMachine:
-    b = MachineBuilder(label)
+def _standby_chart(cfg: comm.CommConfig, table: dict[str, int]) -> Chart:
+    b = MachineBuilder()
     b.state("Top", initial="Standby")
     b.state("Standby", parent="Top", defer=("DATA_PKT",))
     b.state("Active", parent="Top")
@@ -260,36 +237,25 @@ def _standby_machine(label: str, cfg: comm.CommConfig, table: dict[str, int]) ->
         "Active",
         actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table))),
     )
-    b.transition("Standby", "ExchangeStatus", "Standby", actions=(Action("note_status", _bump("status_seen")),))
-    b.transition("Active", "ExchangeStatus", "Active", actions=(Action("note_status", _bump("status_seen")),))
-    return b.build()
+    b.transition("Standby", "ExchangeStatus", "Standby", actions=(_NOTE_STATUS,))
+    b.transition("Active", "ExchangeStatus", "Active", actions=(_NOTE_STATUS,))
+    return b.chart()
 
 
-def _generic_machine(node: ProcessNode, channels: list[IpcChannel] | None) -> StateMachine:
-    """Fallback for models without dedicated behaviors: relay own use
-    cases onto their channels, acknowledge everything received."""
+def _relay(uc: str):
+    def fn(ctx: ActionContext) -> None:
+        ctx.vars[f"relayed_{uc}"] = ctx.vars.get(f"relayed_{uc}", 0) + 1
+        ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", _as_bytes(ctx.msg.body), ctx.msg.priority))
 
-    def relay(uc: str):
-        def fn(ctx: ActionContext) -> None:
-            ctx.vars[f"relayed_{uc}"] = ctx.vars.get(f"relayed_{uc}", 0) + 1
-            ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", _as_bytes(ctx.msg.body), ctx.msg.priority))
+    return fn
 
-        return fn
 
-    b = MachineBuilder(node.id)
-    b.state("Top", initial="Idle")
-    b.state("Idle", parent="Top")
-    owned = set(node.owned_use_cases())
-    for uc in sorted(owned):
-        b.transition("Idle", uc, "Idle", actions=(Action(f"relay_{uc}", relay(uc)),))
-    inbound = set()
-    for ch in channels or ():
-        if node.id in ch.readers:
-            inbound.add(ch.source)
-    inbound.add("DATA_PKT")
-    for signal in sorted(inbound - owned):
-        b.transition("Idle", signal, "Idle", actions=(Action(f"note_{signal}", _bump(f"seen_{signal}")),))
-    return b.build()
+def _generic_chart(owned: tuple[str, ...], inbound: tuple[str, ...]) -> Chart:
+    """Fallback for models without dedicated behaviors: relay the `owned`
+    use cases onto their channels, acknowledge the `inbound` signals."""
+    relays = [(uc, (Action(f"relay_{uc}", _relay(uc)),)) for uc in owned]
+    notes = [(sig, (Action(f"note_{sig}", _bump(f"seen_{sig}")),)) for sig in inbound]
+    return _loop_chart("Idle", relays + notes)
 
 
 def build_behaviors(
@@ -299,11 +265,22 @@ def build_behaviors(
 ) -> dict[str, dict[str, StateMachine]]:
     """One behavior set per process node, keyed by the machine's use case.
 
-    Message-id lanes are disjoint per node so reassembly keys from
-    different producers never collide at a shared consumer. The codec
-    machines take MTU, key, reassembly timeout and priorities from cfg.
+    Each machine kind is one chart, built once per call and shared by every
+    node that runs it; a generic chart is shared by the nodes with the same
+    signals. Message-id lanes are disjoint per node, held in each codec
+    machine's `lane` variable, so reassembly keys from different producers
+    never collide at a shared consumer. The codec machines take MTU, key,
+    reassembly timeout and priorities from cfg.
     """
     table = cfg.priority_table()
+    host_codec = _codec_chart("SendData", comm.LinkType.LINK_A, "SEND_REQ", "Idle", cfg, table)
+    peer_codec = _codec_chart(
+        "ReceiveData", comm.LinkType.LINK_B, "RX_DATA", "Listening", cfg, table
+    )
+    session, standby = _session_chart(), _standby_chart(cfg, table)
+    operator = _loop_chart("Watch", [("EQUIP_STATUS", (Action("record_alerts", _record_alerts),))])
+    monitor = _loop_chart("Scanning", [("ExchangeStatus", (_NOTE_STATUS,))])
+    generic: dict[tuple[tuple[str, ...], tuple[str, ...]], Chart] = {}
     out: dict[str, dict[str, StateMachine]] = {}
     host_lane, peer_lane = 1, 16
     for node in plan.all_nodes():
@@ -313,28 +290,26 @@ def build_behaviors(
         actor = node.actor
         if actor == "LocalHost":
             lane, host_lane = host_lane, host_lane + 1
-            out[node.id] = {
-                "SendData": _codec_machine(
-                    node.id, "SendData", lane, comm.LinkType.LINK_A, "SEND_REQ", "Idle", cfg, table
-                )
-            }
+            out[node.id] = {"SendData": StateMachine.of(host_codec, {"lane": lane}, node.id)}
         elif actor == "PeerCI":
             lane, peer_lane = peer_lane, peer_lane + 1
             out[node.id] = {
-                "ReceiveData": _codec_machine(
-                    node.id, "ReceiveData", lane, comm.LinkType.LINK_B, "RX_DATA", "Listening",
-                    cfg, table,
-                ),
-                "MaintainSession": _session_machine(f"{node.id}:session"),
+                "ReceiveData": StateMachine.of(peer_codec, {"lane": lane}, node.id),
+                "MaintainSession": StateMachine.of(session, name=f"{node.id}:session"),
             }
         elif actor == "StandbyCI":
-            out[node.id] = {"TakeOver": _standby_machine(node.id, cfg, table)}
+            out[node.id] = {"TakeOver": StateMachine.of(standby, name=node.id)}
         elif actor == "Operator":
-            out[node.id] = {"ExchangeStatus": _operator_machine(node.id)}
+            out[node.id] = {"ExchangeStatus": StateMachine.of(operator, name=node.id)}
         elif actor == "CommEquipment":
-            out[node.id] = {"MonitorEquipment": _monitor_machine(node.id)}
+            out[node.id] = {"MonitorEquipment": StateMachine.of(monitor, name=node.id)}
         else:
-            out[node.id] = {"relay": _generic_machine(node, channels)}
+            owned = set(node.owned_use_cases())
+            inbound = {ch.source for ch in channels or () if node.id in ch.readers} | {"DATA_PKT"}
+            key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
+            if key not in generic:
+                generic[key] = _generic_chart(*key)
+            out[node.id] = {"relay": StateMachine.of(generic[key], name=node.id)}
     return out
 
 

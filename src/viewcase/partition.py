@@ -47,6 +47,8 @@ class MappingPolicy:
     inline_threshold: int = DEFAULT_INLINE_THRESHOLD
 
     def __post_init__(self) -> None:
+        # takes the value form too ("memory-bound"); any other value raises ValueError
+        object.__setattr__(self, "objective", Objective(self.objective))
         if self.objective is Objective.MEMORY_BOUND and self.memory_budget is None:
             raise ValueError("memory-bound planning requires memory_budget")
         if self.memory_budget is not None and self.memory_budget <= 0:

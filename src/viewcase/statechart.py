@@ -11,9 +11,13 @@ signal, in which case they wait in the deferral buffer and are recalled,
 in arrival order, once a dispatch lands in a context that no longer
 defers them.
 
-Machines can be built three ways: directly from the dataclasses, through
-:class:`MachineBuilder`, or from the line-oriented text notation accepted
-by :func:`parse_machine`::
+A machine kind is a :class:`Chart`, the validated state tree and its
+transitions; a :class:`StateMachine` is one instance of a chart and holds
+only what a dispatch changes: current leaf, variables, resources and
+deferral buffer. Any number of instances, such as the processes of one
+actor with multiplicity N, share one chart. Charts are built three ways,
+each through the :class:`Chart` constructor: from the dataclasses, through
+:class:`MachineBuilder`, or from the text notation of :func:`parse_machine`::
 
     machine Host
     state Top initial Idle
@@ -135,7 +139,6 @@ _UNMATCHED = DispatchResult(fired=False, deferred=False)
 class _Plan(NamedTuple):
     """What firing one transition from one leaf does, action by action."""
 
-    transition: Transition  # held, so no other object takes its id in the plan's key
     fns: tuple[Optional[Callable[[ActionContext], None]], ...]
     ids: tuple[str, ...]
     costs: tuple[int | float, ...]
@@ -143,37 +146,31 @@ class _Plan(NamedTuple):
     new_leaf: str
 
 
-class StateMachine:
-    """Mutable machine instance; quiescent between dispatches.
+class Chart:
+    """The validated, shared part of a machine kind.
 
-    `variables` is the machine's extended state and is rolled back when an
-    action fails. `resources` holds long-lived objects such as codec
-    buffers; like OS resources, they are not rolled back.
-
-    States and transitions are fixed after construction. Dispatch compiles
-    two tables from them on first use and never invalidates them: the route
-    of each (leaf, signal) pair and the action plan of each (leaf, own
-    transition) pair.
+    The states, transitions, child lists, root and initial leaf never change
+    after construction. Dispatch compiles two tables into the chart on first
+    use and never invalidates them, and every instance shares them: the
+    route of each (leaf, signal) pair and the action plan of each (leaf, own
+    transition) pair. The chart holds its own transitions, so their ids in
+    the plans' keys stay theirs.
     """
+
+    __slots__ = ("states", "transitions", "children", "root", "initial", "_routes", "_plans")
 
     def __init__(
         self,
         states: list[State] | tuple[State, ...],
         transitions: list[Transition] | tuple[Transition, ...],
-        variables: dict | None = None,
-        name: str = "",
     ):
-        self.name = name
         self.states: dict[str, State] = {}
         for s in states:
             if s.id in self.states:
                 raise ValueError(f"duplicate state {s.id!r}")
             self.states[s.id] = s
         self.transitions = tuple(transitions)
-        self.variables: dict = dict(variables or {})
-        self.resources: dict = {}
-        self.deferral_buffer: list[ActorMessage] = []
-        self._children: dict[str, list[str]] = {}
+        self.children: dict[str, list[str]] = {}
         roots = []
         for s in self.states.values():
             if s.parent is None:
@@ -181,11 +178,11 @@ class StateMachine:
             else:
                 if s.parent not in self.states:
                     raise ValueError(f"state {s.id!r} has unknown parent {s.parent!r}")
-                self._children.setdefault(s.parent, []).append(s.id)
+                self.children.setdefault(s.parent, []).append(s.id)
         if len(roots) != 1:
             raise ValueError(f"machine needs exactly one root state, found {roots}")
         self.root = roots[0]
-        for sid, kids in self._children.items():
+        for sid, kids in self.children.items():
             s = self.states[sid]
             if s.initial_child is None:
                 raise ValueError(f"composite state {sid!r} has no initial child")
@@ -197,14 +194,14 @@ class StateMachine:
             for end in (t.scope, t.target):
                 if end not in self.states:
                     raise ValueError(f"transition references unknown state {end!r}")
-        self.current = self._descend(self.root)[-1] if self._children.get(self.root) else self.root
+        self.initial = self.descend(self.root)[-1]
         self._routes: dict[tuple[str, str], _Route] = {}  # keyed by (leaf, signal)
         self._plans: dict[tuple[str, int], _Plan] = {}  # keyed by (leaf, id(transition))
 
-    def _descend(self, sid: str) -> list[str]:
+    def descend(self, sid: str) -> list[str]:
         """Initial-child chain from sid down to a leaf, inclusive."""
         chain = [sid]
-        while self._children.get(chain[-1]):
+        while self.children.get(chain[-1]):
             chain.append(self.states[chain[-1]].initial_child)  # type: ignore[arg-type]
         return chain
 
@@ -215,31 +212,82 @@ class StateMachine:
             out.append(self.states[out[-1]].parent)  # type: ignore[arg-type]
         return out
 
+
+class StateMachine:
+    """One instance of a chart; quiescent between dispatches.
+
+    `variables` is the machine's extended state and is rolled back when an
+    action fails. `resources` holds long-lived objects such as codec
+    buffers; like OS resources, they are not rolled back. `current` is the
+    active leaf and `deferral_buffer` the messages it holds back; neither
+    the rollback nor any dispatch writes to the chart's states or
+    transitions.
+
+    `StateMachine(states, transitions, ...)` validates a chart of its own;
+    `StateMachine.of(chart, ...)` starts another instance of a chart.
+    """
+
+    __slots__ = ("chart", "name", "current", "variables", "resources", "deferral_buffer")
+
+    def __init__(
+        self,
+        states: list[State] | tuple[State, ...],
+        transitions: list[Transition] | tuple[Transition, ...],
+        variables: dict | None = None,
+        name: str = "",
+    ):
+        self._start(Chart(states, transitions), variables, name)
+
+    @classmethod
+    def of(cls, chart: Chart, variables: dict | None = None, name: str = "") -> "StateMachine":
+        """A new instance of `chart`, at its initial leaf."""
+        machine = cls.__new__(cls)
+        machine._start(chart, variables, name)
+        return machine
+
+    def _start(self, chart: Chart, variables: dict | None, name: str) -> None:
+        self.chart = chart
+        self.name = name
+        self.current = chart.initial
+        self.variables: dict = dict(variables or {})
+        self.resources: dict = {}
+        self.deferral_buffer: list[ActorMessage] = []
+
+    # Read-only views of the chart.
+    states = property(lambda self: self.chart.states)
+    transitions = property(lambda self: self.chart.transitions)
+    ancestors = property(lambda self: self.chart.ancestors)
+    _children = property(lambda self: self.chart.children)
+    _descend = property(lambda self: self.chart.descend)
+    _routes = property(lambda self: self.chart._routes)
+    _plans = property(lambda self: self.chart._plans)
+
     def dispatch(self, msg: ActorMessage) -> DispatchResult:
         return dispatch(self, msg)
 
 
 def state_context(machine: StateMachine) -> list[str]:
     """Active state chain, current leaf first, root last."""
-    return machine.ancestors(machine.current)
+    return machine.chart.ancestors(machine.current)
 
 
-def _deferred_along(machine: StateMachine, leaf: str) -> frozenset[str]:
+def _deferred_along(chart: Chart, leaf: str) -> frozenset[str]:
     """The signals deferred by `leaf` and its ancestors."""
-    return frozenset().union(*(machine.states[s].deferred_signals for s in machine.ancestors(leaf)))
+    return frozenset().union(*(chart.states[s].deferred_signals for s in chart.ancestors(leaf)))
 
 
 def _route(machine: StateMachine, signal: str) -> _Route:
     """Where `signal` can fire from the current leaf; built on first use."""
+    chart = machine.chart
     key = (machine.current, signal)
-    route = machine._routes.get(key)
+    route = chart._routes.get(key)
     if route is None:
         groups = []
-        for scope in machine.ancestors(machine.current):
-            group = tuple(t for t in machine.transitions if t.scope == scope and t.signal == signal)
+        for scope in chart.ancestors(machine.current):
+            group = tuple(t for t in chart.transitions if t.scope == scope and t.signal == signal)
             if group:
                 groups.append((scope, group))
-        route = machine._routes[key] = tuple(groups)
+        route = chart._routes[key] = tuple(groups)
     return route
 
 
@@ -247,7 +295,8 @@ def select_transition(machine: StateMachine, msg: ActorMessage) -> Transition | 
     """Innermost-precedence lookup along the state context.
 
     Scopes are tried innermost first; at each, every candidate's guard runs
-    in declaration order, and two that pass are ambiguous.
+    in declaration order against the instance's variables, and two that
+    pass are ambiguous.
     """
     variables = machine.variables
     for scope, group in _route(machine, msg.signal):
@@ -263,50 +312,45 @@ def select_transition(machine: StateMachine, msg: ActorMessage) -> Transition | 
     return None
 
 
-def _lca(machine: StateMachine, a: str, b: str) -> str:
-    a_chain = machine.ancestors(a)
-    b_set = set(machine.ancestors(b))
-    for sid in a_chain:
-        if sid in b_set:
-            return sid
-    raise ValueError(f"states {a!r} and {b!r} share no ancestor")
-
-
 def _walk(machine: StateMachine, transition: Transition) -> _Plan:
     """Exit chain up to the LCA, transition actions, entry chain down to a leaf."""
-    lca = _lca(machine, transition.scope, transition.target)
-    context = state_context(machine)
+    chart = machine.chart
+    target_chain = set(chart.ancestors(transition.target))
+    # a chart has one root, so the two chains always meet
+    lca = next(sid for sid in chart.ancestors(transition.scope) if sid in target_chain)
+    context = chart.ancestors(machine.current)
     exit_states = context[: context.index(lca)]
 
     entry_states = []
     cursor = transition.target
     while cursor != lca:
         entry_states.append(cursor)
-        cursor = machine.states[cursor].parent  # type: ignore[assignment]
+        cursor = chart.states[cursor].parent  # type: ignore[assignment]
     entry_states.reverse()
-    descent = machine._descend(transition.target)
+    descent = chart.descend(transition.target)
     entry_states.extend(descent[1:])
 
     plan: list[Action] = []
     for sid in exit_states:
-        plan.extend(machine.states[sid].exit_actions)
+        plan.extend(chart.states[sid].exit_actions)
     plan.extend(transition.actions)
     for sid in entry_states:
-        plan.extend(machine.states[sid].entry_actions)
+        plan.extend(chart.states[sid].entry_actions)
     costs = tuple(a.cost_ms for a in plan)
     fns, ids = tuple(a.fn for a in plan), tuple(a.id for a in plan)
-    return _Plan(transition, fns, ids, costs, sum(costs), descent[-1])
+    return _Plan(fns, ids, costs, sum(costs), descent[-1])
 
 
 def _plan(machine: StateMachine, transition: Transition) -> _Plan:
-    """The plan of `transition` from the current leaf; cached for the
-    machine's own transitions, walked every time for any other."""
+    """The plan of `transition` from the current leaf; cached in the chart
+    for the chart's own transitions, walked every time for any other."""
+    chart = machine.chart
     key = (machine.current, id(transition))
-    plan = machine._plans.get(key)
+    plan = chart._plans.get(key)
     if plan is None:
         plan = _walk(machine, transition)
-        if any(t is transition for t in machine.transitions):
-            machine._plans[key] = plan
+        if any(t is transition for t in chart.transitions):
+            chart._plans[key] = plan
     return plan
 
 
@@ -351,7 +395,7 @@ def dispatch(
     if transition is _SELECT:
         transition = select_transition(machine, msg)
     if transition is None:
-        if msg.signal in _deferred_along(machine, machine.current):
+        if msg.signal in _deferred_along(machine.chart, machine.current):
             machine.deferral_buffer.append(msg)
             return _DEFERRED
         return _UNMATCHED
@@ -376,7 +420,7 @@ def dispatch(
     recalled: tuple[ActorMessage, ...] = ()
     buffer = machine.deferral_buffer
     if buffer:
-        deferred = _deferred_along(machine, plan.new_leaf)
+        deferred = _deferred_along(machine.chart, plan.new_leaf)
         recalled = tuple(m for m in buffer if m.signal not in deferred)
         machine.deferral_buffer = [m for m in buffer if m.signal in deferred]
 
@@ -429,8 +473,11 @@ class MachineBuilder:
         )
         return self
 
+    def chart(self) -> Chart:
+        return Chart(self._states, self._transitions)
+
     def build(self, variables: dict | None = None) -> StateMachine:
-        return StateMachine(self._states, self._transitions, variables, self.name)
+        return StateMachine.of(self.chart(), variables, self.name)
 
 
 def parse_machine(
@@ -459,22 +506,22 @@ def parse_machine(
                 name = parts[1]
             elif kind == "state":
                 sid = parts[1]
-                spec = {"parent": None, "initial": None, "defer": _NO_DEFERRALS}
+                spec = {"parent": None, "initial_child": None, "deferred_signals": _NO_DEFERRALS}
                 i = 2
                 while i < len(parts):
                     if parts[i] == "parent":
                         spec["parent"] = parts[i + 1]
                     elif parts[i] == "initial":
-                        spec["initial"] = parts[i + 1]
+                        spec["initial_child"] = parts[i + 1]
                     elif parts[i] == "defer":
-                        spec["defer"] = frozenset(parts[i + 1].split(","))
+                        spec["deferred_signals"] = frozenset(parts[i + 1].split(","))
                     else:
                         raise ValueError(f"unexpected token {parts[i]!r}")
                     i += 2
-                states[sid] = {**spec, "entry": (), "exit": ()}
+                states[sid] = spec
             elif kind in ("entry", "exit"):
                 sid = parts[1]
-                states[sid][kind] = tuple(fetch_action(a) for a in parts[2:])
+                states[sid][f"{kind}_actions"] = tuple(fetch_action(a) for a in parts[2:])
             elif kind == "trans":
                 # trans <Scope> on <Signal> [if <guard>] -> <Target> [do <action>...]
                 scope = parts[1]
@@ -501,15 +548,5 @@ def parse_machine(
         except (IndexError, KeyError, ValueError) as exc:
             raise ValueError(f"machine notation error at line {lineno}: {raw!r} ({exc})") from exc
 
-    built = [
-        State(
-            sid,
-            spec["parent"],
-            spec["initial"],
-            spec["entry"],
-            spec["exit"],
-            spec["defer"],
-        )
-        for sid, spec in states.items()
-    ]
+    built = [State(sid, **spec) for sid, spec in states.items()]
     return StateMachine(built, transitions, name=name)

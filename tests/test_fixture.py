@@ -1,10 +1,11 @@
 """The bundled communication-interface example: model, behaviors, worlds."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
-from viewcase import comm
+from viewcase import comm, fixture, statechart
 from viewcase.comm import (
     CommConfig,
     LinkType,
@@ -128,6 +129,27 @@ def test_generic_behaviors_back_arbitrary_models():
     for reader in ("Node#0", "Node#1"):
         assert metrics.process(reader).dispatches > 0
     assert all(s.sent == s.delivered for s in metrics.links.values())
+
+
+def test_generic_charts_are_shared_by_signal_signature():
+    text = (
+        "actor Gw multiplicity 1\n"
+        "actor Node multiplicity 3\n"
+        'usecase Route "Route traffic" codesize 700\n'
+        'usecase Handle "Handle traffic" codesize 600\n'
+        "trigger Gw -> Route\n"
+        "trigger Node -> Handle\n"
+        "flow Route -> Node async size 96\n"
+    )
+    model = parse_model(text)
+    plan = build_plan(model, MappingPolicy())
+    behaviors = build_behaviors(plan, assign_ipc(dependency_graph(plan, model)))
+    relays = {node_id: machines["relay"] for node_id, machines in behaviors.items()}
+    assert relays["Node#0"].chart is relays["Node#1"].chart is relays["Node#2"].chart
+    assert relays["Gw#0"].chart is not relays["Node#0"].chart
+    assert [t.signal for t in relays["Gw#0"].transitions] == ["Route", "DATA_PKT"]
+    assert [t.signal for t in relays["Node#0"].transitions] == ["Handle", "DATA_PKT", "Route"]
+    assert {m.name for m in relays.values()} == set(relays)
 
 
 # --- scenarios -------------------------------------------------------------------
@@ -364,3 +386,38 @@ def test_dispatch_tables_stay_empty_until_the_first_dispatch(model):
     machines = [m for proc in world.processes.values() for m in proc.machines.values()]
     assert len(machines) > 1000
     assert not any(m._routes or m._plans for m in machines)
+
+
+def test_world_at_500_peers_shares_one_chart_per_machine_kind(model):
+    """Host codec, peer codec, session, standby, operator and monitor: six
+    charts, however many machines run them, and little memory per machine."""
+    tracemalloc.start()
+    try:
+        _, _, world = build_world(scale_peers(model, 500))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    machines = [m for proc in world.processes.values() for m in proc.machines.values()]
+    assert len(machines) == 1005
+    assert len({m.chart for m in machines}) == 6
+    ours = snapshot.filter_traces(
+        [tracemalloc.Filter(True, statechart.__file__), tracemalloc.Filter(True, fixture.__file__)]
+    )
+    assert sum(s.size for s in ours.statistics("filename")) < 1024 * len(machines)
+
+
+# The degradation scenario at 50 peers, horizon 3000, seed 11, as recorded
+# before machines of one kind shared a chart; message-id lanes above the
+# fixture's six peers reach these bytes.
+_PINNED_50_PEERS = {
+    "trace.tsv": "88c881b51d715eed695597e446c6ace1a7e8d54aa0afcdbdb12e648a5bf3382f",
+    "metrics.txt": "b158ad474fd852fcb7c26eb45a12f82a6fc673981ea0442856a69460c137fe62",
+}
+
+
+def test_50_peer_artifacts_match_pinned_digests(model):
+    _, _, world = build_world(scale_peers(model, 50))
+    trace, metrics = world.run(parse_scenario(degradation_scenario(peers=50)), 3000, seed=11)
+    artifacts = {"trace.tsv": trace.to_text(), "metrics.txt": metrics.to_text()}
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
+    assert digests == _PINNED_50_PEERS

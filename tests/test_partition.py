@@ -194,6 +194,21 @@ def test_mb_requires_budget():
         MappingPolicy(Objective.MEMORY_BOUND)
 
 
+def test_objective_given_by_value_plans_that_objective(model, mb_plan):
+    with pytest.raises(ValueError):
+        MappingPolicy("memory-bound")  # still needs its budget
+    policy = MappingPolicy("memory-bound", memory_budget=38000)
+    assert policy.objective is Objective.MEMORY_BOUND
+    assert build_plan(model, policy) == mb_plan
+    assert MappingPolicy("fault-tolerance").objective is Objective.FAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("objective", ["mem", "ft", "MEMORY_BOUND", None, 1])
+def test_unknown_objective_is_rejected(objective):
+    with pytest.raises(ValueError):
+        MappingPolicy(objective, memory_budget=38000)
+
+
 def test_mb_service_nodes_carry_spof_warning(mb_plan):
     decisions = [d for d in mb_plan.decisions if d.case == 3]
     assert {d.choice for d in decisions} == {"shared-service"}

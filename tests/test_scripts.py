@@ -43,3 +43,25 @@ def test_make_fixture_writes_every_file(tmp_path):
     assert result.returncode == 0, result.stderr
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["comm.cfg", "degradation.scn", "failover.scn", "model.ucm"]
+
+
+def test_make_fixture_scales_the_model_with_the_scenarios(tmp_path):
+    from viewcase.engine import parse_scenario
+    from viewcase.fixture import FIXTURE_MODEL, build_world
+    from viewcase.model import parse_model
+
+    result = _run_script("make_fixture.py", "--out", str(tmp_path), "--peers", "9")
+    assert result.returncode == 0, result.stderr
+    model = parse_model((tmp_path / "model.ucm").read_text(encoding="utf-8"))
+    assert {a.name: a.multiplicity for a in model.actors}["PeerCI"] == 9
+    _, _, world = build_world(model)
+    scenario = parse_scenario((tmp_path / "degradation.scn").read_text(encoding="utf-8"))
+    trace, _ = world.run(scenario, 1000, seed=0)
+    stimuli = [(r.process, r.detail) for r in trace.rows if r.event == "stimulus"]
+    assert ("PeerCI#8", "RX_DATA size 700") in stimuli
+    assert not [s for s in stimuli if s[1].endswith(" dropped")]
+
+    result = _run_script("make_fixture.py", "--out", str(tmp_path / "six"))
+    assert result.returncode == 0, result.stderr
+    six = (tmp_path / "six" / "model.ucm").read_text(encoding="utf-8")
+    assert parse_model(six) == parse_model(FIXTURE_MODEL)

@@ -645,7 +645,7 @@ def machine_specs(draw):
                     st.booleans(),  # has an action that sometimes fails
                 ),
                 min_size=1,
-                max_size=2,
+                max_size=3,  # three, so one scope can hold a match, a second and a guard after it
             )
         )
     ]
@@ -734,6 +734,80 @@ def test_compiled_dispatch_matches_uncompiled_reference(spec):
             assert got.action_costs == want.action_costs
             assert got.cost_ms == want.cost_ms
             assert state_context(compiled) == oracle.ancestors(oracle.current)
+
+
+@st.composite
+def shared_chart_streams(draw):
+    """A machine spec, 2-3 instances of its chart and an interleaved stream
+    of (instance, signal, preselect) messages."""
+    states, transitions, _, with_list = draw(machine_specs())
+    count = draw(st.integers(2, 3))
+    stream = draw(
+        st.lists(
+            st.tuples(st.integers(0, count - 1), st.sampled_from(_SIGNALS), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return states, transitions, with_list, count, stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_chart_streams())
+def test_instances_of_one_chart_stay_isolated(spec):
+    states, transitions, with_list, count, stream = spec
+    log = []
+    first = _build_from_spec(states, transitions, with_list, log)
+    chart = first.chart
+    chart_states, chart_transitions = dict(chart.states), chart.transitions
+    instances = [first] + [
+        StateMachine.of(chart, {"n": 0, "trail": []} if with_list else {"n": 0})
+        for _ in range(count - 1)
+    ]
+    oracle_logs = [[] for _ in range(count)]
+    oracles = [_build_from_spec(states, transitions, with_list, log_k) for log_k in oracle_logs]
+    for k in range(count):  # different variables, so the same guard can go either way
+        instances[k].variables["n"] = oracles[k].variables["n"] = k
+    for k, signal, preselect in stream:
+        machine, oracle, msg = instances[k], oracles[k], ActorMessage(signal)
+        seen, oracle_seen = len(log), len(oracle_logs[k])
+        if preselect:
+            got, got_error = _step(lambda: dispatch(machine, msg, select_transition(machine, msg)))
+        else:
+            got, got_error = _step(lambda: dispatch(machine, msg))
+        want, want_error = _step(lambda: _oracle_dispatch(oracle, msg))
+        assert log[seen:] == oracle_logs[k][oracle_seen:]
+        assert got_error == want_error
+        assert got == want
+        for m, o in zip(instances, oracles):
+            assert m.current == o.current
+            assert (m.variables, m.deferral_buffer) == (o.variables, o.deferral_buffer)
+    assert all(m.chart is chart for m in instances)
+    assert all(m._routes is chart._routes and m._plans is chart._plans for m in instances)
+    assert chart.states == chart_states and chart.transitions is chart_transitions
+
+
+def test_failed_action_restores_its_instance_and_leaves_the_chart_alone():
+    def touch(ctx):
+        ctx.vars["n"] += 1
+        ctx.machine.deferral_buffer.clear()
+
+    b = MachineBuilder()
+    b.state("Top", initial="A", defer=("LATER",))
+    b.state("A", parent="Top")
+    b.state("B", parent="Top")
+    b.transition("A", "GO", "B", actions=[Action("touch", touch), _exploding("bad")])
+    chart = b.chart()
+    states, transitions = dict(chart.states), chart.transitions
+    m, other = StateMachine.of(chart, {"n": 1}), StateMachine.of(chart, {"n": 5})
+    for machine in (m, other):
+        dispatch(machine, ActorMessage("LATER", machine.variables["n"]))
+    with pytest.raises(ActionFailure):
+        dispatch(m, ActorMessage("GO"))
+    assert (m.current, m.variables, m.deferral_buffer) == ("A", {"n": 1}, [ActorMessage("LATER", 1)])
+    assert (other.current, other.variables) == ("A", {"n": 5})
+    assert other.deferral_buffer == [ActorMessage("LATER", 5)]
+    assert chart.states == states and chart.transitions is transitions
 
 
 def _failing_machine(touch, variables):
