@@ -9,6 +9,7 @@ every lossy link touches the victim and all other links are untouched.
 """
 
 import argparse
+from collections import deque
 
 from viewcase.engine import degradation_report, parse_scenario
 from viewcase.fixture import build_world, degradation_scenario
@@ -27,7 +28,10 @@ def main() -> None:
     for label, kill in (("clean", None), ("faulted", args.victim)):
         plan, _, world = build_world()
         scenario = parse_scenario(degradation_scenario(kill=kill, kill_at=args.kill_at))
-        _, metrics[label] = world.run(scenario, args.horizon, seed=args.seed)
+        # only the metrics are compared, so no trace line is kept
+        _, metrics[label] = world.run(
+            scenario, args.horizon, seed=args.seed, sink=deque(maxlen=0).append
+        )
         total = sum(p.dispatches for p in metrics[label].processes.values())
         print(f"[{label}] {total} dispatches, {len(metrics[label].links)} links")
 

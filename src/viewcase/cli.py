@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from pathlib import Path
 
 from .comm import parse_comm_config
@@ -111,7 +112,8 @@ def cmd_graph(args) -> int:
     return _plan_document(args, emit_component_graph, "graph.dot")
 
 
-def _simulate(args):
+def _build(args):
+    """Read the inputs and build the world; None after a printed diagnostic."""
     comm_config = None
     if args.config is not None:
         try:
@@ -133,32 +135,44 @@ def _simulate(args):
     except BudgetExceeded as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return None
-    trace, metrics = world.run(scenario, horizon=args.horizon, seed=args.seed)
-    report = degradation_report(metrics, plan)
-    return plan, channels, trace, metrics, report
+    return scenario, plan, channels, world
+
+
+def _count_lines(path: Path) -> int:
+    with path.open("rb") as f:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 16), b""))
 
 
 def cmd_simulate(args) -> int:
-    result = _simulate(args)
-    if result is None:
+    built = _build(args)
+    if built is None:
         return 1
-    plan, channels, trace, metrics, report = result
+    scenario, plan, channels, world = built
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.tsv").write_text(trace.to_text(), encoding="utf-8")
+    trace_path = out / "trace.tsv"
+    # streamed as the run goes, with the encoding and newlines of write_text
+    with trace_path.open("w", encoding="utf-8") as trace_file:
+        _, metrics = world.run(scenario, horizon=args.horizon, seed=args.seed, sink=trace_file.write)
+    report = degradation_report(metrics, plan)
     (out / "metrics.txt").write_text(metrics.to_text(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(metrics), encoding="utf-8")
     (out / "plan.txt").write_text(render_plan(plan, channels), encoding="utf-8")
-    print(f"verdict: {report.verdict} ({len(trace.rows)} trace rows, "
+    print(f"verdict: {report.verdict} ({_count_lines(trace_path)} trace rows, "
           f"{len(metrics.links)} links) -> {out}")
     return 0 if report.verdict == "graceful" else 1
 
 
 def cmd_report(args) -> int:
-    result = _simulate(args)
-    if result is None:
+    built = _build(args)
+    if built is None:
         return 1
-    _, _, _, metrics, report = result
+    scenario, plan, _, world = built
+    # the report needs no trace: its lines go to a sink that keeps none
+    _, metrics = world.run(
+        scenario, horizon=args.horizon, seed=args.seed, sink=deque(maxlen=0).append
+    )
+    report = degradation_report(metrics, plan)
     sys.stdout.write(report.to_text(metrics))
     return 0 if report.verdict == "graceful" else 1
 

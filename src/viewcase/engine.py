@@ -30,12 +30,16 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .ipc import ChannelKind, IpcChannel
 from .model import strip_comment
 from .partition import ProcessNode, ProcessPlan
-from .statechart import ActorMessage, DispatchResult, StateMachine, dispatch, select_transition
+from .statechart import (
+    ActionFailure, ActorMessage, AmbiguousTransition, DispatchResult, StateMachine, dispatch,
+    select_transition,
+)
 
 
 @dataclass(frozen=True)
@@ -142,12 +146,21 @@ class TraceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SimTrace:
-    rows: tuple[TraceRow, ...]
+    """A finished trace, held as its TSV text: one newline-terminated row per line."""
+
+    text: str = ""
 
     def to_text(self) -> str:
-        return "".join(
-            f"{r.time}\t{r.process}\t{r.thread}\t{r.event}\t{r.detail}\n" for r in self.rows
-        )
+        return self.text
+
+    @cached_property
+    def rows(self) -> tuple[TraceRow, ...]:
+        """The rows parsed back from `text`; details may hold spaces but no tab or newline."""
+        rows = []
+        for line in self.text.split("\n")[:-1]:
+            time, process, thread, event, detail = line.split("\t", 4)
+            rows.append(TraceRow(int(time), process, thread, event, detail))
+        return tuple(rows)
 
     def rows_of(self, event: str, process: str | None = None) -> list[TraceRow]:
         return [
@@ -328,7 +341,8 @@ class SimWorld:
                 self.channels[c.id] = SharedSegmentRt(c, c.writer, list(c.readers))
         self._index_endpoints()
         self.metrics = Metrics(processes={pid: proc.stats for pid, proc in processes.items()})
-        self.trace_rows: list[TraceRow] = []
+        self._lines: list[str] = []  # trace lines not yet returned by `run`
+        self._emit: Callable[[str], object] = self._lines.append
         self.used = False
         self.now = 0
         self.horizon = 0
@@ -359,8 +373,13 @@ class SimWorld:
         self._seq += 1
 
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
-        # TraceRow._make without its length check
-        self.trace_rows.append(tuple.__new__(TraceRow, (time, process, thread, event, detail)))
+        """The one place that knows the TSV layout of a trace row."""
+        self._emit(f"{time}\t{process}\t{thread}\t{event}\t{detail}\n")
+
+    @property
+    def trace_rows(self) -> tuple[TraceRow, ...]:
+        """Rows traced outside `run`, such as by a direct call to a handler."""
+        return SimTrace("".join(self._lines)).rows
 
     # -- messaging --
 
@@ -564,12 +583,29 @@ class SimWorld:
         return best
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
-        """Dispatch one message; returns True when a timed dispatch started."""
+        """Dispatch one message; returns True when the tick must stop, because
+        a timed dispatch started or the process was killed.
+
+        A guard that raises, two guards that pass at one scope, or an action
+        that fails kills this process alone, with its machine left as it was
+        before the message.
+        """
         for key, machine in proc.machines.items():
-            transition = select_transition(machine, msg)
+            try:
+                transition = select_transition(machine, msg)
+            except AmbiguousTransition:
+                self.kill(proc.id, now, f"ambiguous:{key}/{msg.signal}")
+                return True
+            except Exception:
+                self.kill(proc.id, now, f"guard:{key}/{msg.signal}")
+                return True
             if transition is None:
                 continue
-            result = dispatch(machine, msg, transition, now=now)
+            try:
+                result = dispatch(machine, msg, transition, now=now)
+            except ActionFailure as exc:
+                self.kill(proc.id, now, f"action-failure:{key}/{exc.action_id}")
+                return True
             proc.dispatch_counter += 1
             active = _ActiveDispatch(result, f"{key}/{msg.signal}", f"d{proc.dispatch_counter}")
             self.trace(
@@ -605,7 +641,8 @@ class SimWorld:
                 if entry is None:
                     return
                 if self._offer(proc, entry.msg, now):
-                    self._spend_ms(proc, now)
+                    if proc.alive:
+                        self._spend_ms(proc, now)
                     return
         finally:
             self._wake_processor(proc, now)
@@ -613,7 +650,17 @@ class SimWorld:
 
     # -- run --
 
-    def run(self, scenario: Scenario, horizon: int, seed: int = 0) -> tuple[SimTrace, Metrics]:
+    def run(
+        self, scenario: Scenario, horizon: int, seed: int = 0,
+        sink: Callable[[str], object] | None = None,
+    ) -> tuple[SimTrace, Metrics]:
+        """Run to `horizon` virtual ms and return the trace and the metrics.
+
+        Each trace row is one newline-terminated TSV line. Without a `sink`
+        the lines are collected and returned as `SimTrace.text`; with one,
+        each line goes to `sink(line)` as it is traced, nothing is kept and
+        the returned trace is empty.
+        """
         if self.used:
             raise RuntimeError("SimWorld instances are single-use; instantiate a fresh one")
         if horizon <= 0:
@@ -621,6 +668,8 @@ class SimWorld:
         self.used = True
         self.horizon = horizon
         self.rng = random.Random(seed)
+        if sink is not None:
+            self._emit = sink
 
         for f in scenario.faults:
             self._schedule(f.at, self._on_fault, f.process)
@@ -640,7 +689,11 @@ class SimWorld:
             self.now = time
             handler(time, *args)
 
-        return SimTrace(tuple(self.trace_rows)), self.metrics
+        if sink is not None:
+            return SimTrace(), self.metrics
+        text = "".join(self._lines)
+        self._lines.clear()
+        return SimTrace(text), self.metrics
 
 
 def instantiate(

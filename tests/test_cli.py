@@ -4,7 +4,8 @@ import pytest
 
 from viewcase.cli import main
 from viewcase.comm import DEFAULT_CONFIG, render_comm_config
-from viewcase.fixture import FIXTURE_MODEL, degradation_scenario
+from viewcase.engine import parse_scenario
+from viewcase.fixture import FIXTURE_MODEL, build_world, degradation_scenario, failover_scenario
 
 BAD_MODEL = (
     "actor A multiplicity 1\n"
@@ -112,6 +113,24 @@ def test_simulate_writes_artifacts(model_file, scenario_file, tmp_path, capsys):
     trace = (out_dir / "trace.tsv").read_text(encoding="utf-8")
     assert all(len(line.split("\t")) == 5 for line in trace.splitlines())
     assert "verdict: graceful" in (out_dir / "report.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "scenario", [degradation_scenario(), failover_scenario()], ids=["degradation", "failover"]
+)
+def test_streamed_trace_matches_the_collected_trace(model_file, tmp_path, capsys, scenario):
+    path = tmp_path / "case.scn"
+    path.write_text(scenario, encoding="utf-8")
+    out_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--model", model_file, "--scenario", str(path),
+        "--horizon", "6000", "--seed", "11", "--out", str(out_dir),
+    ]) == 0
+    _, _, world = build_world()
+    collected, _ = world.run(parse_scenario(scenario), 6000, seed=11)
+    streamed = (out_dir / "trace.tsv").read_bytes()
+    assert streamed == collected.to_text().encode("utf-8")
+    assert f"({len(collected.rows)} trace rows, " in capsys.readouterr().out
 
 
 def test_simulate_is_deterministic(model_file, scenario_file, tmp_path):

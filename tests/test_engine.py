@@ -1,6 +1,7 @@
 """Deterministic runtime simulation: scheduling, channels, watchdog, verdicts."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from viewcase.engine import (
     instantiate,
     parse_scenario,
 )
-from viewcase.fixture import build_world
+from viewcase.fixture import build_world, degradation_scenario
 from viewcase.ipc import assign_ipc, dependency_graph
 from viewcase.model import parse_model
 from viewcase.partition import MappingPolicy, Objective, build_plan
@@ -141,6 +142,63 @@ def test_rows_of_filters_event_and_process():
     stim = trace.rows_of("stimulus")
     assert len(stim) == 1 and stim[0].process == "A#0"
     assert trace.rows_of("stimulus", "B#0") == []
+
+
+def test_rows_parse_back_to_the_traced_fields():
+    world, _ = _world()
+    traced = []
+    trace_row = world.trace
+
+    def record(*fields):
+        traced.append(fields)
+        trace_row(*fields)
+
+    world.trace = record
+    trace, _ = world.run(
+        parse_scenario(
+            "stimulus A#0 POKE at 10 every 100 priority 5 size 4\n"
+            "stimulus B#0 DATA at 20 every 0 priority 5 size 4\n"
+        ),
+        500,
+    )
+    assert trace.rows == tuple(TraceRow(*fields) for fields in traced)
+    details = {r.detail for r in trace.rows}
+    assert "" in details and "POKE size 4" in details  # empty details and inner spaces
+    assert trace.to_text() == trace.text
+
+
+def test_world_keeps_no_trace_lines_after_run():
+    world, _ = _world()
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
+    assert trace.rows
+    assert world._lines == [] and world.trace_rows == ()
+
+
+def test_sink_receives_each_line_and_the_run_returns_an_empty_trace():
+    scenario = parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4")
+    collected, _ = _world()[0].run(scenario, 500)
+    lines = []
+    world, _ = _world()
+    streamed, metrics = world.run(scenario, 500, sink=lines.append)
+    assert "".join(lines) == collected.to_text()
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    assert streamed.text == "" and streamed.rows == ()
+    assert world._lines == [] and metrics.processes["B#0"].dispatches > 0
+
+
+@pytest.mark.parametrize("horizon", [10000, 40000])
+def test_file_sink_run_memory_does_not_grow_with_the_horizon(tmp_path, horizon):
+    """A collecting run of the same scenario peaks at 5.7 MB at 10k and 22.7 MB at 40k."""
+    _, _, world = build_world()
+    scenario = parse_scenario(degradation_scenario(kill=None))
+    with (tmp_path / "trace.tsv").open("w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            world.run(scenario, horizon, sink=sink.write)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- thread scheduling ------------------------------------------------------------
@@ -436,6 +494,63 @@ def test_killed_process_goes_silent():
     dropped = [r for r in trace.rows_of("stimulus", "A#0") if "dropped" in r.detail]
     assert dropped and all(r.time > 500 for r in dropped)
     assert (500, "A#0", "killed") in metrics.faults
+
+
+def _boom_machine(fault):
+    """A producer whose BOOM fails in the way named by `fault`."""
+
+    def explode(ctx):
+        raise RuntimeError("boom")
+
+    def bad_guard(msg, variables):
+        return variables["missing"]
+
+    b = MachineBuilder("faulty")
+    b.state("Top", initial="Idle")
+    b.state("Idle", parent="Top")
+    b.transition("Idle", "POKE", "Idle", actions=[Action("h")])
+    if fault == "action":
+        b.transition("Idle", "BOOM", "Idle", actions=[Action("ok"), Action("explode", explode)])
+    elif fault == "ambiguous":
+        b.transition("Idle", "BOOM", "Idle")
+        b.transition("Idle", "BOOM", "Idle", guard=lambda msg, variables: True)
+    else:
+        b.transition("Idle", "BOOM", "Idle", guard=bad_guard)
+    return b.build({"n": 1})
+
+
+@pytest.mark.parametrize(
+    "fault,cause",
+    [
+        ("action", "action-failure:U/explode"),
+        ("ambiguous", "ambiguous:U/BOOM"),
+        ("guard", "guard:U/BOOM"),
+    ],
+)
+def test_a_failing_dispatch_kills_only_its_process(fault, cause):
+    model = parse_model(ASYNC_MODEL)
+    plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
+    channels = assign_ipc(dependency_graph(plan, model))
+    machine = _boom_machine(fault)
+    world = instantiate(plan, channels, {"A#0": {"U": machine}, "B#0": {"V": _consumer_machine()}})
+    # POKE waits behind BOOM in A's mailbox when the fault strikes
+    trace, metrics = world.run(
+        parse_scenario(
+            "stimulus A#0 POKE at 20 every 0 priority 5 size 4\n"
+            "stimulus A#0 BOOM at 100 every 0 priority 9 size 4\n"
+            "stimulus A#0 POKE at 100 every 0 priority 5 size 4\n"
+            "stimulus B#0 DATA at 50 every 100 priority 5 size 4\n"
+        ),
+        1000,
+    )
+    assert metrics.faults == [(100, "A#0", cause)]
+    assert [(r.time, r.detail) for r in trace.rows_of("fault", "A#0")] == [(100, cause)]
+    assert not [r for r in trace.rows if r.process == "A#0" and r.thread == "processor" and r.time >= 100]
+    assert metrics.processes["A#0"].dispatches == 1  # the first POKE only
+    assert (machine.current, machine.variables) == ("Idle", {"n": 1})
+    consumer = [r.time for r in trace.rows_of("dispatch", "B#0")]
+    assert consumer == list(range(50, 1000, 100))
+    assert degradation_report(metrics, plan).verdict == "graceful"
 
 
 # --- verdicts ------------------------------------------------------------------------------
