@@ -161,7 +161,9 @@ def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
         pkt = ctx.vars.pop("_pkt", None)
         if pkt is None:
             return
-        buf = ctx.res.setdefault("rx", comm.ReassemblyBuffer(owner="local"))
+        buf = ctx.res.get("rx")
+        if buf is None:
+            buf = ctx.res["rx"] = comm.ReassemblyBuffer(owner="local")
         outcome = comm.reassemble(
             buf, pkt, now=ctx.now, timeout=timeout, key=cfg.auth_key, src="wire", table=table
         )

@@ -5,7 +5,7 @@ import string
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewcase import comm
@@ -15,6 +15,7 @@ from viewcase.comm import (
     DEFAULT_PRIORITY,
     HEADER_LEN,
     LINK_A_SYNC,
+    MAX_MTU_PAYLOAD,
     Alert,
     AppMessage,
     CommConfig,
@@ -93,7 +94,11 @@ def test_crc16_matches_bitwise_reference(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=16), st.binary(max_size=64))
+@given(st.binary(max_size=16), st.binary(max_size=2048))
+@example(b"viewcase", bytes(range(256)) * 2)  # 520 bytes: whole 4-byte groups
+@example(b"viewcase", bytes(503))  # 511 bytes: the smallest fixture packet, 3-byte tail
+@example(b"viewcase", b"\xff" * 1003)  # 1,011 bytes: the largest fixture packet
+@example(b"k", b"ab")  # shorter than one group: tail only
 def test_auth_tag_matches_fnv_reference(key, data):
     assert auth_tag(key, data) == _fnv1a(key + data)
 
@@ -207,6 +212,16 @@ def test_empty_payload_still_sends_one_packet():
 def test_packetize_rejects_bad_mtu():
     with pytest.raises(ValueError):
         packetize(_msg(), 0, KEY)
+
+
+def test_packetize_rejects_an_mtu_a_link_a_frame_cannot_carry():
+    with pytest.raises(ValueError, match=str(MAX_MTU_PAYLOAD)):
+        packetize(_msg(), MAX_MTU_PAYLOAD + 1, KEY)
+    payload = bytes(range(256)) * (MAX_MTU_PAYLOAD // 256) + bytes(MAX_MTU_PAYLOAD % 256)
+    (pkt,) = packetize(_msg(payload), MAX_MTU_PAYLOAD, KEY)
+    frame = convert_to_frame(pkt, LinkType.LINK_A)
+    assert frame[2:4] == b"\xff\xff"  # the length field at its largest
+    assert convert_from_frame(frame, LinkType.LINK_A) == pkt
 
 
 def test_packetize_rejects_oversized_message():
@@ -413,6 +428,41 @@ def test_malformed_frames_are_rejected(data, link, fragment):
     assert fragment in str(err.value)
 
 
+# --- the memoized decode ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("link", [LinkType.LINK_A, LinkType.LINK_B])
+def test_repeated_frame_decodes_to_an_equal_packet(link):
+    pkt = _pkt(payload=bytes([0x7E, 0x7D]) * 40)
+    frame = convert_to_frame(pkt, link)
+    first = convert_from_frame(frame, link)
+    hits = comm._decode.cache_info().hits
+    assert convert_from_frame(bytes(frame), link.value) == first == pkt
+    assert comm._decode.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("link", [LinkType.LINK_A, LinkType.LINK_B])
+def test_corrupt_frame_raises_on_every_call(link):
+    frame = bytearray(convert_to_frame(_pkt(), link))
+    frame[-3] ^= 0x01  # one flipped bit near the end: the CRC no longer checks
+    misses = comm._decode.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(FrameCorrupt):
+            convert_from_frame(bytes(frame), link)
+    assert comm._decode.cache_info().misses == misses + 3
+
+
+def test_decode_of_a_mutated_buffer_is_not_stale():
+    one, other = _pkt(b"first"), _pkt(b"other")
+    buf = bytearray(convert_to_frame(one, LinkType.LINK_A))
+    assert convert_from_frame(buf, LinkType.LINK_A) == one
+    buf[:] = convert_to_frame(other, LinkType.LINK_A)  # same length, new bytes
+    assert convert_from_frame(buf, LinkType.LINK_A) == other
+    buf[-1] ^= 0xFF
+    with pytest.raises(FrameCorrupt):
+        convert_from_frame(buf, LinkType.LINK_A)
+
+
 def test_unknown_link_name_is_rejected():
     with pytest.raises(UnknownLink):
         convert_to_frame(_pkt(), "LINK_C")
@@ -515,6 +565,7 @@ def test_parse_comm_config_errors_carry_line_numbers(text, line):
     "text",
     [
         "mtu_payload = 0",
+        "mtu_payload = 65521",
         "reassembly_timeout = 0",
         "scan_period = -5",
         "dead_threshold = 0",

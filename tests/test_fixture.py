@@ -310,6 +310,20 @@ def _record_sends(monkeypatch, world):
     return sent
 
 
+def test_every_frame_is_decoded_once_for_all_its_receivers(monkeypatch):
+    # receivers of one frame share its decoded packet, so on a cache that
+    # holds the traffic's reuse distance the decode misses once per frame sent
+    plan, channels, world = build_world()
+    sent = _record_sends(monkeypatch, world)
+    comm._decode.cache_clear()
+    world.run(parse_scenario(degradation_scenario()), 1500)
+    info = comm._decode.cache_info()
+    frames = {m.body for m in sent if m.signal == "DATA_PKT"}
+    assert frames
+    assert info.misses == len(frames)
+    assert info.hits > info.misses  # fan-out: several receivers per frame
+
+
 def _frame_priority(frame):
     link = LinkType.LINK_B if frame[:1] == b"\x7e" else LinkType.LINK_A
     return convert_from_frame(frame, link).priority
