@@ -21,8 +21,9 @@ Scenario files are line oriented (`#` comments):
     fault kill <process> at <ms>
     stimulus <process> <signal> at <ms> every <ms> priority <int> size <bytes>
 
-`every 0` means a one-shot stimulus. Stimulus payloads are seeded random
-bytes; the seed affects nothing else.
+`every 0` means a one-shot stimulus; `at`, `every` and `size` must not
+be negative. Stimulus payloads are seeded random bytes; the seed affects
+nothing else.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ class ScenarioError(Exception):
         self.line = line
 
 
+def _non_negative(word: str, lineno: int) -> int:
+    """The value of an `at`, `every` or `size` field, which may not be negative."""
+    value = int(word)
+    if value < 0:
+        raise ScenarioError(lineno, f"at, every and size must not be negative, got {value}")
+    return value
+
+
 def parse_scenario(text: str) -> Scenario:
     faults: list[FaultSpec] = []
     stimuli: list[StimulusSpec] = []
@@ -106,7 +115,7 @@ def parse_scenario(text: str) -> Scenario:
             if parts[0] == "fault":
                 if parts[1] != "kill" or parts[3] != "at":
                     raise ValueError
-                faults.append(FaultSpec(parts[2], int(parts[4])))
+                faults.append(FaultSpec(parts[2], _non_negative(parts[4], lineno)))
             elif parts[0] == "stimulus":
                 if (
                     len(parts) != 11
@@ -116,12 +125,8 @@ def parse_scenario(text: str) -> Scenario:
                     or parts[9] != "size"
                 ):
                     raise ValueError
-                stimuli.append(
-                    StimulusSpec(
-                        parts[1], parts[2], int(parts[4]), int(parts[6]),
-                        int(parts[8]), int(parts[10]),
-                    )
-                )
+                at, every, size = (_non_negative(parts[i], lineno) for i in (4, 6, 10))
+                stimuli.append(StimulusSpec(parts[1], parts[2], at, every, int(parts[8]), size))
             else:
                 raise ValueError
         except (ValueError, IndexError):
@@ -204,11 +209,6 @@ class Metrics:
         if key not in self.links:
             self.links[key] = LinkStats()
         return self.links[key]
-
-    def process(self, process_id: str) -> ProcessStats:
-        if process_id not in self.processes:
-            self.processes[process_id] = ProcessStats()
-        return self.processes[process_id]
 
     def record_failover(self, main: str, standby: str, detected_at: int, active_at: int) -> None:
         self.failover.append(FailoverRecord(main, standby, detected_at, active_at))

@@ -26,9 +26,7 @@ from .engine import SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessPlan, build_plan
-from .statechart import (
-    Action, ActionContext, ActorMessage, Chart, MachineBuilder, State, StateMachine, Transition,
-)
+from .statechart import Action, ActionContext, ActorMessage, Chart, MachineBuilder, StateMachine
 
 HEALTH_SOURCE = comm.HEALTH_SOURCE
 
@@ -184,8 +182,10 @@ _NOTE_STATUS = Action("note_status", _bump("status_seen"))
 def _loop_chart(leaf: str, loops: list[tuple[str, tuple[Action, ...]]]) -> Chart:
     """A root over the single leaf `leaf`, which handles each (signal,
     actions) pair of `loops` in a self-transition."""
-    states = (State("Top", None, leaf), State(leaf, "Top"))
-    return Chart(states, [Transition(leaf, signal, leaf, actions) for signal, actions in loops])
+    b = MachineBuilder().state("Top", initial=leaf).state(leaf, parent="Top")
+    for signal, actions in loops:
+        b.transition(leaf, signal, leaf, actions)
+    return b.chart()
 
 
 def _codec_chart(
@@ -292,26 +292,26 @@ def build_behaviors(
         actor = node.actor
         if actor == "LocalHost":
             lane, host_lane = host_lane, host_lane + 1
-            out[node.id] = {"SendData": StateMachine.of(host_codec, {"lane": lane}, node.id)}
+            out[node.id] = {"SendData": StateMachine(host_codec, {"lane": lane}, node.id)}
         elif actor == "PeerCI":
             lane, peer_lane = peer_lane, peer_lane + 1
             out[node.id] = {
-                "ReceiveData": StateMachine.of(peer_codec, {"lane": lane}, node.id),
-                "MaintainSession": StateMachine.of(session, name=f"{node.id}:session"),
+                "ReceiveData": StateMachine(peer_codec, {"lane": lane}, node.id),
+                "MaintainSession": StateMachine(session, name=f"{node.id}:session"),
             }
         elif actor == "StandbyCI":
-            out[node.id] = {"TakeOver": StateMachine.of(standby, name=node.id)}
+            out[node.id] = {"TakeOver": StateMachine(standby, name=node.id)}
         elif actor == "Operator":
-            out[node.id] = {"ExchangeStatus": StateMachine.of(operator, name=node.id)}
+            out[node.id] = {"ExchangeStatus": StateMachine(operator, name=node.id)}
         elif actor == "CommEquipment":
-            out[node.id] = {"MonitorEquipment": StateMachine.of(monitor, name=node.id)}
+            out[node.id] = {"MonitorEquipment": StateMachine(monitor, name=node.id)}
         else:
             owned = set(node.owned_use_cases())
             inbound = {ch.source for ch in channels or () if node.id in ch.readers} | {"DATA_PKT"}
             key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
             if key not in generic:
                 generic[key] = _generic_chart(*key)
-            out[node.id] = {"relay": StateMachine.of(generic[key], name=node.id)}
+            out[node.id] = {"relay": StateMachine(generic[key], name=node.id)}
     return out
 
 

@@ -145,7 +145,7 @@ def _int(tok: str, line: int, what: str) -> int:
 
 
 def strip_comment(raw: str) -> str:
-    """Drop a `#` comment; model, machine, scenario and config files share this rule.
+    """Drop a `#` comment; model, scenario and config files share this rule.
 
     A `#` starts a comment only at the start of a word and outside double
     quotes, so `PeerCI#3`, `k#1` and `"Send #1 data"` keep theirs.

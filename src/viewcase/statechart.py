@@ -15,17 +15,11 @@ A machine kind is a :class:`Chart`, the validated state tree and its
 transitions; a :class:`StateMachine` is one instance of a chart and holds
 only what a dispatch changes: current leaf, variables, resources and
 deferral buffer. Any number of instances, such as the processes of one
-actor with multiplicity N, share one chart. Charts are built three ways,
-each through the :class:`Chart` constructor: from the dataclasses, through
-:class:`MachineBuilder`, or from the text notation of :func:`parse_machine`::
-
-    machine Host
-    state Top initial Idle
-    state Idle parent Top
-    state Busy parent Top defer SEND_REQ
-    entry Busy start_timer
-    trans Idle on SEND_REQ -> Busy do validate send
-    trans Busy on DONE -> Idle
+actor with multiplicity N, share one chart. A chart is built from
+:class:`State` and :class:`Transition` values, by the :class:`Chart`
+constructor, which validates them, or step by step through
+:class:`MachineBuilder`; there is no text notation.
+``StateMachine(chart, variables, name)`` starts an instance.
 """
 
 from __future__ import annotations
@@ -33,8 +27,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
-
-from .model import strip_comment
 
 Guard = Callable[["ActorMessage", dict], bool]
 
@@ -182,6 +174,12 @@ class Chart:
         if len(roots) != 1:
             raise ValueError(f"machine needs exactly one root state, found {roots}")
         self.root = roots[0]
+        below_root = [self.root]
+        for sid in below_root:
+            below_root.extend(self.children.get(sid, ()))
+        if len(below_root) != len(self.states):
+            stray = sorted(set(self.states) - set(below_root))
+            raise ValueError(f"states {stray} are not below root {self.root!r}: parent cycle")
         for sid, kids in self.children.items():
             s = self.states[sid]
             if s.initial_child is None:
@@ -223,44 +221,19 @@ class StateMachine:
     the rollback nor any dispatch writes to the chart's states or
     transitions.
 
-    `StateMachine(states, transitions, ...)` validates a chart of its own;
-    `StateMachine.of(chart, ...)` starts another instance of a chart.
+    `StateMachine(chart, variables, name)` starts an instance at the chart's
+    initial leaf.
     """
 
     __slots__ = ("chart", "name", "current", "variables", "resources", "deferral_buffer")
 
-    def __init__(
-        self,
-        states: list[State] | tuple[State, ...],
-        transitions: list[Transition] | tuple[Transition, ...],
-        variables: dict | None = None,
-        name: str = "",
-    ):
-        self._start(Chart(states, transitions), variables, name)
-
-    @classmethod
-    def of(cls, chart: Chart, variables: dict | None = None, name: str = "") -> "StateMachine":
-        """A new instance of `chart`, at its initial leaf."""
-        machine = cls.__new__(cls)
-        machine._start(chart, variables, name)
-        return machine
-
-    def _start(self, chart: Chart, variables: dict | None, name: str) -> None:
+    def __init__(self, chart: Chart, variables: dict | None = None, name: str = ""):
         self.chart = chart
         self.name = name
         self.current = chart.initial
         self.variables: dict = dict(variables or {})
         self.resources: dict = {}
         self.deferral_buffer: list[ActorMessage] = []
-
-    # Read-only views of the chart.
-    states = property(lambda self: self.chart.states)
-    transitions = property(lambda self: self.chart.transitions)
-    ancestors = property(lambda self: self.chart.ancestors)
-    _children = property(lambda self: self.chart.children)
-    _descend = property(lambda self: self.chart.descend)
-    _routes = property(lambda self: self.chart._routes)
-    _plans = property(lambda self: self.chart._plans)
 
     def dispatch(self, msg: ActorMessage) -> DispatchResult:
         return dispatch(self, msg)
@@ -430,7 +403,8 @@ def dispatch(
 
 
 class MachineBuilder:
-    """Incremental machine construction; `build()` validates the tree."""
+    """Incremental chart construction; `chart()` validates the tree and
+    `build()` starts an instance of it."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -477,76 +451,5 @@ class MachineBuilder:
         return Chart(self._states, self._transitions)
 
     def build(self, variables: dict | None = None) -> StateMachine:
-        return StateMachine.of(self.chart(), variables, self.name)
+        return StateMachine(self.chart(), variables, self.name)
 
-
-def parse_machine(
-    text: str,
-    actions: dict[str, Action] | None = None,
-    guards: dict[str, Guard] | None = None,
-) -> StateMachine:
-    """Parse the machine text notation; see the module docstring for shape."""
-    actions = actions or {}
-    guards = guards or {}
-    name = ""
-    states: dict[str, dict] = {}
-    transitions: list[Transition] = []
-
-    def fetch_action(aid: str) -> Action:
-        return actions.get(aid, Action(aid))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "machine":
-                name = parts[1]
-            elif kind == "state":
-                sid = parts[1]
-                spec = {"parent": None, "initial_child": None, "deferred_signals": _NO_DEFERRALS}
-                i = 2
-                while i < len(parts):
-                    if parts[i] == "parent":
-                        spec["parent"] = parts[i + 1]
-                    elif parts[i] == "initial":
-                        spec["initial_child"] = parts[i + 1]
-                    elif parts[i] == "defer":
-                        spec["deferred_signals"] = frozenset(parts[i + 1].split(","))
-                    else:
-                        raise ValueError(f"unexpected token {parts[i]!r}")
-                    i += 2
-                states[sid] = spec
-            elif kind in ("entry", "exit"):
-                sid = parts[1]
-                states[sid][f"{kind}_actions"] = tuple(fetch_action(a) for a in parts[2:])
-            elif kind == "trans":
-                # trans <Scope> on <Signal> [if <guard>] -> <Target> [do <action>...]
-                scope = parts[1]
-                if parts[2] != "on":
-                    raise ValueError("expected 'on'")
-                signal = parts[3]
-                i = 4
-                guard = None
-                if i < len(parts) and parts[i] == "if":
-                    guard = guards[parts[i + 1]]
-                    i += 2
-                if parts[i] != "->":
-                    raise ValueError("expected '->'")
-                target = parts[i + 1]
-                i += 2
-                acts: tuple[Action, ...] = ()
-                if i < len(parts):
-                    if parts[i] != "do":
-                        raise ValueError("expected 'do'")
-                    acts = tuple(fetch_action(a) for a in parts[i + 1 :])
-                transitions.append(Transition(scope, signal, target, acts, guard))
-            else:
-                raise ValueError(f"unknown statement {kind!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"machine notation error at line {lineno}: {raw!r} ({exc})") from exc
-
-    built = [State(sid, **spec) for sid, spec in states.items()]
-    return StateMachine(built, transitions, name=name)

@@ -166,6 +166,15 @@ def test_simulate_bad_scenario_fails(model_file, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_simulate_rejects_negative_size_before_writing_a_trace(model_file, tmp_path, capsys):
+    bad = tmp_path / "negative.scn"
+    bad.write_text("stimulus LocalHost#0 SEND_REQ at 100 every 0 priority 180 size -1\n", encoding="utf-8")
+    out_dir = tmp_path / "neg"
+    assert main(["simulate", "--model", model_file, "--scenario", str(bad), "--out", str(out_dir)]) == 1
+    assert "line 1" in capsys.readouterr().err
+    assert not (out_dir / "trace.tsv").exists()
+
+
 def test_report_prints_verdict(model_file, scenario_file, capsys):
     code = main([
         "report", "--model", model_file, "--scenario", scenario_file, "--horizon", "1500",

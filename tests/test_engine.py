@@ -14,6 +14,7 @@ from viewcase.engine import (
     Metrics,
     MessageQueueRt,
     MissingBehavior,
+    ProcessStats,
     Scenario,
     ScenarioError,
     SimConfig,
@@ -110,6 +111,9 @@ def test_parse_scenario_hash_in_process_id_is_not_a_comment():
         ("stimulus A X at 1 priority 2 size 3", 1),
         ("fault kill A at ten", 1),
         ("fault kill A at 1\nnonsense", 2),
+        ("fault kill PeerCI#0 at -7", 1),
+        ("stimulus A X at 1 every -3 priority 2 size 3", 1),
+        ("fault kill A at 1\nstimulus A X at 1 every 0 priority 2 size -1", 2),
     ],
 )
 def test_parse_scenario_errors_carry_line_numbers(text, line):
@@ -250,7 +254,7 @@ def test_watchdog_trips_on_stalled_dispatch():
     trips = trace.rows_of("trip", "A#0")
     assert len(trips) == 1
     assert trips[0].time == 400  # stalled since 100, timeout 300
-    assert metrics.process("A#0").watchdog_trips == 1
+    assert metrics.processes["A#0"].watchdog_trips == 1
     assert (400, "A#0", "watchdog") in metrics.faults
     # the killed process does nothing afterwards
     assert all(r.time <= 400 for r in trace.rows if r.process == "A#0" and r.event != "stimulus")
@@ -262,7 +266,7 @@ def test_healthy_steady_traffic_never_trips():
         parse_scenario("stimulus A#0 POKE at 10 every 50 priority 5 size 8"), 3000
     )
     assert trace.rows_of("trip") == []
-    assert metrics.process("A#0").watchdog_trips == 0
+    assert metrics.processes["A#0"].watchdog_trips == 0
 
 
 # --- mailbox and dispatch order ---------------------------------------------------------
@@ -336,7 +340,7 @@ def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
         500,
     )
     assert [(r.time, r.detail) for r in trace.rows_of("defer", "B#0")] == [(100, "W/X")]
-    stats = metrics.process("B#0")
+    stats = metrics.processes["B#0"]
     assert (stats.deferrals, stats.discards) == (1, 0)
     # GO moves the gate out of Wait, which recalls X into the same tick
     assert [(r.time, r.detail) for r in trace.rows_of("recall", "B#0")] == [(200, "X")]
@@ -366,7 +370,7 @@ def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
     channels = assign_ipc(dependency_graph(plan, model))
     world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"V": b.build()}})
     trace, metrics = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 8"), 1000)
-    fired = metrics.process("B#0").dispatches
+    fired = metrics.processes["B#0"].dispatches
     assert fired > 0
     assert len(guard_calls) == fired
     assert action_times == [r.time for r in trace.rows_of("dispatch", "B#0")]
@@ -385,7 +389,7 @@ def test_message_queue_delivery_end_to_end():
     assert stats.sent == stats.delivered > 0
     assert len(trace.rows_of("recv", "B#0")) == stats.delivered
     # consumer dispatched what it received
-    assert metrics.process("B#0").dispatches >= stats.delivered
+    assert metrics.processes["B#0"].dispatches >= stats.delivered
 
 
 def test_queue_blocks_writer_when_full():
@@ -439,7 +443,7 @@ def test_periodic_segment_written_by_transmitter_without_stimuli():
     assert 9 <= len(sends) <= 11
     samples = trace.rows_of("sample", "B#0")
     assert samples
-    assert metrics.process("B#0").dispatches > 0
+    assert metrics.processes["B#0"].dispatches > 0
 
 
 def _assert_endpoint_index_matches_channels(world):
@@ -608,7 +612,7 @@ def test_metrics_to_text_sections_and_sorting():
     metrics = Metrics()
     metrics.link("mq:b", "W", "R").sent = 2
     metrics.link("mq:a", "W", "R").delivered = 1
-    metrics.process("P").dispatches = 3
+    metrics.processes["P"] = ProcessStats(dispatches=3)
     metrics.faults.append((7, "P", "killed"))
     metrics.record_failover("M", "S", 100, 150)
     lines = metrics.to_text().splitlines()

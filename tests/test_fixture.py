@@ -125,9 +125,9 @@ def test_generic_behaviors_back_arbitrary_models():
     trace, metrics = world.run(
         parse_scenario("stimulus Gw#0 Route at 50 every 100 priority 120 size 48"), 2000
     )
-    assert metrics.process("Gw#0").dispatches > 0
+    assert metrics.processes["Gw#0"].dispatches > 0
     for reader in ("Node#0", "Node#1"):
-        assert metrics.process(reader).dispatches > 0
+        assert metrics.processes[reader].dispatches > 0
     assert all(s.sent == s.delivered for s in metrics.links.values())
 
 
@@ -147,8 +147,8 @@ def test_generic_charts_are_shared_by_signal_signature():
     relays = {node_id: machines["relay"] for node_id, machines in behaviors.items()}
     assert relays["Node#0"].chart is relays["Node#1"].chart is relays["Node#2"].chart
     assert relays["Gw#0"].chart is not relays["Node#0"].chart
-    assert [t.signal for t in relays["Gw#0"].transitions] == ["Route", "DATA_PKT"]
-    assert [t.signal for t in relays["Node#0"].transitions] == ["Handle", "DATA_PKT", "Route"]
+    assert [t.signal for t in relays["Gw#0"].chart.transitions] == ["Route", "DATA_PKT"]
+    assert [t.signal for t in relays["Node#0"].chart.transitions] == ["Handle", "DATA_PKT", "Route"]
     assert {m.name for m in relays.values()} == set(relays)
 
 
@@ -264,7 +264,7 @@ def test_build_world_memory_bound_policy():
         parse_scenario("stimulus Operator#* EQUIP_STATUS at 100 every 500 priority 140 size 64"),
         1500,
     )
-    assert metrics.process("Operator#*").dispatches > 0
+    assert metrics.processes["Operator#*"].dispatches > 0
     assert all(s.sent == s.delivered for s in metrics.links.values())
 
 
@@ -399,7 +399,7 @@ def test_dispatch_tables_stay_empty_until_the_first_dispatch(model):
     _, _, world = build_world(scale_peers(model, 500))
     machines = [m for proc in world.processes.values() for m in proc.machines.values()]
     assert len(machines) > 1000
-    assert not any(m._routes or m._plans for m in machines)
+    assert not any(m.chart._routes or m.chart._plans for m in machines)
 
 
 def test_world_at_500_peers_shares_one_chart_per_machine_kind(model):

@@ -24,7 +24,6 @@ from viewcase.model import (
     trigger_map,
     validate_model,
 )
-from viewcase.statechart import parse_machine
 
 BASIC = """\
 # two actors; Remote both triggers a use case and consumes a flow
@@ -357,14 +356,3 @@ def test_render_parse_round_trip_with_hash_in_titles(model, data):
         use_cases=tuple(dataclasses.replace(u, title=data.draw(titles)) for u in model.use_cases),
     )
     assert parse_model(render_model(model)) == model
-
-
-def test_machine_notation_keeps_hash_inside_a_word():
-    machine = parse_machine(
-        "machine M#1  # the name keeps its hash\n"
-        "state Top initial Idle\n"
-        "state Idle parent Top\n"
-        "trans Idle on GO -> Idle do act  # comment\n"
-    )
-    assert machine.name == "M#1"
-    assert [a.id for a in machine.transitions[0].actions] == ["act"]

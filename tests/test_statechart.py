@@ -13,13 +13,13 @@ from viewcase.statechart import (
     ActionFailure,
     ActorMessage,
     AmbiguousTransition,
+    Chart,
     DispatchResult,
     MachineBuilder,
     State,
     StateMachine,
     Transition,
     dispatch,
-    parse_machine,
     select_transition,
     state_context,
 )
@@ -350,65 +350,17 @@ def test_empty_signal_is_rejected():
         ([State("A"), State("B", parent="Ghost")], [], "unknown parent"),
         ([State("A")], [Transition("A", "X", "Ghost")], "unknown state"),
         ([State("A"), State("A")], [], "duplicate"),
+        (
+            [State("R"), State("A", "B", "B"), State("B", "A", "A")],
+            [Transition("R", "X", "A")],
+            "parent cycle",
+        ),
     ],
 )
 def test_malformed_machines_are_rejected(states, transitions, fragment):
     with pytest.raises(ValueError) as err:
-        StateMachine(states, transitions)
+        StateMachine(Chart(states, transitions))
     assert fragment in str(err.value)
-
-
-# --- text notation -----------------------------------------------------------------------
-
-
-NOTATION = """\
-machine Host
-state Top initial Idle
-state Idle parent Top
-state Busy parent Top defer SEND_REQ,PING
-entry Busy start_timer
-exit Busy stop_timer
-trans Idle on SEND_REQ -> Busy do validate send
-trans Busy on DONE -> Idle
-trans Idle on PING if armed -> Idle do pong
-"""
-
-
-def test_parse_machine_notation():
-    calls = []
-    actions = {
-        "validate": Action("validate", lambda ctx: calls.append("validate")),
-        "send": Action("send", lambda ctx: calls.append("send")),
-    }
-    m = parse_machine(NOTATION, actions=actions, guards={"armed": lambda msg, v: True})
-    assert m.name == "Host"
-    assert m.current == "Idle"
-    assert m.states["Busy"].deferred_signals == frozenset({"SEND_REQ", "PING"})
-    assert [a.id for a in m.states["Busy"].entry_actions] == ["start_timer"]
-    r = m.dispatch(ActorMessage("SEND_REQ"))
-    assert r.fired and calls == ["validate", "send"]
-    assert m.current == "Busy"
-    # SEND_REQ is deferred while Busy
-    assert m.dispatch(ActorMessage("SEND_REQ")).deferred
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "state",
-        "entry Ghost foo",
-        "trans Idle SEND -> Busy",
-        "trans Idle on SEND ->",
-        "trans Idle on SEND -> Busy then act",
-        "trans Idle on X if missing_guard -> Idle",
-        "gibberish here",
-    ],
-)
-def test_bad_notation_lines_carry_line_number(line):
-    text = "machine M\nstate Top initial Idle\nstate Idle parent Top\n" + line
-    with pytest.raises(ValueError) as err:
-        parse_machine(text)
-    assert "line 4" in str(err.value)
 
 
 # --- properties ------------------------------------------------------------------------------
@@ -425,7 +377,7 @@ def chain_machines(draw):
         states.append(State(f"S{i}", f"S{i - 1}", initial))
     scopes = draw(st.lists(st.integers(0, depth), min_size=0, max_size=depth + 1, unique=True))
     transitions = [Transition(f"S{i}", "X", f"S{i}") for i in scopes]
-    return StateMachine(states, transitions), scopes, depth
+    return StateMachine(Chart(states, transitions)), scopes, depth
 
 
 @settings(max_examples=120, deadline=None)
@@ -452,8 +404,8 @@ def test_discard_never_mutates(built, signal):
 
 def _reference_transition_plan(machine, transition):
     """Action ids and new leaf as `dispatch` computed them before the single LCA walk."""
-    a_chain = machine.ancestors(transition.scope)
-    b_set = set(machine.ancestors(transition.target))
+    a_chain = machine.chart.ancestors(transition.scope)
+    b_set = set(machine.chart.ancestors(transition.target))
     lca = next(sid for sid in a_chain if sid in b_set)
     exit_states = []
     for sid in state_context(machine):
@@ -464,18 +416,18 @@ def _reference_transition_plan(machine, transition):
     cursor = transition.target
     while cursor != lca:
         entry_states.append(cursor)
-        cursor = machine.states[cursor].parent
+        cursor = machine.chart.states[cursor].parent
         if cursor is None:
             raise ValueError("target is not below the transition LCA")
     entry_states.reverse()
-    entry_states.extend(machine._descend(transition.target)[1:])
-    target_is_leaf = not machine._children.get(transition.target)
+    entry_states.extend(machine.chart.descend(transition.target)[1:])
+    target_is_leaf = not machine.chart.children.get(transition.target)
     new_leaf = entry_states[-1] if entry_states else (
         transition.target if target_is_leaf else machine.current
     )
-    ids = [a.id for sid in exit_states for a in machine.states[sid].exit_actions]
+    ids = [a.id for sid in exit_states for a in machine.chart.states[sid].exit_actions]
     ids += [a.id for a in transition.actions]
-    ids += [a.id for sid in entry_states for a in machine.states[sid].entry_actions]
+    ids += [a.id for sid in entry_states for a in machine.chart.states[sid].entry_actions]
     return tuple(ids), new_leaf
 
 
@@ -500,10 +452,10 @@ def tree_transitions(draw):
         for i, parent in enumerate(parents)
     ]
     leaf = draw(st.sampled_from([f"S{i}" for i in range(n) if f"S{i}" not in children]))
-    probe = StateMachine(states, [])
+    probe = Chart(states, [])
     scope = draw(st.sampled_from(probe.ancestors(leaf)))
     target = f"S{draw(st.integers(0, n - 1))}"
-    machine = StateMachine(states, [Transition(scope, "GO", target, (Action("t"),))])
+    machine = StateMachine(Chart(states, [Transition(scope, "GO", target, (Action("t"),))]))
     machine.current = leaf
     return machine
 
@@ -511,7 +463,7 @@ def tree_transitions(draw):
 @settings(max_examples=400, deadline=None)
 @given(tree_transitions())
 def test_transition_chains_match_reference_walk(machine):
-    expected_ids, expected_leaf = _reference_transition_plan(machine, machine.transitions[0])
+    expected_ids, expected_leaf = _reference_transition_plan(machine, machine.chart.transitions[0])
     result = dispatch(machine, ActorMessage("GO"))
     assert result.fired
     assert result.actions_run == expected_ids
@@ -527,21 +479,18 @@ def test_states_that_defer_nothing_share_one_empty_set():
     b.state("A", parent="Top")
     b.state("B", parent="Top", defer=("X",))
     built = b.build()
-    parsed = parse_machine("machine M\nstate Top initial Idle\nstate Idle parent Top\n")
-    shared = built.states["Top"].deferred_signals
+    shared = built.chart.states["Top"].deferred_signals
     assert shared == frozenset()
-    assert built.states["A"].deferred_signals is shared
-    assert parsed.states["Top"].deferred_signals is shared
-    assert parsed.states["Idle"].deferred_signals is shared
-    assert built.states["B"].deferred_signals == frozenset({"X"})
+    assert built.chart.states["A"].deferred_signals is shared
+    assert built.chart.states["B"].deferred_signals == frozenset({"X"})
 
 
 def _oracle_select(machine, msg):
     """`select_transition` as it was before the per-signal candidate table."""
-    for sid in machine.ancestors(machine.current):
+    for sid in machine.chart.ancestors(machine.current):
         matches = [
             t
-            for t in machine.transitions
+            for t in machine.chart.transitions
             if t.scope == sid
             and t.signal == msg.signal
             and (t.guard is None or t.guard(msg, machine.variables))
@@ -557,30 +506,30 @@ def _oracle_dispatch(machine, msg):
     """`dispatch` as it was before plans, contexts and snapshots were cached."""
 
     def defers(context, signal):
-        return any(signal in machine.states[s].deferred_signals for s in context)
+        return any(signal in machine.chart.states[s].deferred_signals for s in context)
 
     transition = _oracle_select(machine, msg)
     if transition is None:
-        if defers(machine.ancestors(machine.current), msg.signal):
+        if defers(machine.chart.ancestors(machine.current), msg.signal):
             machine.deferral_buffer.append(msg)
             return DispatchResult(fired=False, deferred=True)
         return DispatchResult(fired=False, deferred=False)
 
-    b_set = set(machine.ancestors(transition.target))
-    lca = next(sid for sid in machine.ancestors(transition.scope) if sid in b_set)
-    context = machine.ancestors(machine.current)
+    b_set = set(machine.chart.ancestors(transition.target))
+    lca = next(sid for sid in machine.chart.ancestors(transition.scope) if sid in b_set)
+    context = machine.chart.ancestors(machine.current)
     exit_states = context[: context.index(lca)]
     entry_states = []
     cursor = transition.target
     while cursor != lca:
         entry_states.append(cursor)
-        cursor = machine.states[cursor].parent
+        cursor = machine.chart.states[cursor].parent
     entry_states.reverse()
-    descent = machine._descend(transition.target)
+    descent = machine.chart.descend(transition.target)
     entry_states.extend(descent[1:])
-    plan = [a for sid in exit_states for a in machine.states[sid].exit_actions]
+    plan = [a for sid in exit_states for a in machine.chart.states[sid].exit_actions]
     plan.extend(transition.actions)
-    plan.extend(a for sid in entry_states for a in machine.states[sid].entry_actions)
+    plan.extend(a for sid in entry_states for a in machine.chart.states[sid].entry_actions)
 
     saved = (machine.current, copy.deepcopy(machine.variables), list(machine.deferral_buffer))
     ctx = ActionContext(machine, msg)
@@ -594,7 +543,7 @@ def _oracle_dispatch(machine, msg):
         machine.current, machine.variables, machine.deferral_buffer = saved
         raise ActionFailure(plan[len(ran)].id, exc) from exc
     machine.current = descent[-1]
-    new_context = machine.ancestors(machine.current)
+    new_context = machine.chart.ancestors(machine.current)
     recalled = tuple(m for m in machine.deferral_buffer if not defers(new_context, m.signal))
     machine.deferral_buffer = [m for m in machine.deferral_buffer if defers(new_context, m.signal)]
     return DispatchResult(
@@ -697,7 +646,7 @@ def _build_from_spec(states, transitions, with_list, log):
         for tid, (scope, signal, target, k, fails) in enumerate(transitions)
     ]
     variables = {"n": 0, "trail": []} if with_list else {"n": 0}
-    return StateMachine(built, trans, variables)
+    return StateMachine(Chart(built, trans), variables)
 
 
 def _step(fn):
@@ -733,7 +682,7 @@ def test_compiled_dispatch_matches_uncompiled_reference(spec):
             assert got.actions_run == want.actions_run
             assert got.action_costs == want.action_costs
             assert got.cost_ms == want.cost_ms
-            assert state_context(compiled) == oracle.ancestors(oracle.current)
+            assert state_context(compiled) == oracle.chart.ancestors(oracle.current)
 
 
 @st.composite
@@ -761,7 +710,7 @@ def test_instances_of_one_chart_stay_isolated(spec):
     chart = first.chart
     chart_states, chart_transitions = dict(chart.states), chart.transitions
     instances = [first] + [
-        StateMachine.of(chart, {"n": 0, "trail": []} if with_list else {"n": 0})
+        StateMachine(chart, {"n": 0, "trail": []} if with_list else {"n": 0})
         for _ in range(count - 1)
     ]
     oracle_logs = [[] for _ in range(count)]
@@ -783,7 +732,7 @@ def test_instances_of_one_chart_stay_isolated(spec):
             assert m.current == o.current
             assert (m.variables, m.deferral_buffer) == (o.variables, o.deferral_buffer)
     assert all(m.chart is chart for m in instances)
-    assert all(m._routes is chart._routes and m._plans is chart._plans for m in instances)
+    assert all(m.chart._routes is chart._routes and m.chart._plans is chart._plans for m in instances)
     assert chart.states == chart_states and chart.transitions is chart_transitions
 
 
@@ -799,7 +748,7 @@ def test_failed_action_restores_its_instance_and_leaves_the_chart_alone():
     b.transition("A", "GO", "B", actions=[Action("touch", touch), _exploding("bad")])
     chart = b.chart()
     states, transitions = dict(chart.states), chart.transitions
-    m, other = StateMachine.of(chart, {"n": 1}), StateMachine.of(chart, {"n": 5})
+    m, other = StateMachine(chart, {"n": 1}), StateMachine(chart, {"n": 5})
     for machine in (m, other):
         dispatch(machine, ActorMessage("LATER", machine.variables["n"]))
     with pytest.raises(ActionFailure):
@@ -862,7 +811,7 @@ def test_failed_action_restores_dict_with_non_str_key():
 
 def test_equal_transition_that_is_not_the_machines_own_is_walked(monkeypatch):
     m = _nested_machine([])
-    own = m.transitions[0]
+    own = m.chart.transitions[0]
     twin = Transition(own.scope, own.signal, own.target, own.actions, own.guard)
     assert twin == own and twin is not own
     walked = []
