@@ -1,4 +1,4 @@
-"""Communication-interface data plane: packets, frames, health, failover.
+"""Communication-interface data plane: packets, frames, reassembly, health table, config.
 
 Wire formats
 ------------
@@ -58,9 +58,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .engine import FailoverConfig
 from .model import strip_comment
-from .statechart import ActorMessage
 
 # --- integrity primitives -----------------------------------------------------
 
@@ -473,71 +471,6 @@ class HealthTable:
                 rec.status = HealthStatus.LATE
                 alerts.append(Alert(process, HealthStatus.LATE, now))
         return alerts
-
-
-# --- failover ------------------------------------------------------------------------
-
-HEALTH_SOURCE = "ReportHealth"  # use case whose segments carry the heartbeats
-TAKEOVER_PRIORITY = 250
-
-
-def build_failover(
-    standby_map: dict[str, str],
-    scan_period: int = 100,
-    dead_threshold: int = 3,
-    monitor_process: str | None = None,
-    alert_channel: str | None = None,
-    priorities: dict[str, int] | None = None,
-    default_priority: int = DEFAULT_PRIORITY,
-):
-    """Wire a heartbeat scan into the engine.
-
-    Every scan reads the HEALTH_SOURCE segments into a HealthTable, raises
-    edge-triggered alerts, moves each dead main in standby_map onto its
-    standby (endpoints plus a TAKEOVER message), and, when a monitor is
-    configured, sends one status summary through the alert channel whatever
-    the alert count, so link traffic stays constant across runs. The
-    summary's priority is `status` classified through the priority table.
-    """
-    if scan_period < 1:
-        raise ValueError("scan_period must be positive")
-    table = HealthTable()
-    status_priority = classify_priority("status", priorities, default_priority)
-
-    def scan(world, now: int) -> None:
-        for ch in world.channels.values():
-            if ch.channel.source == HEALTH_SOURCE and hasattr(ch, "version"):
-                table.observe(ch.channel.writer, ch.version)
-        alerts = table.scan(now, dead_threshold)
-        for alert in alerts:
-            main = alert.process
-            world.trace(now, main, "-", "alert", alert.status.value)
-            standby = standby_map.get(main)
-            if (
-                alert.status is HealthStatus.DEAD
-                and standby in world.processes
-                and world.processes[standby].alive
-            ):
-                world.rebind_endpoints(main, standby, now)
-                world.post_mailbox(
-                    standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY), now
-                )
-                world.trace(now, standby, "-", "takeover", f"from {main}")
-                world.metrics.record_failover(main, standby, now, now)
-        if (
-            monitor_process
-            and alert_channel
-            and monitor_process in world.processes
-            and world.processes[monitor_process].alive
-        ):
-            body = "|".join(f"{a.process}:{a.status.value}" for a in alerts).encode()
-            world.channel_send(
-                alert_channel,
-                ActorMessage("EQUIP_STATUS", body, status_priority),
-                now,
-            )
-
-    return FailoverConfig(scan_period=scan_period, scan_fn=scan)
 
 
 # --- configuration ---------------------------------------------------------------------

@@ -210,9 +210,6 @@ class Metrics:
             self.links[key] = LinkStats()
         return self.links[key]
 
-    def record_failover(self, main: str, standby: str, detected_at: int, active_at: int) -> None:
-        self.failover.append(FailoverRecord(main, standby, detected_at, active_at))
-
     def to_text(self) -> str:
         lines = ["metrics-format: 1", f"links: {len(self.links)}"]
         for (ch, prod, cons) in sorted(self.links):

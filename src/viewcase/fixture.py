@@ -14,7 +14,8 @@ communication equipment, and six peer interfaces::
 codecs (packetize / frame / deframe / reassemble), so a simulation run
 exercises the same code paths as the unit-level packet tests. Actors
 outside this model get a generic relay machine, which keeps arbitrary
-models simulatable from the command line.
+models simulatable from the command line. `build_world` adds the heartbeat
+scan, whose takeover and status summary the standby and operator charts handle.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import comm
-from .engine import SimWorld, instantiate
+from .engine import FailoverConfig, FailoverRecord, SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessPlan, build_plan
 from .statechart import Action, ActionContext, ActorMessage, Chart, MachineBuilder, StateMachine
 
-HEALTH_SOURCE = comm.HEALTH_SOURCE
+HEALTH_SOURCE = "ReportHealth"  # use case whose segments carry the heartbeats
+TAKEOVER_PRIORITY = 250
 
 FIXTURE_MODEL = """\
 # Tactical communication interface deployment.
@@ -357,44 +359,74 @@ def standby_map(plan: ProcessPlan) -> dict[str, str]:
 # --- world assembly --------------------------------------------------------------
 
 
+def _failover(
+    plan: ProcessPlan, channels: list[IpcChannel], cfg: comm.CommConfig
+) -> FailoverConfig:
+    """Heartbeat scan: read the HEALTH_SOURCE segments into a HealthTable,
+    move each dead main of `standby_map` onto its standby (endpoints plus a
+    TAKEOVER message), and send the monitor's alert queue one EQUIP_STATUS
+    summary per scan whatever the alert count, so link traffic stays
+    constant across runs."""
+    if cfg.scan_period < 1:
+        raise ValueError("scan_period must be positive")
+    standbys = standby_map(plan)
+    monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
+    health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
+    alert_channel: str | None = None  # the first MonitorEquipment queue
+    for c in channels:
+        if c.source == HEALTH_SOURCE and c.kind is ChannelKind.SHARED_SEGMENT:
+            health.append((c.id, c.writer))
+        elif c.source == "MonitorEquipment" and c.kind is ChannelKind.MESSAGE_QUEUE:
+            alert_channel = alert_channel or c.id
+    status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
+    table = comm.HealthTable()
+
+    def scan(world: SimWorld, now: int) -> None:
+        for channel_id, writer in health:
+            table.observe(writer, world.channels[channel_id].version)
+        alerts = table.scan(now, cfg.dead_threshold)
+        for alert in alerts:
+            main = alert.process
+            world.trace(now, main, "-", "alert", alert.status.value)
+            standby = standbys.get(main)
+            if (
+                alert.status is comm.HealthStatus.DEAD
+                and standby in world.processes
+                and world.processes[standby].alive
+            ):
+                world.rebind_endpoints(main, standby, now)
+                world.post_mailbox(
+                    standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY), now
+                )
+                world.trace(now, standby, "-", "takeover", f"from {main}")
+                world.metrics.failover.append(FailoverRecord(main, standby, now, now))
+        if alert_channel and monitor in world.processes and world.processes[monitor].alive:
+            body = "|".join(f"{a.process}:{a.status.value}" for a in alerts).encode()
+            world.channel_send(
+                alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority), now
+            )
+
+    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan)
+
+
 def build_world(
     model: UseCaseModel | None = None,
     policy: MappingPolicy | None = None,
     comm_config: comm.CommConfig | None = None,
-    with_failover: bool = True,
 ) -> tuple[ProcessPlan, list[IpcChannel], SimWorld]:
-    """Plan the model, wire channels, attach behaviors, return a fresh world."""
+    """Plan the model, wire channels, attach behaviors and the heartbeat
+    scan, return a fresh world."""
     model = model or parse_model(FIXTURE_MODEL)
     policy = policy or MappingPolicy()
     cfg = comm_config or comm.DEFAULT_CONFIG
     plan = build_plan(model, policy)
     channels = assign_ipc(dependency_graph(plan, model))
     behaviors = build_behaviors(plan, channels, cfg)
-    failover = None
-    if with_failover:
-        monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
-        alert_channel = next(
-            (
-                c.id
-                for c in channels
-                if c.source == "MonitorEquipment" and c.kind is ChannelKind.MESSAGE_QUEUE
-            ),
-            None,
-        )
-        failover = comm.build_failover(
-            standby_map(plan),
-            scan_period=cfg.scan_period,
-            dead_threshold=cfg.dead_threshold,
-            monitor_process=monitor,
-            alert_channel=alert_channel,
-            priorities=cfg.priority_table(),
-            default_priority=cfg.default_priority,
-        )
     world = instantiate(
         plan,
         channels,
         behaviors,
-        failover=failover,
+        failover=_failover(plan, channels, cfg),
         scan_only_sources=frozenset({HEALTH_SOURCE}),
     )
     return plan, channels, world

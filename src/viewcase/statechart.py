@@ -180,11 +180,11 @@ class Chart:
         if len(below_root) != len(self.states):
             stray = sorted(set(self.states) - set(below_root))
             raise ValueError(f"states {stray} are not below root {self.root!r}: parent cycle")
-        for sid, kids in self.children.items():
-            s = self.states[sid]
-            if s.initial_child is None:
+        for sid, s in self.states.items():
+            kids = self.children.get(sid, ())
+            if kids and s.initial_child is None:
                 raise ValueError(f"composite state {sid!r} has no initial child")
-            if s.initial_child not in kids:
+            if s.initial_child is not None and s.initial_child not in kids:
                 raise ValueError(
                     f"initial child {s.initial_child!r} is not a child of {sid!r}"
                 )

@@ -1,8 +1,12 @@
 """Wire formats, reassembly, framing, health scans, configuration."""
 
+import os
 import random
 import string
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +33,6 @@ from viewcase.comm import (
     ReassemblyBuffer,
     UnknownLink,
     auth_tag,
-    build_failover,
     classify_priority,
     convert_from_frame,
     convert_to_frame,
@@ -42,6 +45,7 @@ from viewcase.comm import (
     scan_timeouts,
     verify_packet,
 )
+from viewcase.fixture import build_world
 
 KEY = b"key"
 
@@ -512,7 +516,22 @@ def test_dead_process_stays_dead_even_if_counter_moves():
 
 def test_scan_period_must_be_positive():
     with pytest.raises(ValueError):
-        build_failover({}, scan_period=0)
+        build_world(comm_config=CommConfig(scan_period=0))
+
+
+def test_comm_imports_no_runtime():
+    # the data plane stands alone: the fixture wires it into the engine
+    code = (
+        "import sys, viewcase.comm; "
+        "print(sorted({'viewcase.engine', 'viewcase.statechart'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- configuration -----------------------------------------------------------------------

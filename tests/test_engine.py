@@ -614,7 +614,7 @@ def test_metrics_to_text_sections_and_sorting():
     metrics.link("mq:a", "W", "R").delivered = 1
     metrics.processes["P"] = ProcessStats(dispatches=3)
     metrics.faults.append((7, "P", "killed"))
-    metrics.record_failover("M", "S", 100, 150)
+    metrics.failover.append(FailoverRecord("M", "S", 100, 150))
     lines = metrics.to_text().splitlines()
     assert lines[0] == "metrics-format: 1"
     assert lines[1] == "links: 2"

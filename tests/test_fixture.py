@@ -121,7 +121,7 @@ def test_generic_behaviors_back_arbitrary_models():
         "trigger Node -> Handle\n"
         "flow Route -> Node async size 96\n"
     )
-    plan, channels, world = build_world(parse_model(text), with_failover=False)
+    plan, channels, world = build_world(parse_model(text))
     trace, metrics = world.run(
         parse_scenario("stimulus Gw#0 Route at 50 every 100 priority 120 size 48"), 2000
     )
@@ -256,7 +256,6 @@ def test_incomplete_reassembly_entries_expire_after_the_timeout():
 def test_build_world_memory_bound_policy():
     plan, channels, world = build_world(
         policy=MappingPolicy(Objective.MEMORY_BOUND, memory_budget=50000),
-        with_failover=False,
     )
     assert plan.estimated_footprint <= 50000
     assert len(plan.shared_service_nodes) == 2

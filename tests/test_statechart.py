@@ -355,6 +355,7 @@ def test_empty_signal_is_rejected():
             [Transition("R", "X", "A")],
             "parent cycle",
         ),
+        ([State("Top", None, "Idle"), State("Idle", "Top", "Ghost")], [], "child of 'Idle'"),
     ],
 )
 def test_malformed_machines_are_rejected(states, transitions, fragment):
