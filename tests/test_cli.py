@@ -251,6 +251,17 @@ def test_malformed_config_file_is_usage_error(model_file, tmp_path, capsys, comm
     assert str(cfg) in err and "line 1" in err
 
 
+def test_simulate_rejects_a_33_byte_auth_key_before_writing_a_trace(model_file, tmp_path, capsys):
+    cfg = tmp_path / "long-key.cfg"
+    cfg.write_text("mtu_payload = 500\nauth_key = " + "k" * 33 + "\n", encoding="utf-8")
+    out_dir = tmp_path / "long-key"
+    argv = ["simulate", "--model", model_file, "--config", str(cfg), "--out", str(out_dir)]
+    assert main(argv) == 2  # a config file that does not parse is a usage error
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 2: auth_key must be at most 32 bytes, got 33" in err
+    assert not (out_dir / "trace.tsv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "report"])
 def test_config_with_repeated_priority_is_usage_error(model_file, tmp_path, capsys, command):
     cfg = tmp_path / "clash.cfg"

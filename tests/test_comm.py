@@ -1,5 +1,6 @@
 """Wire formats, reassembly, framing, health scans, configuration."""
 
+import hashlib
 import os
 import random
 import string
@@ -19,6 +20,7 @@ from viewcase.comm import (
     DEFAULT_PRIORITY,
     HEADER_LEN,
     LINK_A_SYNC,
+    MAX_AUTH_KEY_LEN,
     MAX_MTU_PAYLOAD,
     Alert,
     AppMessage,
@@ -58,14 +60,24 @@ def _msg(payload=b"payload", data_type="track_data", msg_id=7):
 
 
 def test_auth_tag_known_values():
-    # 32-bit FNV-1a reference vectors
-    assert auth_tag(b"", b"") == 0x811C9DC5
-    assert auth_tag(b"", b"a") == 0xE40C292C
-    assert auth_tag(b"", b"abc") == 0x1A47E90B
-    assert auth_tag(b"key", b"payload") == 0x2D2D087A
-    # key is mixed in ahead of the data, not concatenated after it
-    assert auth_tag(b"ab", b"c") == auth_tag(b"", b"abc")
+    # keyed BLAKE2s with a 4-byte digest (RFC 7693), big-endian
+    assert auth_tag(b"", b"") == 0x36E9D246
+    assert auth_tag(b"", b"abc") == 0xDF7101D3
+    assert auth_tag(b"key", b"") == 0x79CF24CC
+    assert auth_tag(b"key", b"payload") == 0x99474DF7
+    assert auth_tag(bytes(range(32)), b"payload") == 0x57BEEADE  # the longest key
+    # the key is not data: moving a byte across the split changes the tag
+    assert auth_tag(b"ab", b"c") == 0x403D4C8C != auth_tag(b"", b"abc")
     assert auth_tag(b"k1", b"x") != auth_tag(b"k2", b"x")
+
+
+@pytest.mark.parametrize("size,tag", [(500, 0x721130BA), (1000, 0x0A1B1E14)])
+def test_fixture_key_tags_of_511_and_1011_byte_packets(size, tag):
+    app = AppMessage(9, "", "", "track_data", (bytes(range(256)) * 4)[:size])
+    (pkt,) = packetize(app, DEFAULT_CONFIG.mtu_payload, b"viewcase")
+    assert len(pkt.header_sans_tag() + pkt.payload) == size + 11
+    assert pkt.auth_tag == tag == auth_tag(b"viewcase", pkt.header_sans_tag() + pkt.payload)
+    assert verify_packet(b"viewcase", pkt)
 
 
 def test_crc16_known_values():
@@ -84,13 +96,6 @@ def _crc16_bitwise(data: bytes) -> int:
     return crc
 
 
-def _fnv1a(data: bytes) -> int:
-    h = 0x811C9DC5
-    for byte in data:
-        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
-    return h
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=64))
 def test_crc16_matches_bitwise_reference(data):
@@ -98,53 +103,28 @@ def test_crc16_matches_bitwise_reference(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=16), st.binary(max_size=2048))
-@example(b"viewcase", bytes(range(256)) * 2)  # 520 bytes: whole 4-byte groups
-@example(b"viewcase", bytes(503))  # 511 bytes: the smallest fixture packet, 3-byte tail
-@example(b"viewcase", b"\xff" * 1003)  # 1,011 bytes: the largest fixture packet
-@example(b"k", b"ab")  # shorter than one group: tail only
-def test_auth_tag_matches_fnv_reference(key, data):
-    assert auth_tag(key, data) == _fnv1a(key + data)
-
-
-# --- the memoized tag ------------------------------------------------------------------
-
-_TAG_POOL = [
-    (b"", b""),
-    (b"k", b"a"),
-    (b"", b"ka"),  # same key || data as the one above, different split
-    (KEY, b"payload"),
-    (KEY, bytes(range(256))),
-]
-
-
-@settings(max_examples=30, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.integers(0, len(_TAG_POOL) - 1), st.binary(max_size=24)),
-        min_size=129,
-        max_size=200,
-    )
+    st.binary(max_size=MAX_AUTH_KEY_LEN),
+    st.binary(min_size=1, max_size=2048),
+    st.integers(min_value=0),
+    st.integers(1, 255),
 )
-def test_memoized_auth_tag_matches_reference_through_hits_and_evictions(steps):
-    # each step tags one pooled input (repeats hit) and one fresh input;
-    # more than 128 fresh inputs overflow the cache, so pooled ones get evicted too
-    comm._fnv1a.cache_clear()
-    for i, (pooled, blob) in enumerate(steps):
-        key, data = _TAG_POOL[pooled]
-        assert auth_tag(key, data) == _fnv1a(key + data)
-        fresh = i.to_bytes(2, "big") + blob
-        assert auth_tag(b"fresh", fresh) == _fnv1a(b"fresh" + fresh)
-    info = comm._fnv1a.cache_info()
-    assert info.hits > 0
-    assert info.misses > info.maxsize == info.currsize
+@example(b"viewcase", bytes(511), 8 + 510, 0x01)  # 511-byte packet: its last byte
+@example(b"viewcase", b"\xff" * 1011, 8 + 500, 0x80)  # 1,011-byte packet: a middle byte
+@example(b"viewcase", b"\xff" * 1011, 0, 0x20)  # the first key byte
+@example(b"", b"a", 0, 0x01)  # empty key
+def test_changing_one_byte_of_key_or_data_changes_the_tag(key, data, at, mask):
+    buf = bytearray(key + data)
+    buf[at % len(buf)] ^= mask
+    assert auth_tag(bytes(buf[: len(key)]), bytes(buf[len(key) :])) != auth_tag(key, data)
 
 
-def test_forgeries_are_rejected_while_the_genuine_tag_is_cached():
+# --- tag checks ---------------------------------------------------------------------------
+
+
+def test_forgeries_are_rejected_beside_the_genuine_packet():
     (pkt,) = packetize(_msg(), 1000, KEY)
-    hits = comm._fnv1a.cache_info().hits
     assert verify_packet(KEY, pkt)
-    assert comm._fnv1a.cache_info().hits == hits + 1  # the tag packetize computed
     forged_payload = Packet(
         pkt.msg_id, pkt.seq_index, pkt.total_count, pkt.priority, b"payloaX", pkt.auth_tag
     )
@@ -169,7 +149,8 @@ def test_auth_tag_of_a_mutated_buffer_is_not_stale():
     buf = bytearray(b"payload")
     before = auth_tag(KEY, buf)
     buf[0] ^= 0xFF
-    assert auth_tag(KEY, buf) == _fnv1a(KEY + bytes(buf)) != before
+    reference = hashlib.blake2s(bytes(buf), digest_size=4, key=KEY).digest()
+    assert auth_tag(KEY, buf) == int.from_bytes(reference, "big") != before
 
 
 # --- priorities -------------------------------------------------------------------
@@ -814,7 +795,7 @@ def _one_to_one_configs(draw):
     # a value may not begin with `#`: a `#` that starts a word starts a comment
     key = draw(
         (st.text(alphabet=_NO_SPACE_PRINTABLE) | st.text(alphabet='k#1"'))
-        .filter(lambda k: not k.startswith("#"))
+        .filter(lambda k: not k.startswith("#") and len(k.encode()) <= MAX_AUTH_KEY_LEN)
     )
     return CommConfig(
         auth_key=key.encode(),
@@ -876,6 +857,26 @@ def test_render_comm_config_round_trips_or_refuses(key):
         assert "auth_key" in str(err)
     else:
         assert parse_comm_config(text) == cfg
+
+
+def test_32_byte_auth_key_parses_and_tags():
+    cfg = parse_comm_config("auth_key = " + "k" * 32 + "\n")
+    assert cfg.auth_key == b"k" * 32
+    assert auth_tag(cfg.auth_key, b"payload") == 0xED8E3849
+    (pkt,) = packetize(_msg(), cfg.mtu_payload, cfg.auth_key)
+    assert verify_packet(cfg.auth_key, pkt)
+    assert parse_comm_config(render_comm_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "key,length", [("k" * 33, 33), ("\u00e9" * 17, 34)], ids=["33-ascii", "17-two-byte"]
+)
+def test_auth_key_longer_than_32_bytes_is_rejected_at_its_line(key, length):
+    with pytest.raises(ValueError) as err:
+        parse_comm_config(f"mtu_payload = 500\nauth_key = {key}\n")
+    assert str(err.value) == f"line 2: auth_key must be at most 32 bytes, got {length}"
+    with pytest.raises(ValueError, match="auth_key"):
+        render_comm_config(CommConfig(auth_key=key.encode()))
 
 
 # --- priority names a config file can hold -----------------------------------------------
