@@ -9,23 +9,3 @@ threads each (watchdog, receiver, processor, transmitter).
 """
 
 __version__ = "0.1.0"
-
-from .model import UseCaseModel, parse_model, render_model, trigger_map, validate_model
-from .partition import MappingPolicy, Objective, ProcessPlan, build_plan, plan_diff
-from .ipc import assign_ipc, dependency_graph, emit_component_graph
-
-__all__ = [
-    "UseCaseModel",
-    "parse_model",
-    "render_model",
-    "trigger_map",
-    "validate_model",
-    "MappingPolicy",
-    "Objective",
-    "ProcessPlan",
-    "build_plan",
-    "plan_diff",
-    "dependency_graph",
-    "assign_ipc",
-    "emit_component_graph",
-]

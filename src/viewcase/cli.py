@@ -94,11 +94,7 @@ def _plan_document(args, render, filename: str) -> int:
     model = _load_model(args)
     if model is None:
         return 1
-    try:
-        plan = build_plan(model, _policy(args))
-    except BudgetExceeded as exc:
-        print(f"plan failed: {exc}", file=sys.stderr)
-        return 1
+    plan = build_plan(model, _policy(args))
     channels = assign_ipc(dependency_graph(plan, model))
     _emit(render(plan, channels), args.out, filename)
     return 0
@@ -130,12 +126,7 @@ def _build(args):
         except ScenarioError as exc:
             print(f"{args.scenario}: {exc}", file=sys.stderr)
             return None
-    try:
-        plan, channels, world = build_world(model, _policy(args), comm_config=comm_config)
-    except BudgetExceeded as exc:
-        print(f"plan failed: {exc}", file=sys.stderr)
-        return None
-    return scenario, plan, channels, world
+    return scenario, *build_world(model, _policy(args), comm_config=comm_config)
 
 
 def _count_lines(path: Path) -> int:
@@ -235,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"plan failed: {exc}", file=sys.stderr)
+        return 1
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

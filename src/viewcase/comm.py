@@ -11,10 +11,11 @@ The authentication tag is keyed BLAKE2s (RFC 7693) with a 4-byte digest
 over header-sans-tag || payload, read as a big-endian integer. The digest
 size is part of BLAKE2s's parameter block, so the tag is not a prefix of
 the 32-byte digest. BLAKE2s takes keys of at most 32 bytes
-(`MAX_AUTH_KEY_LEN`); `parse_comm_config` and `render_comm_config` refuse
-a longer one. Tags are not cached: `packetize` tags each packet and every
-receiver's `verify_packet` tags the same bytes again, at about 5 µs for a
-1,011-byte input (CPython 3.11 on an x86-64 Xeon).
+(`MAX_AUTH_KEY_LEN`); `parse_comm_config`, `render_comm_config` and
+`fixture.build_world` refuse a longer one. Tags are not cached:
+`packetize` tags each packet and every receiver's `verify_packet` tags
+the same bytes again, at about 5 µs for a 1,011-byte input (CPython 3.11
+on an x86-64 Xeon).
 
 `packetize` accepts an MTU of at most 65,520 payload bytes
 (`MAX_MTU_PAYLOAD`, 0xFFFF less the header), the largest packet a LINK_A
@@ -540,11 +541,16 @@ def _reads_back(key: str, value: str) -> bool:
     return line.splitlines() == [line] and (left.strip(), right.strip()) == (key, value)
 
 
+def check_auth_key(key: bytes) -> None:
+    """ValueError when `key` is longer than a BLAKE2s key may be."""
+    if len(key) > MAX_AUTH_KEY_LEN:
+        raise ValueError(f"auth_key must be at most {MAX_AUTH_KEY_LEN} bytes, got {len(key)}")
+
+
 def render_comm_config(cfg: CommConfig) -> str:
     """Config-file text of `cfg`; ValueError naming the auth_key or the
     priority whose line would not read back."""
-    if len(cfg.auth_key) > MAX_AUTH_KEY_LEN:
-        raise ValueError(f"auth_key must be at most {MAX_AUTH_KEY_LEN} bytes, got {len(cfg.auth_key)}")
+    check_auth_key(cfg.auth_key)
     key = cfg.auth_key.decode(errors="replace")
     if key.encode() != cfg.auth_key or not _reads_back("auth_key", key):
         raise ValueError(f"auth_key {cfg.auth_key!r} would not read back from a config file")

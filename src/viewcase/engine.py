@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from .ipc import ChannelKind, IpcChannel
 from .model import strip_comment
-from .partition import ProcessNode, ProcessPlan
+from .partition import ProcessPlan
 from .statechart import (
     ActionFailure, ActorMessage, AmbiguousTransition, DispatchResult, StateMachine, dispatch,
     select_transition,
@@ -51,11 +51,24 @@ class SimConfig:
     transmitter_period: int = 50
     watchdog_period: int = 100
 
+    def __post_init__(self) -> None:
+        for name in ("receiver_period", "transmitter_period", "watchdog_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class FailoverConfig:
+    """A periodic scan and the channels it owns: receivers skip those
+    segments and rebinding leaves every one of them with its writer."""
+
     scan_period: int
     scan_fn: Callable[["SimWorld", int], None]
+    owned: frozenset[str] = frozenset()  # channel ids
+
+    def __post_init__(self) -> None:
+        if self.scan_period < 1:
+            raise ValueError(f"scan_period must be at least 1, got {self.scan_period}")
 
 
 class MissingBehavior(Exception):
@@ -283,20 +296,16 @@ class _MailEntry(NamedTuple):
 
 @dataclass
 class ProcessInstance:
-    node: ProcessNode
+    id: str  # the plan node's id
     machines: dict[str, StateMachine]
-    id: str = field(init=False)  # node.id
     stats: ProcessStats = field(init=False, default_factory=ProcessStats)  # Metrics holds it too
     alive: bool = True
-    mailbox: list[_MailEntry] = field(default_factory=list)
+    mailbox: list[_MailEntry] = field(default_factory=list)  # a heap
     outbound: list[tuple[str, ActorMessage]] = field(default_factory=list)  # resolved channel ids
     active: _ActiveDispatch | None = None
     last_progress: int = 0
     tick_scheduled: bool = False
     dispatch_counter: int = 0
-
-    def __post_init__(self) -> None:
-        self.id = self.node.id
 
     def has_work(self) -> bool:
         return self.active is not None or bool(self.mailbox)
@@ -317,12 +326,11 @@ class SimWorld:
         processes: dict[str, ProcessInstance],
         config: SimConfig,
         failover: FailoverConfig | None,
-        scan_only_sources: frozenset[str],
     ):
         self.plan = plan
         self.config = config
         self.failover = failover
-        self.scan_only_sources = scan_only_sources
+        self._owned = failover.owned if failover is not None else frozenset()
         self.processes = processes
         # periodic threads by trace name, in the order their first activations are scheduled
         self._periods = {
@@ -386,7 +394,7 @@ class SimWorld:
             return
         had_work = proc.has_work()
         self._mail_seq += 1
-        proc.mailbox.append(_MailEntry(-msg.priority, 0 if recalled else 1, self._mail_seq, msg))
+        heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._mail_seq, msg))
         if not had_work:
             proc.last_progress = now
         self._wake_processor(proc, now)
@@ -430,12 +438,12 @@ class SimWorld:
     def rebind_endpoints(self, dead_id: str, standby_id: str, now: int) -> list[str]:
         """Move a failed process's channel endpoints to its standby.
 
-        Scan-only (health) segments keep their original writer so the
-        failed process stays visibly dead to the health monitor.
+        Channels the scan owns keep their endpoints, so the failed process
+        stays visibly dead to the scan.
         """
         rebound = []
         for ch in self.channels.values():
-            if ch.channel.source in self.scan_only_sources:
+            if ch.channel.id in self._owned:
                 continue
             changed = False
             if ch.writer == dead_id:
@@ -481,7 +489,6 @@ class SimWorld:
 
     def _on_scan(self, now: int) -> None:
         assert self.failover is not None
-        self.trace(now, "-", "-", "scan", "heartbeat")
         self.failover.scan_fn(self, now)
         self._schedule(now + self.failover.scan_period, self._on_scan)
 
@@ -510,7 +517,7 @@ class SimWorld:
                     self.trace(now, proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
                     self.post_mailbox(proc.id, msg, now)
             else:
-                if ch.channel.source in self.scan_only_sources:
+                if ch.channel.id in self._owned:
                     continue
                 if ch.slot is not None:
                     self.trace(now, proc.id, "receiver", "sample", f"{ch.channel.id} v{ch.version}")
@@ -573,11 +580,7 @@ class SimWorld:
             self._complete_dispatch(proc, a, now)
 
     def _pick_next(self, proc: ProcessInstance) -> _MailEntry | None:
-        if not proc.mailbox:
-            return None
-        best = min(proc.mailbox)
-        proc.mailbox.remove(best)
-        return best
+        return heapq.heappop(proc.mailbox) if proc.mailbox else None
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
@@ -681,8 +684,6 @@ class SimWorld:
 
         while self._heap:
             time, _, handler, args = heapq.heappop(self._heap)
-            if time > horizon:
-                break
             self.now = time
             handler(time, *args)
 
@@ -699,7 +700,6 @@ def instantiate(
     behaviors: dict[str, dict[str, StateMachine]],
     config: SimConfig | None = None,
     failover: FailoverConfig | None = None,
-    scan_only_sources: frozenset[str] = frozenset(),
 ) -> SimWorld:
     """Materialize a plan: one four-thread process per node, channels wired."""
     config = config or SimConfig()
@@ -708,8 +708,8 @@ def instantiate(
         machines = behaviors.get(node.id, {})
         if not machines and not node.service and node.view.use_cases:
             raise MissingBehavior(node.id)
-        processes[node.id] = ProcessInstance(node, dict(machines))
-    return SimWorld(plan, channels, processes, config, failover, scan_only_sources)
+        processes[node.id] = ProcessInstance(node.id, dict(machines))
+    return SimWorld(plan, channels, processes, config, failover)
 
 
 # --- degradation verdict --------------------------------------------------------

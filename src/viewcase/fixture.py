@@ -104,13 +104,9 @@ def _as_bytes(body: object) -> bytes:
     return bytes(body) if isinstance(body, (bytes, bytearray)) else b""
 
 
-def _authenticate():
+def _authenticate(ctx: ActionContext) -> None:
     """Stage the body; packetize computes each packet's tag."""
-
-    def fn(ctx: ActionContext) -> None:
-        ctx.vars["_body"] = _as_bytes(ctx.msg.body)
-
-    return fn
+    ctx.vars["_body"] = _as_bytes(ctx.msg.body)
 
 
 def _encode(data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]):
@@ -137,19 +133,15 @@ def _transmit(uc: str, priority: int):
     return fn
 
 
-def _deframe():
+def _deframe(ctx: ActionContext) -> None:
     """Decode the arriving frame; the first byte 0x7E marks the escaped link."""
-
-    def fn(ctx: ActionContext) -> None:
-        frame = _as_bytes(ctx.msg.body)
-        link = comm.LinkType.LINK_B if frame[:1] == b"\x7e" else comm.LinkType.LINK_A
-        try:
-            ctx.vars["_pkt"] = comm.convert_from_frame(frame, link)
-        except comm.FrameCorrupt:
-            ctx.vars["_pkt"] = None
-            ctx.vars["corrupt"] = ctx.vars.get("corrupt", 0) + 1
-
-    return fn
+    frame = _as_bytes(ctx.msg.body)
+    link = comm.LinkType.LINK_B if frame[:1] == b"\x7e" else comm.LinkType.LINK_A
+    try:
+        ctx.vars["_pkt"] = comm.convert_from_frame(frame, link)
+    except comm.FrameCorrupt:
+        ctx.vars["_pkt"] = None
+        ctx.vars["corrupt"] = ctx.vars.get("corrupt", 0) + 1
 
 
 def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
@@ -201,11 +193,11 @@ def _codec_chart(
     """Endpoint that both produces framed traffic and ingests it."""
     priority = comm.classify_priority("track_data", table, cfg.default_priority)
     encode = (
-        Action("authenticate", _authenticate()),
+        Action("authenticate", _authenticate),
         Action("encode", _encode("track_data", link, cfg, table)),
         Action("transmit", _transmit(uc, priority)),
     )
-    decode = (Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table)))
+    decode = (Action("deframe", _deframe), Action("reassemble", _reassemble(cfg, table)))
     status = (_NOTE_STATUS,)
     return _loop_chart(leaf, [(trigger, encode), ("DATA_PKT", decode), ("ExchangeStatus", status)])
 
@@ -239,7 +231,7 @@ def _standby_chart(cfg: comm.CommConfig, table: dict[str, int]) -> Chart:
         "Active",
         "DATA_PKT",
         "Active",
-        actions=(Action("deframe", _deframe()), Action("reassemble", _reassemble(cfg, table))),
+        actions=(Action("deframe", _deframe), Action("reassemble", _reassemble(cfg, table))),
     )
     b.transition("Standby", "ExchangeStatus", "Standby", actions=(_NOTE_STATUS,))
     b.transition("Active", "ExchangeStatus", "Active", actions=(_NOTE_STATUS,))
@@ -366,9 +358,8 @@ def _failover(
     move each dead main of `standby_map` onto its standby (endpoints plus a
     TAKEOVER message), and send the monitor's alert queue one EQUIP_STATUS
     summary per scan whatever the alert count, so link traffic stays
-    constant across runs."""
-    if cfg.scan_period < 1:
-        raise ValueError("scan_period must be positive")
+    constant across runs. The scan owns every HEALTH_SOURCE channel."""
+    comm.check_auth_key(cfg.auth_key)
     standbys = standby_map(plan)
     monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
@@ -382,6 +373,7 @@ def _failover(
     table = comm.HealthTable()
 
     def scan(world: SimWorld, now: int) -> None:
+        world.trace(now, "-", "-", "scan", "heartbeat")
         for channel_id, writer in health:
             table.observe(writer, world.channels[channel_id].version)
         alerts = table.scan(now, cfg.dead_threshold)
@@ -406,7 +398,8 @@ def _failover(
                 alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority), now
             )
 
-    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan)
+    owned = frozenset(c.id for c in channels if c.source == HEALTH_SOURCE)
+    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=owned)
 
 
 def build_world(
@@ -422,11 +415,5 @@ def build_world(
     plan = build_plan(model, policy)
     channels = assign_ipc(dependency_graph(plan, model))
     behaviors = build_behaviors(plan, channels, cfg)
-    world = instantiate(
-        plan,
-        channels,
-        behaviors,
-        failover=_failover(plan, channels, cfg),
-        scan_only_sources=frozenset({HEALTH_SOURCE}),
-    )
+    world = instantiate(plan, channels, behaviors, failover=_failover(plan, channels, cfg))
     return plan, channels, world

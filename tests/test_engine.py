@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewcase.engine import (
+    FailoverConfig,
     FailoverRecord,
     FaultSpec,
     LinkStats,
@@ -230,6 +231,19 @@ def test_every_thread_role_follows_its_configured_period():
     # the stalled producer trips on its fourth watchdog activation
     trips = trace.rows_of("trip", "A#0")
     assert [(r.time, r.detail) for r in trips] == [(400, "no progress for 300")]
+
+
+@pytest.mark.parametrize("period", [0, -1])
+@pytest.mark.parametrize("name", ["receiver_period", "transmitter_period", "watchdog_period"])
+def test_sim_config_rejects_periods_below_one(name, period):
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**{name: period})
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_failover_config_rejects_a_scan_period_below_one(period):
+    with pytest.raises(ValueError, match="scan_period"):
+        FailoverConfig(scan_period=period, scan_fn=lambda world, now: None)
 
 
 def test_deterministic_same_seed_same_bytes():

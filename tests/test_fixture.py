@@ -276,6 +276,22 @@ def test_health_segments_are_scan_only():
     assert sampled.isdisjoint(health_channels)
 
 
+def test_health_queues_stay_with_their_writer_through_failover():
+    model = parse_model(FIXTURE_MODEL + "flow ReportHealth -> Operator async size 64\n")
+    queue = "mq:LocalHost#0:Operator#0:ReportHealth"
+    _, _, world = build_world(model)
+    assert world.channels[queue].writer == "LocalHost#0"
+    trace, metrics = world.run(parse_scenario(failover_scenario()), 2000)
+    assert metrics.failover  # the standby took over
+    assert world.channels[queue].writer == "LocalHost#0"
+    assert not [r for r in trace.rows_of("rebind") if r.detail.split()[0] == queue]
+
+
+def test_build_world_refuses_an_auth_key_longer_than_blake2s_takes():
+    with pytest.raises(ValueError, match="auth_key"):
+        build_world(comm_config=CommConfig(auth_key=b"k" * 33))
+
+
 def _record_sends(monkeypatch, world):
     sent = []
     send = world.channel_send
