@@ -126,7 +126,9 @@ def _build(args):
         except ScenarioError as exc:
             print(f"{args.scenario}: {exc}", file=sys.stderr)
             return None
-    return scenario, *build_world(model, _policy(args), comm_config=comm_config)
+    plan, channels, world = build_world(model, _policy(args), comm_config=comm_config)
+    world.check_scenario(scenario)  # an unknown process is a usage error, raised before any artifact
+    return scenario, plan, channels, world
 
 
 def _count_lines(path: Path) -> int:

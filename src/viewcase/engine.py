@@ -4,9 +4,11 @@ Each process node becomes a simulated process with the four-thread
 template: a watchdog, a receiver that drains channel endpoints into the
 mailbox, an event-driven processor that dispatches statechart messages,
 and a transmitter that writes periodic snapshots and flushes emitted
-messages. Time is a virtual integer millisecond clock; events execute in
-(time, insertion-sequence) order, so identical inputs always produce
-byte-identical traces.
+messages. Time is a virtual integer millisecond clock. Pending events sit
+in a calendar: a heap of the distinct pending times, and per time a FIFO
+list of the events due then. Events execute in (time, scheduling) order,
+and one scheduled for the current time runs after every event already due
+then, so identical inputs always produce byte-identical traces.
 
 Scheduling model: watchdog, receiver and transmitter activations are
 instantaneous and effectively preempt the processor (at equal times they
@@ -22,8 +24,9 @@ Scenario files are line oriented (`#` comments):
     stimulus <process> <signal> at <ms> every <ms> priority <int> size <bytes>
 
 `every 0` means a one-shot stimulus; `at`, `every` and `size` must not
-be negative. Stimulus payloads are seeded random bytes; the seed affects
-nothing else.
+be negative, and `run` refuses a scenario that names a process the plan
+does not have. Stimulus payloads are seeded random bytes; the seed
+affects nothing else.
 """
 
 from __future__ import annotations
@@ -332,12 +335,6 @@ class SimWorld:
         self.failover = failover
         self._owned = failover.owned if failover is not None else frozenset()
         self.processes = processes
-        # periodic threads by trace name, in the order their first activations are scheduled
-        self._periods = {
-            "watchdog": config.watchdog_period,
-            "receiver": config.receiver_period,
-            "transmitter": config.transmitter_period,
-        }
         self.channels: dict[str, ChannelRt] = {}
         for c in channels:
             if c.kind is ChannelKind.MESSAGE_QUEUE:
@@ -352,10 +349,10 @@ class SimWorld:
         self.now = 0
         self.horizon = 0
         self.rng = random.Random(0)
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self._seq = 0
-        self._mail_seq = 0
-        self._ticking: str | None = None  # process whose tick is executing
+        self._times: list[int] = []  # a heap of the times that have a bucket in _due
+        self._due: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
+        self._posted = 0  # mailbox posts so far; orders equal-rank entries
+        self._ticking: ProcessInstance | None = None  # process whose tick is executing
 
     # -- plumbing --
 
@@ -371,11 +368,15 @@ class SimWorld:
                     self.reads[reader].append(ch)
 
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
-        """Run `handler(time, *args)` at `time`; the unique seq keeps handlers uncompared."""
+        """Run `handler(time, *args)` at `time`, after every event already due then."""
         if time > self.horizon:
             return
-        heapq.heappush(self._heap, (time, self._seq, handler, args))
-        self._seq += 1
+        bucket = self._due.get(time)
+        if bucket is None:
+            self._due[time] = [(handler, args)]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append((handler, args))
 
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
         """The one place that knows the TSV layout of a trace row."""
@@ -393,8 +394,8 @@ class SimWorld:
         if not proc.alive:
             return
         had_work = proc.has_work()
-        self._mail_seq += 1
-        heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._mail_seq, msg))
+        self._posted += 1
+        heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._posted, msg))
         if not had_work:
             proc.last_progress = now
         self._wake_processor(proc, now)
@@ -403,8 +404,8 @@ class SimWorld:
         if proc.alive and proc.has_work() and not proc.tick_scheduled:
             proc.tick_scheduled = True
             # a tick in progress already owns this millisecond
-            when = now + 1 if self._ticking == proc.id else now
-            self._schedule(when, self._on_tick, proc.id)
+            when = now + 1 if self._ticking is proc else now
+            self._schedule(when, self._on_tick, proc)
 
     def channel_send(self, channel_id: str, msg: ActorMessage, now: int) -> bool:
         """Send on a channel; returns False when a full queue blocks the writer."""
@@ -473,41 +474,47 @@ class SimWorld:
 
     # -- event handlers --
 
-    def _on_fault(self, now: int, process_id: str) -> None:
-        if process_id in self.processes:
-            self.kill(process_id, now, "killed")
+    def _on_fault(self, now: int, proc: ProcessInstance) -> None:
+        self.kill(proc.id, now, "killed")
 
-    def _on_stimulus(self, now: int, spec: StimulusSpec) -> None:
-        if spec.process in self.processes and self.processes[spec.process].alive:
+    def _on_stimulus(self, now: int, spec: StimulusSpec, proc: ProcessInstance) -> None:
+        if proc.alive:
             body = self.rng.randbytes(spec.size)
-            self.trace(now, spec.process, "-", "stimulus", f"{spec.signal} size {spec.size}")
-            self.post_mailbox(spec.process, ActorMessage(spec.signal, body, spec.priority), now)
+            self.trace(now, proc.id, "-", "stimulus", f"{spec.signal} size {spec.size}")
+            self.post_mailbox(proc.id, ActorMessage(spec.signal, body, spec.priority), now)
         else:
-            self.trace(now, spec.process, "-", "stimulus", f"{spec.signal} dropped")
+            self.trace(now, proc.id, "-", "stimulus", f"{spec.signal} dropped")
         if spec.every > 0:
-            self._schedule(now + spec.every, self._on_stimulus, spec)
+            self._schedule(now + spec.every, self._on_stimulus, spec, proc)
 
     def _on_scan(self, now: int) -> None:
         assert self.failover is not None
         self.failover.scan_fn(self, now)
         self._schedule(now + self.failover.scan_period, self._on_scan)
 
-    def _on_thread(self, now: int, process_id: str, role: str) -> None:
-        proc = self.processes[process_id]
+    def _on_watchdog(self, now: int, proc: ProcessInstance) -> None:
+        if not proc.alive:
+            return
+        self.trace(now, proc.id, "watchdog", "activate", "")
+        idle = now - proc.last_progress
+        if proc.has_work() and idle >= 3 * self.config.watchdog_period:
+            proc.stats.watchdog_trips += 1
+            self.trace(now, proc.id, "watchdog", "trip", f"no progress for {idle}")
+            self.kill(proc.id, now, "watchdog")
+            return
+        self._schedule(now + self.config.watchdog_period, self._on_watchdog, proc)
+
+    def _on_receiver(self, now: int, proc: ProcessInstance) -> None:
         if proc.alive:
-            self.trace(now, process_id, role, "activate", "")
-            if role == "receiver":
-                self._receiver_pass(proc, now)
-            elif role == "transmitter":
-                self._transmitter_pass(proc, now)
-            else:
-                idle = now - proc.last_progress
-                if proc.has_work() and idle >= 3 * self.config.watchdog_period:
-                    proc.stats.watchdog_trips += 1
-                    self.trace(now, process_id, "watchdog", "trip", f"no progress for {idle}")
-                    self.kill(process_id, now, "watchdog")
-                    return
-            self._schedule(now + self._periods[role], self._on_thread, process_id, role)
+            self.trace(now, proc.id, "receiver", "activate", "")
+            self._receiver_pass(proc, now)
+            self._schedule(now + self.config.receiver_period, self._on_receiver, proc)
+
+    def _on_transmitter(self, now: int, proc: ProcessInstance) -> None:
+        if proc.alive:
+            self.trace(now, proc.id, "transmitter", "activate", "")
+            self._transmitter_pass(proc, now)
+            self._schedule(now + self.config.transmitter_period, self._on_transmitter, proc)
 
     def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
         for ch in self.reads[proc.id]:
@@ -626,12 +633,11 @@ class SimWorld:
         self.trace(now, proc.id, "processor", "discard", msg.signal)
         return False
 
-    def _on_tick(self, now: int, process_id: str) -> None:
-        proc = self.processes[process_id]
+    def _on_tick(self, now: int, proc: ProcessInstance) -> None:
         proc.tick_scheduled = False
         if not proc.alive:
             return
-        self._ticking = process_id
+        self._ticking = proc
         try:
             if proc.active is not None:
                 self._spend_ms(proc, now)
@@ -650,6 +656,13 @@ class SimWorld:
 
     # -- run --
 
+    def check_scenario(self, scenario: Scenario) -> None:
+        """Raise ValueError naming the first fault or stimulus target that is
+        not a process of the plan."""
+        for name in [f.process for f in scenario.faults] + [s.process for s in scenario.stimuli]:
+            if name not in self.processes:
+                raise ValueError(f"scenario names {name!r}, which is not a process of the plan")
+
     def run(
         self, scenario: Scenario, horizon: int, seed: int = 0,
         sink: Callable[[str], object] | None = None,
@@ -665,6 +678,7 @@ class SimWorld:
             raise RuntimeError("SimWorld instances are single-use; instantiate a fresh one")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
+        self.check_scenario(scenario)
         self.used = True
         self.horizon = horizon
         self.rng = random.Random(seed)
@@ -672,20 +686,25 @@ class SimWorld:
             self._emit = sink
 
         for f in scenario.faults:
-            self._schedule(f.at, self._on_fault, f.process)
+            self._schedule(f.at, self._on_fault, self.processes[f.process])
         for s in scenario.stimuli:
-            self._schedule(s.at, self._on_stimulus, s)
+            self._schedule(s.at, self._on_stimulus, s, self.processes[s.process])
+        cfg = self.config
         for proc in self.processes.values():
-            for role, period in self._periods.items():
-                self._schedule(period, self._on_thread, proc.id, role)
+            self._schedule(cfg.watchdog_period, self._on_watchdog, proc)
+            self._schedule(cfg.receiver_period, self._on_receiver, proc)
+            self._schedule(cfg.transmitter_period, self._on_transmitter, proc)
         if self.failover is not None:
             # offset by one tick so scans observe the writes of the same period
             self._schedule(self.failover.scan_period + 1, self._on_scan)
 
-        while self._heap:
-            time, _, handler, args = heapq.heappop(self._heap)
+        times, due = self._times, self._due
+        while times:
+            time = heapq.heappop(times)
             self.now = time
-            handler(time, *args)
+            for handler, args in due[time]:  # also runs the events appended during the pass
+                handler(time, *args)
+            del due[time]
 
         if sink is not None:
             return SimTrace(), self.metrics

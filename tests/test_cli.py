@@ -263,6 +263,20 @@ def test_simulate_rejects_a_33_byte_auth_key_before_writing_a_trace(model_file, 
 
 
 @pytest.mark.parametrize("command", ["simulate", "report"])
+def test_scenario_naming_an_unknown_process_is_usage_error(model_file, tmp_path, capsys, command):
+    scn = tmp_path / "ghost.scn"
+    scn.write_text("fault kill PeerCI#9 at 1000\n", encoding="utf-8")
+    out_dir = tmp_path / "ghost"
+    argv = [command, "--model", model_file, "--scenario", str(scn)]
+    if command == "simulate":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: scenario names 'PeerCI#9'" in captured.err and "verdict" not in captured.out
+    assert not (out_dir / "trace.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
 def test_config_with_repeated_priority_is_usage_error(model_file, tmp_path, capsys, command):
     cfg = tmp_path / "clash.cfg"
     cfg.write_text("mtu_payload = 500\npriority.command = 200\n", encoding="utf-8")

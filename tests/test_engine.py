@@ -1,6 +1,7 @@
 """Deterministic runtime simulation: scheduling, channels, watchdog, verdicts."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import pytest
@@ -25,7 +26,7 @@ from viewcase.engine import (
     instantiate,
     parse_scenario,
 )
-from viewcase.fixture import build_world, degradation_scenario
+from viewcase.fixture import build_behaviors, build_world, degradation_scenario, failover_scenario
 from viewcase.ipc import assign_ipc, dependency_graph
 from viewcase.model import parse_model
 from viewcase.partition import MappingPolicy, Objective, build_plan
@@ -231,6 +232,48 @@ def test_every_thread_role_follows_its_configured_period():
     # the stalled producer trips on its fourth watchdog activation
     trips = trace.rows_of("trip", "A#0")
     assert [(r.time, r.detail) for r in trips] == [(400, "no progress for 300")]
+
+
+_FIXTURE_PROCESSES = [
+    "Operator#0", "LocalHost#0", "LocalHost#1", "StandbyCI#0", "CommEquipment#*",
+    *(f"PeerCI#{k}" for k in range(6)),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    failover=st.booleans(),
+    victim=st.sampled_from(_FIXTURE_PROCESSES),
+    kill_at=st.integers(0, 1500),
+    periods=st.tuples(*[st.integers(1, 60)] * 3),
+    horizon=st.integers(100, 1500),
+)
+def test_events_run_in_time_then_scheduling_order(failover, victim, kill_at, periods, horizon):
+    """Each event records (time, n) as it runs, n counting `_schedule` calls:
+    times never go back, and events due at one time run in the order they
+    were scheduled, including those scheduled while that time runs."""
+    plan, channels, w0 = build_world()
+    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(*periods), w0.failover)
+    ran: list[tuple[int, int]] = []
+    calls = itertools.count()
+    schedule = world._schedule
+
+    def recording(time, handler, *args):
+        n = next(calls)
+
+        def run(now, *handler_args):
+            ran.append((now, n))
+            handler(now, *handler_args)
+
+        schedule(time, run, *args)
+
+    world._schedule = recording
+    text = (
+        failover_scenario(kill_at=kill_at) if failover
+        else degradation_scenario(kill=victim, kill_at=kill_at)
+    )
+    world.run(parse_scenario(text), horizon)
+    assert ran and ran == sorted(ran)
 
 
 @pytest.mark.parametrize("period", [0, -1])
@@ -653,6 +696,24 @@ def test_horizon_must_be_positive():
     world, _ = _world()
     with pytest.raises(ValueError):
         world.run(Scenario(), 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "fault kill A#0 at 10\nfault kill Nobody#0 at 20\n"
+        "stimulus Ghost#1 POKE at 5 every 0 priority 5 size 1\n",
+        "stimulus A#0 POKE at 5 every 0 priority 5 size 1\n"
+        "stimulus Nobody#0 POKE at 5 every 100 priority 5 size 1\n",
+    ],
+)
+def test_scenario_naming_an_unknown_process_is_refused_before_anything_runs(text):
+    world, _ = _world()
+    with pytest.raises(ValueError, match="'Nobody#0'"):
+        world.run(parse_scenario(text), 500)
+    assert not world.used and world.trace_rows == ()
+    trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 5 every 0 priority 5 size 1"), 500)
+    assert trace.rows_of("stimulus", "A#0")
 
 
 def test_missing_behavior_is_reported_with_node_id():

@@ -13,7 +13,7 @@ from viewcase.comm import (
     convert_from_frame,
     parse_comm_config,
 )
-from viewcase.engine import degradation_report, parse_scenario
+from viewcase.engine import Scenario, SimConfig, degradation_report, instantiate, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
     HEALTH_SOURCE,
@@ -429,3 +429,37 @@ def test_50_peer_artifacts_match_pinned_digests(model):
     artifacts = {"trace.tsv": trace.to_text(), "metrics.txt": metrics.to_text()}
     digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
     assert digests == _PINNED_50_PEERS
+
+
+# Two runs recorded before events were kept in a calendar keyed by time:
+# failover under odd thread periods, whose activations collide with scans,
+# stimuli and ticks at many times, and 500 idle peers, whose 1,515 periodic
+# activations share a few times.
+_PINNED_FAILOVER_ODD_PERIODS = {
+    "trace.tsv": "5af56449d1a01e5bb7d0b97897d45d228f93cf9d3c3550629d46b489cb53152c",
+    "metrics.txt": "f161ce2940487775e3d08a5a07946381bc43a4f144bdf464145f7216dc057cc7",
+}
+_PINNED_500_PEERS_IDLE = {
+    "trace.tsv": "5d71e596545e634a6b120b83a1aa37436d15a75c73cf8ea6c6a0a2682959951d",
+    "metrics.txt": "71e49adb3e2fc496e0c469628bfaea51f8b6b8515566a8de0fd72e666d7f9fc8",
+}
+
+
+def _digests(trace, metrics) -> dict[str, str]:
+    artifacts = {"trace.tsv": trace.to_text(), "metrics.txt": metrics.to_text()}
+    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
+
+
+def test_failover_artifacts_under_odd_periods_match_pinned_digests():
+    plan, channels, w0 = build_world()
+    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(7, 13, 29), w0.failover)
+    trace, metrics = world.run(parse_scenario(failover_scenario()), 4000, seed=5)
+    assert len(trace.rows) == 31741
+    assert _digests(trace, metrics) == _PINNED_FAILOVER_ODD_PERIODS
+
+
+def test_idle_500_peer_artifacts_match_pinned_digests(model):
+    _, _, world = build_world(scale_peers(model, 500))
+    trace, metrics = world.run(Scenario(), 300, seed=0)
+    assert len(trace.rows) == 21197
+    assert _digests(trace, metrics) == _PINNED_500_PEERS_IDLE
