@@ -32,15 +32,11 @@ from .partition import (
 _OBJECTIVES = {"ft": Objective.FAULT_TOLERANCE, "mem": Objective.MEMORY_BOUND}
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_model(args) -> UseCaseModel | None:
@@ -62,7 +58,7 @@ def _load_model(args) -> UseCaseModel | None:
 def _policy(args) -> MappingPolicy:
     objective = _OBJECTIVES[args.objective]
     if objective is Objective.MEMORY_BOUND and args.memory_budget is None:
-        raise _UsageError("--objective mem requires --memory-budget")
+        raise ValueError("--objective mem requires --memory-budget")
     return MappingPolicy(
         objective=objective,
         memory_budget=args.memory_budget,
@@ -112,10 +108,11 @@ def _build(args):
     """Read the inputs and build the world; None after a printed diagnostic."""
     comm_config = None
     if args.config is not None:
+        text = _read_text(args.config)
         try:
-            comm_config = parse_comm_config(_read_text(args.config))
+            comm_config = parse_comm_config(text)
         except ValueError as exc:
-            raise _UsageError(f"{args.config}: {exc}") from None
+            raise ValueError(f"{args.config}: {exc}") from None
     model = _load_model(args)
     if model is None:
         return None
@@ -127,7 +124,7 @@ def _build(args):
             print(f"{args.scenario}: {exc}", file=sys.stderr)
             return None
     plan, channels, world = build_world(model, _policy(args), comm_config=comm_config)
-    world.check_scenario(scenario)  # an unknown process is a usage error, raised before any artifact
+    world.check_run(scenario, args.horizon)  # a usage error, raised before any artifact
     return scenario, plan, channels, world
 
 
@@ -231,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return 1
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

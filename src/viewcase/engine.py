@@ -24,9 +24,10 @@ Scenario files are line oriented (`#` comments):
     stimulus <process> <signal> at <ms> every <ms> priority <int> size <bytes>
 
 `every 0` means a one-shot stimulus; `at`, `every` and `size` must not
-be negative, and `run` refuses a scenario that names a process the plan
-does not have. Stimulus payloads are seeded random bytes; the seed
-affects nothing else.
+be negative. Stimulus payloads are seeded random bytes; the seed affects
+nothing else. Inputs are checked once, before anything runs: `instantiate`
+refuses a channel endpoint outside the plan, and `run` (via `check_run`) a
+horizon below 1 or a scenario naming a process the plan does not have.
 """
 
 from __future__ import annotations
@@ -308,7 +309,6 @@ class ProcessInstance:
     active: _ActiveDispatch | None = None
     last_progress: int = 0
     tick_scheduled: bool = False
-    dispatch_counter: int = 0
 
     def has_work(self) -> bool:
         return self.active is not None or bool(self.mailbox)
@@ -337,6 +337,9 @@ class SimWorld:
         self.processes = processes
         self.channels: dict[str, ChannelRt] = {}
         for c in channels:
+            for pid in (c.writer, *c.readers):
+                if pid not in processes:
+                    raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
             if c.kind is ChannelKind.MESSAGE_QUEUE:
                 self.channels[c.id] = MessageQueueRt(c, c.writer, list(c.readers))
             else:
@@ -352,7 +355,6 @@ class SimWorld:
         self._times: list[int] = []  # a heap of the times that have a bucket in _due
         self._due: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
         self._posted = 0  # mailbox posts so far; orders equal-rank entries
-        self._ticking: ProcessInstance | None = None  # process whose tick is executing
 
     # -- plumbing --
 
@@ -361,11 +363,9 @@ class SimWorld:
         self.reads: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
         self.writes: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
         for ch in self.channels.values():
-            if ch.writer in self.writes:
-                self.writes[ch.writer].append(ch)
+            self.writes[ch.writer].append(ch)
             for reader in dict.fromkeys(ch.readers):
-                if reader in self.reads:
-                    self.reads[reader].append(ch)
+                self.reads[reader].append(ch)
 
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
         """Run `handler(time, *args)` at `time`, after every event already due then."""
@@ -390,6 +390,8 @@ class SimWorld:
     # -- messaging --
 
     def post_mailbox(self, process_id: str, msg: ActorMessage, now: int, recalled: bool = False) -> None:
+        # Only `_complete_dispatch` recalls, and it runs inside its own process's
+        # tick, which already owns `now`: a recall wakes the processor a ms later.
         proc = self.processes[process_id]
         if not proc.alive:
             return
@@ -398,13 +400,11 @@ class SimWorld:
         heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._posted, msg))
         if not had_work:
             proc.last_progress = now
-        self._wake_processor(proc, now)
+        self._wake_processor(proc, now + 1 if recalled else now)
 
-    def _wake_processor(self, proc: ProcessInstance, now: int) -> None:
+    def _wake_processor(self, proc: ProcessInstance, when: int) -> None:
         if proc.alive and proc.has_work() and not proc.tick_scheduled:
             proc.tick_scheduled = True
-            # a tick in progress already owns this millisecond
-            when = now + 1 if self._ticking is proc else now
             self._schedule(when, self._on_tick, proc)
 
     def channel_send(self, channel_id: str, msg: ActorMessage, now: int) -> bool:
@@ -413,8 +413,7 @@ class SimWorld:
         if isinstance(ch, MessageQueueRt):
             reader = ch.readers[0]
             stats = self.metrics.link(channel_id, ch.writer, reader)
-            alive = self.processes[reader].alive if reader in self.processes else False
-            if not alive:
+            if not self.processes[reader].alive:
                 stats.sent += 1
                 self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
                 return True
@@ -431,7 +430,7 @@ class SimWorld:
         for reader in ch.readers:
             stats = self.metrics.link(channel_id, ch.writer, reader)
             stats.sent += 1
-            if reader in self.processes and self.processes[reader].alive:
+            if self.processes[reader].alive:
                 stats.delivered += 1
         self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} v{ch.version}")
         return True
@@ -613,8 +612,8 @@ class SimWorld:
             except ActionFailure as exc:
                 self.kill(proc.id, now, f"action-failure:{key}/{exc.action_id}")
                 return True
-            proc.dispatch_counter += 1
-            active = _ActiveDispatch(result, f"{key}/{msg.signal}", f"d{proc.dispatch_counter}")
+            # one dispatch at a time, and none after a kill: the earlier ones all completed
+            active = _ActiveDispatch(result, f"{key}/{msg.signal}", f"d{proc.stats.dispatches + 1}")
             self.trace(
                 now, proc.id, "processor", "dispatch",
                 f"{active.label} {active.number} actions {len(result.actions_run)}",
@@ -637,28 +636,26 @@ class SimWorld:
         proc.tick_scheduled = False
         if not proc.alive:
             return
-        self._ticking = proc
-        try:
-            if proc.active is not None:
-                self._spend_ms(proc, now)
-                return
+        if proc.active is not None:
+            self._spend_ms(proc, now)
+        else:
             for _ in range(_MAX_BATCH):
                 entry = self._pick_next(proc)
                 if entry is None:
-                    return
+                    break
                 if self._offer(proc, entry.msg, now):
                     if proc.alive:
                         self._spend_ms(proc, now)
-                    return
-        finally:
-            self._wake_processor(proc, now)
-            self._ticking = None
+                    break
+        self._wake_processor(proc, now + 1)
 
     # -- run --
 
-    def check_scenario(self, scenario: Scenario) -> None:
-        """Raise ValueError naming the first fault or stimulus target that is
-        not a process of the plan."""
+    def check_run(self, scenario: Scenario, horizon: int) -> None:
+        """Raise ValueError for a horizon below 1, then for the first fault or
+        stimulus target that is not a process of the plan."""
+        if horizon <= 0:
+            raise ValueError("horizon must be positive")
         for name in [f.process for f in scenario.faults] + [s.process for s in scenario.stimuli]:
             if name not in self.processes:
                 raise ValueError(f"scenario names {name!r}, which is not a process of the plan")
@@ -676,9 +673,7 @@ class SimWorld:
         """
         if self.used:
             raise RuntimeError("SimWorld instances are single-use; instantiate a fresh one")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        self.check_scenario(scenario)
+        self.check_run(scenario, horizon)
         self.used = True
         self.horizon = horizon
         self.rng = random.Random(seed)

@@ -256,7 +256,7 @@ def _generic_chart(owned: tuple[str, ...], inbound: tuple[str, ...]) -> Chart:
 
 def build_behaviors(
     plan: ProcessPlan,
-    channels: list[IpcChannel] | None = None,
+    channels: list[IpcChannel],
     cfg: comm.CommConfig = comm.DEFAULT_CONFIG,
 ) -> dict[str, dict[str, StateMachine]]:
     """One behavior set per process node, keyed by the machine's use case.
@@ -301,7 +301,7 @@ def build_behaviors(
             out[node.id] = {"MonitorEquipment": StateMachine(monitor, name=node.id)}
         else:
             owned = set(node.owned_use_cases())
-            inbound = {ch.source for ch in channels or () if node.id in ch.readers} | {"DATA_PKT"}
+            inbound = {ch.source for ch in channels if node.id in ch.readers} | {"DATA_PKT"}
             key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
             if key not in generic:
                 generic[key] = _generic_chart(*key)

@@ -208,6 +208,13 @@ def test_horizon_must_be_positive_via_cli(model_file, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_simulate_refuses_horizon_zero_before_writing_a_trace(model_file, tmp_path, capsys):
+    out_dir = tmp_path / "h0"
+    assert main(["simulate", "--model", model_file, "--horizon", "0", "--out", str(out_dir)]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (out_dir / "trace.tsv").exists()
+
+
 # --- --config --------------------------------------------------------------------------
 
 ARTIFACTS = ("trace.tsv", "metrics.txt", "report.txt", "plan.txt")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -27,7 +28,7 @@ from viewcase.engine import (
     parse_scenario,
 )
 from viewcase.fixture import build_behaviors, build_world, degradation_scenario, failover_scenario
-from viewcase.ipc import assign_ipc, dependency_graph
+from viewcase.ipc import ChannelKind, assign_ipc, dependency_graph
 from viewcase.model import parse_model
 from viewcase.partition import MappingPolicy, Objective, build_plan
 from viewcase.statechart import Action, ActorMessage, MachineBuilder
@@ -406,6 +407,37 @@ def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
     assert world.processes["B#0"].machines["W"].current == "Open"
 
 
+def test_recall_after_a_timed_dispatch_runs_a_ms_after_its_tick():
+    gate = MachineBuilder("gate")
+    gate.state("Top", initial="Wait")
+    gate.state("Wait", parent="Top", defer=("X",))
+    gate.state("Open", parent="Top")
+    gate.transition("Wait", "GO", "Open", actions=[Action("open")])
+    gate.transition("Open", "X", "Open", actions=[Action("take")])
+    model = parse_model(ASYNC_MODEL)
+    plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
+    channels = assign_ipc(dependency_graph(plan, model))
+    world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"W": gate.build()}})
+    trace, _ = world.run(
+        parse_scenario(
+            "stimulus B#0 X at 100 every 0 priority 5 size 1\n"
+            "stimulus B#0 GO at 200 every 0 priority 5 size 1\n"
+        ),
+        500,
+    )
+    rows = [(r.time, r.event, r.detail) for r in trace.rows if r.process == "B#0" and r.thread == "processor"]
+    assert rows == [
+        (100, "defer", "W/X"),
+        (200, "dispatch", "W/GO d1 actions 1"),
+        (200, "action", "W/GO/open d1"),
+        (200, "recall", "X"),
+        (200, "complete", "W/GO d1"),
+        (201, "dispatch", "W/X d2 actions 1"),
+        (201, "action", "W/X/take d2"),
+        (201, "complete", "W/X d2"),
+    ]
+
+
 def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
     guard_calls = []
     action_times = []
@@ -714,6 +746,17 @@ def test_scenario_naming_an_unknown_process_is_refused_before_anything_runs(text
     assert not world.used and world.trace_rows == ()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 5 every 0 priority 5 size 1"), 500)
     assert trace.rows_of("stimulus", "A#0")
+
+
+@pytest.mark.parametrize("endpoint, ghost", [("readers", "PeerCI#9"), ("writer", "LocalHost#9")])
+def test_channel_endpoint_outside_the_plan_is_refused(endpoint, ghost):
+    plan, channels, _ = build_world()
+    i = next(i for i, c in enumerate(channels) if c.kind is ChannelKind.MESSAGE_QUEUE)
+    ch = channels[i]
+    wired = list(channels)
+    wired[i] = dataclasses.replace(ch, **{endpoint: (ghost,) if endpoint == "readers" else ghost})
+    with pytest.raises(ValueError, match=re.escape(f"channel {ch.id} names '{ghost}'")):
+        instantiate(plan, wired, build_behaviors(plan, wired))
 
 
 def test_missing_behavior_is_reported_with_node_id():
