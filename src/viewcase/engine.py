@@ -10,13 +10,15 @@ list of the events due then. Events execute in (time, scheduling) order,
 and one scheduled for the current time runs after every event already due
 then, so identical inputs always produce byte-identical traces.
 
-Scheduling model: watchdog, receiver and transmitter activations are
-instantaneous and effectively preempt the processor (at equal times they
-sort ahead of processor ticks because they were scheduled a full period
-earlier). The processor spends one virtual millisecond per statechart
-action, so a long dispatch is interleaved with other activations but its
-run-to-completion semantics are untouched — emissions and recalls apply
-only when the dispatch finishes.
+Scheduling model: one calendar event per thread period, not per process,
+activates the threads of that period (watchdog, receiver, transmitter) for
+each live process in plan order. These activations are instantaneous and
+effectively preempt the processor (at equal times they sort ahead of
+processor ticks because they were scheduled a full period earlier). The
+processor spends one virtual millisecond per statechart action, so a long
+dispatch is interleaved with other activations but its run-to-completion
+semantics are untouched — emissions and recalls apply only when the
+dispatch finishes.
 
 Scenario files are line oriented (`#` comments):
 
@@ -359,13 +361,30 @@ class SimWorld:
     # -- plumbing --
 
     def _index_endpoints(self) -> None:
-        """Per-process lists of the channels each process reads and writes, in channel order."""
-        self.reads: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        """Per-process lists in channel order: the channels each process writes,
+        the periodic segments it beats, and the channels its receiver drains
+        (queues, and the segments the scan does not own)."""
         self.writes: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        self.beats: dict[str, list[SharedSegmentRt]] = {pid: [] for pid in self.processes}
+        self.drains: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
         for ch in self.channels.values():
             self.writes[ch.writer].append(ch)
+            if isinstance(ch, SharedSegmentRt):
+                if ch.channel.period_ms is not None:
+                    self.beats[ch.writer].append(ch)
+                if ch.channel.id in self._owned:
+                    continue
             for reader in dict.fromkeys(ch.readers):
-                self.reads[reader].append(ch)
+                self.drains[reader].append(ch)
+
+    @property
+    def reads(self) -> dict[str, list[ChannelRt]]:
+        """Per-process lists of every channel each process reads, in channel order."""
+        reads: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        for ch in self.channels.values():
+            for reader in dict.fromkeys(ch.readers):
+                reads[reader].append(ch)
+        return reads
 
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
         """Run `handler(time, *args)` at `time`, after every event already due then."""
@@ -491,52 +510,37 @@ class SimWorld:
         self.failover.scan_fn(self, now)
         self._schedule(now + self.failover.scan_period, self._on_scan)
 
-    def _on_watchdog(self, now: int, proc: ProcessInstance) -> None:
-        if not proc.alive:
-            return
-        self.trace(now, proc.id, "watchdog", "activate", "")
+    def _on_sweep(self, now: int, period: int, threads: list[tuple[str, Callable[..., None]]]) -> None:
+        """Activate the threads of one period for every live process, in plan order."""
+        for proc in self.processes.values():
+            for role, run in threads:
+                if proc.alive:  # the watchdog may have just tripped
+                    self.trace(now, proc.id, role, "activate", "")
+                    run(proc, now)
+        self._schedule(now + period, self._on_sweep, period, threads)
+
+    def _watchdog_pass(self, proc: ProcessInstance, now: int) -> None:
         idle = now - proc.last_progress
         if proc.has_work() and idle >= 3 * self.config.watchdog_period:
             proc.stats.watchdog_trips += 1
             self.trace(now, proc.id, "watchdog", "trip", f"no progress for {idle}")
             self.kill(proc.id, now, "watchdog")
-            return
-        self._schedule(now + self.config.watchdog_period, self._on_watchdog, proc)
-
-    def _on_receiver(self, now: int, proc: ProcessInstance) -> None:
-        if proc.alive:
-            self.trace(now, proc.id, "receiver", "activate", "")
-            self._receiver_pass(proc, now)
-            self._schedule(now + self.config.receiver_period, self._on_receiver, proc)
-
-    def _on_transmitter(self, now: int, proc: ProcessInstance) -> None:
-        if proc.alive:
-            self.trace(now, proc.id, "transmitter", "activate", "")
-            self._transmitter_pass(proc, now)
-            self._schedule(now + self.config.transmitter_period, self._on_transmitter, proc)
 
     def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
-        for ch in self.reads[proc.id]:
+        for ch in self.drains[proc.id]:
             if isinstance(ch, MessageQueueRt):
-                items, ch.items = ch.items, []
-                for msg in items:
-                    self.trace(now, proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
-                    self.post_mailbox(proc.id, msg, now)
-            else:
-                if ch.channel.id in self._owned:
-                    continue
-                if ch.slot is not None:
-                    self.trace(now, proc.id, "receiver", "sample", f"{ch.channel.id} v{ch.version}")
-                    self.post_mailbox(proc.id, ch.slot, now)
+                if ch.items:
+                    items, ch.items = ch.items, []
+                    for msg in items:
+                        self.trace(now, proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
+                        self.post_mailbox(proc.id, msg, now)
+            elif ch.slot is not None:
+                self.trace(now, proc.id, "receiver", "sample", f"{ch.channel.id} v{ch.version}")
+                self.post_mailbox(proc.id, ch.slot, now)
 
     def _transmitter_pass(self, proc: ProcessInstance, now: int) -> None:
-        for ch in self.writes[proc.id]:
-            if not isinstance(ch, SharedSegmentRt):
-                continue
-            period = ch.channel.period_ms
-            if period is None:
-                continue
-            if now - ch.last_write >= period or ch.version == 0:
+        for ch in self.beats[proc.id]:
+            if now - ch.last_write >= ch.channel.period_ms or ch.version == 0:
                 beat = ActorMessage(
                     ch.channel.source, f"{proc.id}:{ch.version + 1}".encode(), 0
                 )
@@ -685,10 +689,15 @@ class SimWorld:
         for s in scenario.stimuli:
             self._schedule(s.at, self._on_stimulus, s, self.processes[s.process])
         cfg = self.config
-        for proc in self.processes.values():
-            self._schedule(cfg.watchdog_period, self._on_watchdog, proc)
-            self._schedule(cfg.receiver_period, self._on_receiver, proc)
-            self._schedule(cfg.transmitter_period, self._on_transmitter, proc)
+        sweeps: dict[int, list[tuple[str, Callable[..., None]]]] = {}
+        for period, role, run in (
+            (cfg.watchdog_period, "watchdog", self._watchdog_pass),
+            (cfg.receiver_period, "receiver", self._receiver_pass),
+            (cfg.transmitter_period, "transmitter", self._transmitter_pass),
+        ):
+            sweeps.setdefault(period, []).append((role, run))
+        for period, threads in sweeps.items():
+            self._schedule(period, self._on_sweep, period, threads)
         if self.failover is not None:
             # offset by one tick so scans observe the writes of the same period
             self._schedule(self.failover.scan_period + 1, self._on_scan)

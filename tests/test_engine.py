@@ -20,6 +20,7 @@ from viewcase.engine import (
     ProcessStats,
     Scenario,
     ScenarioError,
+    SharedSegmentRt,
     SimConfig,
     StimulusSpec,
     TraceRow,
@@ -28,8 +29,8 @@ from viewcase.engine import (
     parse_scenario,
 )
 from viewcase.fixture import build_behaviors, build_world, degradation_scenario, failover_scenario
-from viewcase.ipc import ChannelKind, assign_ipc, dependency_graph
-from viewcase.model import parse_model
+from viewcase.ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
+from viewcase.model import FlowClass, parse_model
 from viewcase.partition import MappingPolicy, Objective, build_plan
 from viewcase.statechart import Action, ActorMessage, MachineBuilder
 
@@ -275,6 +276,83 @@ def test_events_run_in_time_then_scheduling_order(failover, victim, kill_at, per
     )
     world.run(parse_scenario(text), horizon)
     assert ran and ran == sorted(ran)
+
+
+def _per_process_activations(world):
+    """Give each process its own watchdog, receiver and transmitter events,
+    each rescheduling itself while its process lives, instead of one sweep
+    per period: the reference the sweeps must match byte for byte."""
+    schedule = world._schedule
+
+    def activate(now, proc, role, run, period):
+        if proc.alive:
+            world.trace(now, proc.id, role, "activate", "")
+            run(proc, now)
+            if proc.alive:
+                schedule(now + period, activate, proc, role, run, period)
+
+    def split_sweeps(time, handler, *args):
+        if handler != world._on_sweep:
+            schedule(time, handler, *args)
+            return
+        period, threads = args
+        for proc in world.processes.values():
+            for role, run in threads:
+                schedule(time, activate, proc, role, run, period)
+
+    world._schedule = split_sweeps
+
+
+# a pool of one to three periods, each thread drawing from it: equal pairs
+# and triples are common, three distinct periods still occur
+_THREAD_PERIODS = st.lists(st.integers(1, 60), min_size=1, max_size=3).flatmap(
+    lambda pool: st.tuples(*[st.sampled_from(pool)] * 3)
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    failover=st.booleans(),
+    victim=st.sampled_from(_FIXTURE_PROCESSES),
+    kill_at=st.integers(0, 1500),
+    periods=_THREAD_PERIODS,
+    horizon=st.integers(100, 1500),
+    seed=st.integers(0, 3),
+)
+def test_sweeps_match_per_process_activations(failover, victim, kill_at, periods, horizon, seed):
+    text = (
+        failover_scenario(kill_at=kill_at) if failover
+        else degradation_scenario(kill=victim, kill_at=kill_at)
+    )
+    artifacts = []
+    for per_process in (False, True):
+        plan, channels, w0 = build_world()
+        world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(*periods), w0.failover)
+        if per_process:
+            _per_process_activations(world)
+        trace, metrics = world.run(parse_scenario(text), horizon, seed=seed)
+        artifacts.append((trace.to_text(), metrics.to_text()))
+    assert artifacts[0] == artifacts[1]
+
+
+def test_a_trip_inside_a_shared_sweep_stops_only_the_tripped_process():
+    """Receiver and watchdog share a 1 ms sweep: the tripped process is
+    skipped from its trip on, the processes after it still activate then."""
+    plan, channels, w0 = build_world()
+    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(1, 50, 1), w0.failover)
+    trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 200)
+    first = trace.rows_of("trip")[0]
+    assert (first.time, first.process) == (158, "LocalHost#1")
+
+    def receiver_times(pid):
+        return [r.time for r in trace.rows_of("activate", pid) if r.thread == "receiver"]
+
+    assert receiver_times("LocalHost#1")[-1] == 157
+    order = list(world.processes)
+    later = order[order.index("LocalHost#1") + 1:]
+    assert later
+    for pid in later:
+        assert 158 in receiver_times(pid), pid
 
 
 @pytest.mark.parametrize("period", [0, -1])
@@ -536,12 +614,47 @@ def test_periodic_segment_written_by_transmitter_without_stimuli():
 
 
 def _assert_endpoint_index_matches_channels(world):
-    """Each process's read/write lists equal a brute-force filter in channel order."""
+    """Each process's read/write lists, and its drain and beat lists, equal a
+    brute-force filter in channel order: a receiver drains its queues and
+    the segments the scan does not own, a transmitter beats the periodic
+    segments it writes."""
+    owned = world.failover.owned if world.failover is not None else frozenset()
     for pid in world.processes:
         reads = [ch for ch in world.channels.values() if pid in ch.readers]
         writes = [ch for ch in world.channels.values() if ch.writer == pid]
+        drains = [
+            ch for ch in reads
+            if isinstance(ch, MessageQueueRt) or ch.channel.id not in owned
+        ]
+        beats = [
+            ch for ch in writes
+            if isinstance(ch, SharedSegmentRt) and ch.channel.period_ms is not None
+        ]
         assert [id(ch) for ch in world.reads[pid]] == [id(ch) for ch in reads], pid
         assert [id(ch) for ch in world.writes[pid]] == [id(ch) for ch in writes], pid
+        assert [id(ch) for ch in world.drains[pid]] == [id(ch) for ch in drains], pid
+        assert [id(ch) for ch in world.beats[pid]] == [id(ch) for ch in beats], pid
+
+
+def test_drain_and_beat_lists_leave_out_owned_and_aperiodic_channels():
+    """A receiver skips an owned segment, a transmitter an aperiodic one
+    (`assign_ipc` gives an async edge with two or more consumers one)."""
+    plan = build_plan(parse_model(ASYNC_MODEL), MappingPolicy(Objective.FAULT_TOLERANCE))
+    segment = dict(kind=ChannelKind.SHARED_SEGMENT, writer="A#0", readers=("B#0",), source="U", message_size=8)
+    channels = [
+        IpcChannel("shm:A#0:U", klass=FlowClass.PERIODIC, period_ms=100, **segment),
+        IpcChannel("shm:A#0:U:V", klass=FlowClass.ASYNC, **segment),
+        IpcChannel("shm:A#0:U:health", klass=FlowClass.PERIODIC, period_ms=100, **segment),
+        IpcChannel(
+            "mq:A#0:B#0:U", ChannelKind.MESSAGE_QUEUE, "A#0", ("B#0",), FlowClass.ASYNC, "U", 8, capacity=4,
+        ),
+    ]
+    failover = FailoverConfig(scan_period=100, scan_fn=lambda world, now: None, owned=frozenset({"shm:A#0:U:health"}))
+    behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
+    world = instantiate(plan, channels, behaviors, failover=failover)
+    _assert_endpoint_index_matches_channels(world)
+    assert [ch.channel.id for ch in world.drains["B#0"]] == ["shm:A#0:U", "shm:A#0:U:V", "mq:A#0:B#0:U"]
+    assert [ch.channel.id for ch in world.beats["A#0"]] == ["shm:A#0:U", "shm:A#0:U:health"]
 
 
 def test_endpoint_index_follows_rebinding():

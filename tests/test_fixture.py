@@ -463,3 +463,37 @@ def test_idle_500_peer_artifacts_match_pinned_digests(model):
     trace, metrics = world.run(Scenario(), 300, seed=0)
     assert len(trace.rows) == 21197
     assert _digests(trace, metrics) == _PINNED_500_PEERS_IDLE
+
+
+# Two runs recorded before the periodic threads of every process shared one
+# calendar event per period: degradation with no kill under a 1 ms receiver
+# and watchdog, which share a sweep in which the watchdog trips processes,
+# and failover with all three threads in one sweep.
+_PINNED_SHARED_RECEIVER_WATCHDOG = {
+    "trace.tsv": "c01e6ef3c9e11bea14ae6ea4cc35815e939ed6edc8259dea533caaec87d682bb",
+    "metrics.txt": "88e89026d337456c7906d34bf4329807c38de9458fb43556e9cd631c69fdf1ee",
+}
+_PINNED_FAILOVER_ONE_PERIOD = {
+    "trace.tsv": "e40c6d482ea61426f359d2993ebb41d8106598d28807c778a862690a5ceae80f",
+    "metrics.txt": "5e3155ee8adc72f22f52085a5501339965ec86783906af601e848f2e0e9f0c6b",
+}
+
+
+def test_degradation_under_a_shared_receiver_and_watchdog_sweep_matches_pinned_digests():
+    plan, channels, w0 = build_world()
+    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(1, 50, 1), w0.failover)
+    trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 2000, seed=0)
+    assert (158, "LocalHost#1", "watchdog") == metrics.faults[0]
+    assert len(trace.rows) == 41689
+    assert _digests(trace, metrics) == _PINNED_SHARED_RECEIVER_WATCHDOG
+
+
+def test_failover_under_one_sweep_for_all_threads_matches_pinned_digests():
+    plan, channels, w0 = build_world()
+    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(50, 50, 50), w0.failover)
+    trace, metrics = world.run(parse_scenario(failover_scenario()), 4000, seed=0)
+    assert [(f.main, f.standby) for f in metrics.failover] == [
+        ("LocalHost#0", "StandbyCI#0"), ("LocalHost#1", "StandbyCI#0"),
+    ]
+    assert len(trace.rows) == 7659
+    assert _digests(trace, metrics) == _PINNED_FAILOVER_ONE_PERIOD
