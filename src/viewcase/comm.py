@@ -12,10 +12,14 @@ over header-sans-tag || payload, read as a big-endian integer. The digest
 size is part of BLAKE2s's parameter block, so the tag is not a prefix of
 the 32-byte digest. BLAKE2s takes keys of at most 32 bytes
 (`MAX_AUTH_KEY_LEN`); `parse_comm_config`, `render_comm_config` and
-`fixture.build_world` refuse a longer one. Tags are not cached:
-`packetize` tags each packet and every receiver's `verify_packet` tags
-the same bytes again, at about 5 µs for a 1,011-byte input (CPython 3.11
-on an x86-64 Xeon).
+`fixture.build_world` refuse a longer one. A tag costs about 5 µs for a
+1,011-byte input (CPython 3.11 on an x86-64 Xeon). `verify_packet`
+memoizes its verdict per (key, packet) in a 16-entry LRU: every receiver
+of one frame gets the same decoded `Packet` (see below), so a frame sent
+to six readers is checked once, not six times. The steady 6-peer
+benchmark run makes 994 `auth_tag` calls instead of 2,682, and the
+failover run 888 instead of 1,325. A key or packet that cannot be hashed,
+such as a bytearray key or payload, is checked uncached.
 
 `packetize` accepts an MTU of at most 65,520 payload bytes
 (`MAX_MTU_PAYLOAD`, 0xFFFF less the header), the largest packet a LINK_A
@@ -195,7 +199,18 @@ def packetize(
 
 
 def verify_packet(key: bytes, pkt: Packet) -> bool:
+    """Whether `pkt` carries the tag `key` gives it (memoized, see module doc)."""
+    try:
+        return _verified(key, pkt)
+    except (TypeError, ValueError):  # unhashable key or packet; a genuine error raises again
+        return _tag_matches(key, pkt)
+
+
+def _tag_matches(key: bytes, pkt: Packet) -> bool:
     return auth_tag(key, pkt.header_sans_tag() + pkt.payload) == pkt.auth_tag
+
+
+_verified = functools.lru_cache(maxsize=16)(_tag_matches)
 
 
 # --- reassembly ------------------------------------------------------------------
@@ -208,7 +223,7 @@ class OutcomeKind(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReassemblyOutcome:
     kind: OutcomeKind
     message: AppMessage | None = None
@@ -216,7 +231,7 @@ class ReassemblyOutcome:
     key: tuple[str, int] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     received: dict[int, bytes]
     total_count: int

@@ -18,7 +18,11 @@ processor ticks because they were scheduled a full period earlier). The
 processor spends one virtual millisecond per statechart action, so a long
 dispatch is interleaved with other activations but its run-to-completion
 semantics are untouched — emissions and recalls apply only when the
-dispatch finishes.
+dispatch finishes. Each action starts max(1, ceil(cost of the one before))
+ms after the one before it. A dispatch of one action costing at most a
+millisecond completes in the tick that started it; one whose actions cost
+nothing traces no action and lets the next message dispatch in the same
+tick.
 
 Scenario files are line oriented (`#` comments):
 
@@ -256,7 +260,7 @@ class Metrics:
 # --- channel runtimes ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageQueueRt:
     channel: IpcChannel
     writer: str
@@ -264,7 +268,7 @@ class MessageQueueRt:
     items: list[ActorMessage] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class SharedSegmentRt:
     channel: IpcChannel
     writer: str

@@ -34,7 +34,7 @@ class ChannelKind(Enum):
     MESSAGE_QUEUE = "message-queue"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     producer: str
     consumers: tuple[str, ...]
@@ -47,7 +47,7 @@ class DependencyEdge:
             raise ValueError(f"{self.producer} cannot consume its own edge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IpcChannel:
     id: str
     kind: ChannelKind

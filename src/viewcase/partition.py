@@ -57,13 +57,13 @@ class MappingPolicy:
             raise ValueError("inline_threshold must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewCase:
     actor: str
     use_cases: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessNode:
     """One planned OS process.
 
@@ -91,7 +91,7 @@ class ProcessNode:
         return tuple(u for u in self.view.use_cases if u not in self.refs) + self.inlined
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanDecision:
     case: int  # 1 = shared use case, 2 = actor multiplicity, 3 = common use case
     subject: str

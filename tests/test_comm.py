@@ -7,6 +7,7 @@ import string
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,104 @@ def test_auth_tag_of_a_mutated_buffer_is_not_stale():
     buf[0] ^= 0xFF
     reference = hashlib.blake2s(bytes(buf), digest_size=4, key=KEY).digest()
     assert auth_tag(KEY, buf) == int.from_bytes(reference, "big") != before
+
+
+# --- the verification memo ------------------------------------------------------------
+
+_FORGEABLE = ("auth_tag", "payload", "msg_id", "seq_index", "total_count", "priority")
+
+
+def _uncached_verdict(key, pkt) -> bool:
+    return auth_tag(key, pkt.header_sans_tag() + pkt.payload) == pkt.auth_tag
+
+
+def _forge(pkt: Packet, field: str) -> Packet:
+    """`pkt` with one field changed: the first payload byte, or the low bit of a number."""
+    if field == "payload":
+        return replace(pkt, payload=bytes([pkt.payload[0] ^ 1]) + pkt.payload[1:])
+    return replace(pkt, **{field: getattr(pkt, field) ^ 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=st.binary(min_size=1, max_size=64),
+    field=st.sampled_from((*_FORGEABLE, "key")),
+    data=st.data(),
+)
+def test_a_forgery_after_a_cached_verdict_gets_the_uncached_verdict(payload, field, data):
+    (pkt,) = packetize(_msg(payload), 1000, KEY)
+    assert verify_packet(KEY, pkt)  # the genuine verdict is now memoized
+    key, forged = KEY, pkt
+    if field == "key":
+        key = data.draw(st.binary(max_size=MAX_AUTH_KEY_LEN).filter(lambda k: k != KEY))
+    elif field == "payload":
+        at = data.draw(st.integers(0, len(payload) - 1))
+        mask = data.draw(st.integers(1, 255))
+        body = bytearray(payload)
+        body[at] ^= mask
+        forged = replace(pkt, payload=bytes(body))
+    else:
+        limit = {"seq_index": 0xFFFF, "total_count": 0xFFFF, "priority": 0xFF}.get(field, 2**32 - 1)
+        value = data.draw(st.integers(0, limit).filter(lambda v: v != getattr(pkt, field)))
+        forged = replace(pkt, **{field: value})
+    assert verify_packet(key, forged) == _uncached_verdict(key, forged)
+    assert verify_packet(KEY, pkt)
+
+
+def test_each_frame_is_authenticated_once_however_many_receivers_decode_it(monkeypatch):
+    calls = []
+    real = comm.auth_tag
+
+    def counting(key, data):
+        calls.append(len(data))
+        return real(key, data)
+
+    monkeypatch.setattr(comm, "auth_tag", counting)
+    comm._verified.cache_clear()
+    (pkt,) = packetize(_msg(b"one frame, six receivers"), 1000, KEY)
+    for link in LinkType:
+        frame = convert_to_frame(pkt, link)
+        assert all(verify_packet(KEY, convert_from_frame(frame, link)) for _ in range(6))
+    assert len(calls) == 2  # packetize's tag and one check
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(max_size=MAX_AUTH_KEY_LEN),
+    payload=st.binary(min_size=1, max_size=64),
+    forge=st.booleans(),
+)
+def test_bytes_like_keys_and_an_unhashable_payload_still_verify(key, payload, forge):
+    (pkt,) = packetize(_msg(payload), 1000, key)
+    if forge:
+        pkt = _forge(pkt, "auth_tag")
+    for k in (key, bytearray(key), memoryview(key), memoryview(bytearray(key))):
+        assert verify_packet(k, pkt) is not forge
+    loose = replace(pkt, payload=bytearray(pkt.payload))
+    assert verify_packet(key, loose) is not forge
+    loose.payload[0] ^= 0xFF  # checked uncached, so an edit in place is seen
+    assert verify_packet(key, loose) == _uncached_verdict(key, loose)
+
+
+@pytest.mark.parametrize("field", _FORGEABLE)
+@pytest.mark.parametrize("complete", [False, True])
+def test_a_forged_copy_after_the_genuine_packet_changes_no_state(field, complete):
+    buf = ReassemblyBuffer()
+    pkts = packetize(_msg(bytes(range(256)) * 10, msg_id=41), 1000, KEY)
+    genuine = pkts if complete else pkts[:1]
+    assert _feed(buf, genuine)[-1].kind is (OutcomeKind.COMPLETE if complete else OutcomeKind.PENDING)
+
+    def state():
+        entries = {
+            k: (dict(e.received), e.total_count, e.first_seen, e.priority)
+            for k, e in buf.entries.items()
+        }
+        return entries, dict(buf.completed)
+
+    before = state()
+    outcome = reassemble(buf, _forge(pkts[0], field), 1, 1000, KEY, src="src")
+    assert (outcome.kind, outcome.reason) == (OutcomeKind.REJECTED, "auth")
+    assert state() == before
 
 
 # --- priorities -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -514,6 +515,46 @@ def test_recall_after_a_timed_dispatch_runs_a_ms_after_its_tick():
         (201, "action", "W/X/take d2"),
         (201, "complete", "W/X d2"),
     ]
+
+
+_COSTS = st.lists(st.sampled_from((0, 0.5, 1, 2)), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=_COSTS, second=_COSTS)
+def test_processor_rows_follow_the_action_costs(first, second):
+    """Each action starts max(1, ceil(previous cost)) ms after the one before
+    it, and the next message dispatches a ms after the last one completes,
+    or in the same tick when the dispatch cost nothing."""
+    b = MachineBuilder("timed")
+    b.state("Top", initial="Idle")
+    b.state("Idle", parent="Top")
+    for signal, costs in (("M1", first), ("M2", second)):
+        b.transition("Idle", signal, "Idle", [Action(f"a{i}", cost_ms=c) for i, c in enumerate(costs)])
+    model = parse_model(ASYNC_MODEL)
+    plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
+    channels = assign_ipc(dependency_graph(plan, model))
+    world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"W": b.build()}})
+    trace, _ = world.run(
+        parse_scenario(
+            "stimulus B#0 M2 at 100 every 0 priority 5 size 1\n"
+            "stimulus B#0 M1 at 100 every 0 priority 9 size 1\n"
+        ),
+        300,
+    )
+    expected = []
+    t = 100
+    for n, (signal, costs) in enumerate((("M1", first), ("M2", second)), start=1):
+        expected.append((t, "dispatch", f"W/{signal} d{n} actions {len(costs)}"))
+        if sum(costs) == 0:
+            expected.append((t, "complete", f"W/{signal} d{n}"))
+            continue
+        for i, cost in enumerate(costs):
+            expected.append((t, "action", f"W/{signal}/a{i} d{n}"))
+            t += max(1, math.ceil(cost))
+        expected.append((t - 1, "complete", f"W/{signal} d{n}"))
+    rows = [(r.time, r.event, r.detail) for r in trace.rows if r.process == "B#0" and r.thread == "processor"]
+    assert rows == expected
 
 
 def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
