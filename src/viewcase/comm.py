@@ -135,10 +135,6 @@ class Packet:
     payload: bytes
     auth_tag: int
 
-    @property
-    def payload_len(self) -> int:
-        return len(self.payload)
-
     def header_sans_tag(self) -> bytes:
         return _HEADER_SANS_TAG.pack(
             self.msg_id, self.seq_index, self.total_count, self.priority, len(self.payload)

@@ -32,8 +32,9 @@ Scenario files are line oriented (`#` comments):
 `every 0` means a one-shot stimulus; `at`, `every` and `size` must not
 be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
-refuses a channel endpoint outside the plan, and `run` (via `check_run`) a
-horizon below 1 or a scenario naming a process the plan does not have.
+refuses a channel endpoint outside the plan and a message queue whose
+capacity is missing or below 1, and `run` (via `check_run`) a horizon below
+1 or a scenario naming a process the plan does not have.
 """
 
 from __future__ import annotations
@@ -190,13 +191,6 @@ class SimTrace:
             rows.append(TraceRow(int(time), process, thread, event, detail))
         return tuple(rows)
 
-    def rows_of(self, event: str, process: str | None = None) -> list[TraceRow]:
-        return [
-            r
-            for r in self.rows
-            if r.event == event and (process is None or r.process == process)
-        ]
-
 
 @dataclass
 class LinkStats:
@@ -347,6 +341,8 @@ class SimWorld:
                 if pid not in processes:
                     raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
             if c.kind is ChannelKind.MESSAGE_QUEUE:
+                if c.capacity is None or c.capacity < 1:
+                    raise ValueError(f"message queue {c.id} needs a capacity of at least 1, got {c.capacity}")
                 self.channels[c.id] = MessageQueueRt(c, c.writer, list(c.readers))
             else:
                 self.channels[c.id] = SharedSegmentRt(c, c.writer, list(c.readers))
@@ -381,15 +377,6 @@ class SimWorld:
             for reader in dict.fromkeys(ch.readers):
                 self.drains[reader].append(ch)
 
-    @property
-    def reads(self) -> dict[str, list[ChannelRt]]:
-        """Per-process lists of every channel each process reads, in channel order."""
-        reads: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
-        for ch in self.channels.values():
-            for reader in dict.fromkeys(ch.readers):
-                reads[reader].append(ch)
-        return reads
-
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
         """Run `handler(time, *args)` at `time`, after every event already due then."""
         if time > self.horizon:
@@ -404,11 +391,6 @@ class SimWorld:
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
         """The one place that knows the TSV layout of a trace row."""
         self._emit(f"{time}\t{process}\t{thread}\t{event}\t{detail}\n")
-
-    @property
-    def trace_rows(self) -> tuple[TraceRow, ...]:
-        """Rows traced outside `run`, such as by a direct call to a handler."""
-        return SimTrace("".join(self._lines)).rows
 
     # -- messaging --
 
@@ -435,14 +417,14 @@ class SimWorld:
         ch = self.channels[channel_id]
         if isinstance(ch, MessageQueueRt):
             reader = ch.readers[0]
-            stats = self.metrics.link(channel_id, ch.writer, reader)
             if not self.processes[reader].alive:
-                stats.sent += 1
+                self.metrics.link(channel_id, ch.writer, reader).sent += 1
                 self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
                 return True
-            if len(ch.items) >= (ch.channel.capacity or 0):
+            if len(ch.items) >= ch.channel.capacity:
                 return False  # writer blocks; caller retries
             ch.items.append(msg)
+            stats = self.metrics.link(channel_id, ch.writer, reader)
             stats.sent += 1
             stats.delivered += 1
             self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} queued")
@@ -593,9 +575,6 @@ class SimWorld:
         if a.ms_left <= 0 and a.step == len(actions):
             self._complete_dispatch(proc, a, now)
 
-    def _pick_next(self, proc: ProcessInstance) -> _MailEntry | None:
-        return heapq.heappop(proc.mailbox) if proc.mailbox else None
-
     def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
         a timed dispatch started or the process was killed.
@@ -648,10 +627,9 @@ class SimWorld:
             self._spend_ms(proc, now)
         else:
             for _ in range(_MAX_BATCH):
-                entry = self._pick_next(proc)
-                if entry is None:
+                if not proc.mailbox:
                     break
-                if self._offer(proc, entry.msg, now):
+                if self._offer(proc, heapq.heappop(proc.mailbox).msg, now):
                     if proc.alive:
                         self._spend_ms(proc, now)
                     break
@@ -749,7 +727,7 @@ class DegradationReport:
     lost_links: tuple[tuple[str, str, str], ...]
     intact_links: tuple[tuple[str, str, str], ...]
 
-    def to_text(self, metrics: Metrics | None = None) -> str:
+    def to_text(self, metrics: Metrics) -> str:
         lines = [
             "report-format: 1",
             f"verdict: {self.verdict}",
@@ -757,11 +735,8 @@ class DegradationReport:
             f"lost-links: {len(self.lost_links)}",
         ]
         for key in self.lost_links:
-            suffix = ""
-            if metrics is not None and key in metrics.links:
-                s = metrics.links[key]
-                suffix = f" sent {s.sent} delivered {s.delivered}"
-            lines.append(f"lost: {key[0]} {key[1]} {key[2]}{suffix}")
+            s = metrics.links[key]
+            lines.append(f"lost: {key[0]} {key[1]} {key[2]} sent {s.sent} delivered {s.delivered}")
         lines.append(f"intact-links: {len(self.intact_links)}")
         return "\n".join(lines) + "\n"
 

@@ -113,12 +113,6 @@ class ProcessPlan:
     def all_nodes(self) -> tuple[ProcessNode, ...]:
         return self.nodes + self.shared_service_nodes
 
-    def node(self, node_id: str) -> ProcessNode:
-        for n in self.all_nodes():
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 class BudgetExceeded(Exception):
     def __init__(self, footprint: int, budget: int):

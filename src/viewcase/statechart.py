@@ -239,11 +239,6 @@ class StateMachine:
         return dispatch(self, msg)
 
 
-def state_context(machine: StateMachine) -> list[str]:
-    """Active state chain, current leaf first, root last."""
-    return machine.chart.ancestors(machine.current)
-
-
 def _deferred_along(chart: Chart, leaf: str) -> frozenset[str]:
     """The signals deferred by `leaf` and its ancestors."""
     return frozenset().union(*(chart.states[s].deferred_signals for s in chart.ancestors(leaf)))

@@ -1,0 +1,206 @@
+"""Rebuild a run's `metrics.txt` and `report.txt` from its `trace.tsv` and `plan.txt`.
+
+The engine keeps two records of one run: the trace rows, and the counters
+behind `metrics.txt` and `report.txt`. This auditor derives the counters a
+second way, from the rows and the plan alone, and imports nothing from the
+simulator, so a counter that drifts from the trace shows as a difference
+(differential testing: McKeeman, *Differential Testing for Software*, 1998).
+
+    python3 tests/audit.py DIR...
+
+checks every artifact directory written by `viewcase simulate`, prints one
+line per directory and exits 1 at the first file that differs.
+
+How the rows rebuild each `metrics.txt` line:
+
+- `link:` from `send` rows, with each channel's kind, writer and readers
+  taken from the plan. A queue's `send <ch> <sig> queued|undeliverable` adds
+  one to `sent` on (channel, writer, first reader), and one to `delivered`
+  if it was queued. A segment's `send <ch> <sig> v<n>` adds one to `sent`
+  for every current reader, and one to `delivered` unless that reader
+  already has a `fault` row.
+- `rebind <ch> from <dead>`, traced by the standby: a dead writer becomes
+  the standby; the dead process leaves the readers, and the standby joins
+  them unless it already reads the channel.
+- `process:` counts the `complete`, `discard`, `defer` and `trip` rows of
+  each process; every plan node has a line.
+- `fault:` lists the `fault` rows in order; `takeover:` lists the
+  `takeover` rows, detected and active both at the row's time.
+
+The report's verdict and links follow from those counts and the plan's nodes.
+
+Rule for new counters: every counter added to `metrics.txt` is rebuilt
+here, or the change that adds it says why the trace cannot carry it.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Row(NamedTuple):
+    time: int
+    process: str
+    thread: str
+    event: str
+    detail: str
+
+
+def parse_rows(text: str) -> list[Row]:
+    """The rows of a trace's TSV text, one per newline-terminated line."""
+    rows = []
+    for line in text.split("\n")[:-1]:
+        time, process, thread, event, detail = line.split("\t", 4)
+        rows.append(Row(int(time), process, thread, event, detail))
+    return rows
+
+
+def rows_of(trace, event: str, process: str | None = None) -> list:
+    """The rows of `trace.rows` with this event, and this process if given."""
+    return [r for r in trace.rows if r.event == event and (process is None or r.process == process)]
+
+
+@dataclass
+class _Channel:
+    kind: str
+    writer: str
+    readers: list[str]
+
+
+def parse_plan(text: str) -> tuple[list[str], dict[str, _Channel]]:
+    """The node and service ids, and each channel's kind, writer and readers."""
+    nodes: list[str] = []
+    fields: dict[str, dict[str, str]] = {}
+    current: dict[str, str] = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(": ")
+        if key in ("node", "service"):
+            nodes.append(value)
+        elif key == "channel":
+            current = fields[value] = {}
+        elif key in ("kind", "writer", "readers"):
+            current[key] = value
+    channels = {
+        cid: _Channel(f["kind"], f["writer"], [] if f["readers"] == "none" else f["readers"].split())
+        for cid, f in fields.items()
+    }
+    return nodes, channels
+
+
+def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
+    """The `metrics.txt` and `report.txt` texts that the trace and plan imply."""
+    nodes, channels = parse_plan(plan_text)
+    links: dict[tuple[str, str, str], list[int]] = {}  # key -> [sent, delivered]
+    counts: dict[str, Counter] = {pid: Counter() for pid in nodes}
+    faults: list[tuple[int, str, str]] = []
+    failed: set[str] = set()
+    takeovers: list[tuple[str, str, int]] = []
+
+    def count(key: tuple[str, str, str], delivered: bool) -> None:
+        stats = links.setdefault(key, [0, 0])
+        stats[0] += 1
+        stats[1] += delivered
+
+    for row in parse_rows(trace_text):
+        event = row.event
+        if event == "send":
+            words = row.detail.split()
+            cid = words[0]
+            ch = channels[cid]
+            if ch.kind == "message-queue":
+                count((cid, ch.writer, ch.readers[0]), words[-1] == "queued")
+            else:
+                for reader in ch.readers:
+                    count((cid, ch.writer, reader), reader not in failed)
+        elif event == "rebind":
+            cid, _, dead = row.detail.split()
+            ch = channels[cid]
+            if ch.writer == dead:
+                ch.writer = row.process
+            if dead in ch.readers:
+                ch.readers = [r for r in ch.readers if r != dead]
+                if row.process not in ch.readers:
+                    ch.readers.append(row.process)
+        elif event in ("complete", "discard", "defer", "trip"):
+            counts[row.process][event] += 1
+        elif event == "fault":
+            faults.append((row.time, row.process, row.detail))
+            failed.add(row.process)
+        elif event == "takeover":
+            takeovers.append((row.detail.split()[-1], row.process, row.time))
+
+    lines = ["metrics-format: 1", f"links: {len(links)}"]
+    for key in sorted(links):
+        sent, delivered = links[key]
+        lines.append(f"link: {' '.join(key)} sent {sent} delivered {delivered}")
+    lines.append(f"processes: {len(counts)}")
+    for pid in sorted(counts):
+        c = counts[pid]
+        lines.append(
+            f"process: {pid} dispatches {c['complete']} discards {c['discard']} "
+            f"deferrals {c['defer']} trips {c['trip']}"
+        )
+    lines.append(f"faults: {len(faults)}")
+    lines += [f"fault: {pid} at {t} cause {cause}" for t, pid, cause in faults]
+    lines.append(f"failover: {len(takeovers)}")
+    lines += [
+        f"takeover: main {main} standby {standby} detected {t} active {t}"
+        for main, standby, t in takeovers
+    ]
+    metrics = "\n".join(lines) + "\n"
+
+    order = list(dict.fromkeys(pid for _, pid, _ in faults))
+    lost = sorted(k for k, (sent, delivered) in links.items() if delivered < sent)
+    graceful = all(k[1] in failed or k[2] in failed for k in lost)
+    if failed and failed.issuperset(nodes):
+        graceful = False
+    lines = [
+        "report-format: 1",
+        f"verdict: {'graceful' if graceful else 'total'}",
+        f"failed: {' '.join(order) if order else 'none'}",
+        f"lost-links: {len(lost)}",
+    ]
+    for key in lost:
+        sent, delivered = links[key]
+        lines.append(f"lost: {' '.join(key)} sent {sent} delivered {delivered}")
+    lines.append(f"intact-links: {len(links) - len(lost)}")
+    report = "\n".join(lines) + "\n"
+    return metrics, report
+
+
+def first_difference(expected: str, actual: str) -> str | None:
+    """None when the texts are equal, else the first line that differs."""
+    if expected == actual:
+        return None
+    want, got = expected.splitlines(), actual.splitlines()
+    for n, (a, b) in enumerate(zip(want, got), start=1):
+        if a != b:
+            return f"line {n}: rebuilt {a!r}, written {b!r}"
+    return f"rebuilt {len(want)} lines, written {len(got)}"
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: audit.py DIR...", file=sys.stderr)
+        return 2
+    for name in argv:
+        out = Path(name)
+        metrics, report = rebuild(
+            (out / "trace.tsv").read_text(encoding="utf-8"),
+            (out / "plan.txt").read_text(encoding="utf-8"),
+        )
+        for filename, rebuilt in (("metrics.txt", metrics), ("report.txt", report)):
+            diff = first_difference(rebuilt, (out / filename).read_text(encoding="utf-8"))
+            if diff is not None:
+                print(f"{out / filename}: {diff}")
+                return 1
+        print(f"{out}: metrics.txt and report.txt agree with trace.tsv")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

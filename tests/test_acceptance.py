@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from audit import rows_of
 from viewcase import comm
 from viewcase.cli import main
 from viewcase.engine import degradation_report, parse_scenario
@@ -307,7 +308,7 @@ def test_acceptance_8_standby_failover(capsys):
     standby = world.processes["StandbyCI#0"]
     machine = standby.machines["TakeOver"]
     records = {r.main: r for r in metrics.failover}
-    takeover_rows = trace.rows_of("takeover", "StandbyCI#0")
+    takeover_rows = rows_of(trace, "takeover", "StandbyCI#0")
     deadline_ok = bool(records) and all(r.active_at <= 1400 for r in records.values())
     ok = (
         set(records) == {"LocalHost#0", "LocalHost#1"}

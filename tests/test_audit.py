@@ -1,0 +1,152 @@
+"""The auditor rebuilds metrics.txt and report.txt from trace.tsv and plan.txt."""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import audit
+from viewcase.cli import main
+from viewcase.engine import SimConfig, degradation_report, instantiate, parse_scenario
+from viewcase.fixture import (
+    FIXTURE_MODEL,
+    build_behaviors,
+    build_world,
+    degradation_scenario,
+    failover_scenario,
+    scale_peers,
+)
+from viewcase.model import parse_model
+from viewcase.partition import MappingPolicy, Objective, render_plan
+
+_MEM = MappingPolicy(Objective.MEMORY_BOUND, memory_budget=40000)
+
+
+def _audited(plan, channels, world, scenario, horizon, seed=0):
+    """Run the world, rebuild its metrics and report from the trace and the
+    plan, and check both against the engine's own; returns the metrics."""
+    trace, metrics = world.run(scenario, horizon, seed=seed)
+    rebuilt_metrics, rebuilt_report = audit.rebuild(trace.to_text(), render_plan(plan, channels))
+    assert rebuilt_metrics == metrics.to_text()
+    assert rebuilt_report == degradation_report(metrics, plan).to_text(metrics)
+    return metrics
+
+
+def _world_under(config):
+    plan, channels, w0 = build_world()
+    return plan, channels, instantiate(plan, channels, build_behaviors(plan, channels), config, w0.failover)
+
+
+# The runs whose artifacts tests/test_fixture.py pins by digest.
+_PINNED_RUNS = {
+    "degradation": (build_world, degradation_scenario(), 3000, 11),
+    "failover": (build_world, failover_scenario(), 2000, 11),
+    "50 peers": (
+        lambda: build_world(scale_peers(parse_model(FIXTURE_MODEL), 50)),
+        degradation_scenario(peers=50), 3000, 11,
+    ),
+    "failover, odd periods": (lambda: _world_under(SimConfig(7, 13, 29)), failover_scenario(), 4000, 5),
+    "500 idle peers": (lambda: build_world(scale_peers(parse_model(FIXTURE_MODEL), 500)), "", 300, 0),
+    "shared receiver and watchdog sweep": (
+        lambda: _world_under(SimConfig(1, 50, 1)), degradation_scenario(kill=None), 2000, 0,
+    ),
+    "failover, one sweep": (lambda: _world_under(SimConfig(50, 50, 50)), failover_scenario(), 4000, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_the_trace_rebuilds_metrics_and_report_of_every_pinned_run(name):
+    build, text, horizon, seed = _PINNED_RUNS[name]
+    _audited(*build(), parse_scenario(text), horizon, seed)
+
+
+def test_the_trace_rebuilds_metrics_and_report_under_mem_with_the_peers_killed():
+    scenario = parse_scenario(
+        "stimulus LocalHost#* SEND_REQ at 100 every 200 priority 180 size 2500\n"
+        "stimulus PeerCI#* RX_DATA at 120 every 300 priority 200 size 700\n"
+        "fault kill PeerCI#* at 1000\n"
+    )
+    metrics = _audited(*build_world(policy=_MEM), scenario, 3000)
+    assert [pid for _, pid, _ in metrics.faults] == ["PeerCI#*"]
+
+
+def test_the_trace_rebuilds_deferrals_discards_and_takeovers():
+    """Failover, plus signals that the peer session and the standby defer and
+    one that no machine takes."""
+    scenario = parse_scenario(
+        failover_scenario()
+        + "stimulus PeerCI#1 PEER_MSG at 300 every 400 priority 90 size 8\n"
+        "stimulus StandbyCI#0 DATA_PKT at 200 every 500 priority 90 size 40\n"
+        "stimulus Operator#0 NOT_A_SIGNAL at 250 every 0 priority 90 size 1\n"
+    )
+    metrics = _audited(*build_world(), scenario, 2000, seed=3)
+    stats = metrics.processes
+    assert stats["PeerCI#1"].deferrals and stats["StandbyCI#0"].deferrals
+    assert stats["Operator#0"].discards == 1
+    assert len(metrics.failover) == 2
+
+
+_SIGNALS = (
+    "SEND_REQ", "RX_DATA", "DATA_PKT", "ExchangeStatus", "SESSION_UP", "SESSION_DOWN",
+    "PEER_MSG", "TAKEOVER", "EQUIP_STATUS", "NOT_A_SIGNAL",
+)
+_PROCESSES = {
+    policy.objective: [n.id for n in build_world(policy=policy)[0].all_nodes()]
+    for policy in (MappingPolicy(), _MEM)
+}
+
+
+@st.composite
+def _fixture_runs(draw):
+    policy = draw(st.sampled_from([MappingPolicy(), _MEM]))
+    processes = st.sampled_from(_PROCESSES[policy.objective])
+    kills = draw(st.lists(st.tuples(processes, st.integers(0, 2500)), max_size=3))
+    stimuli = draw(st.lists(
+        st.tuples(
+            processes, st.sampled_from(_SIGNALS), st.integers(0, 2500),
+            st.sampled_from([0, 1, 7, 100, 300]), st.integers(0, 255), st.integers(0, 3000),
+        ),
+        min_size=1, max_size=5,
+    ))
+    lines = [f"fault kill {pid} at {at}" for pid, at in kills]
+    lines += [
+        f"stimulus {pid} {signal} at {at} every {every} priority {priority} size {size}"
+        for pid, signal, at, every, priority, size in stimuli
+    ]
+    return policy, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fixture_runs())
+def test_the_trace_rebuilds_metrics_and_report_of_any_fixture_scenario(run):
+    policy, text = run
+    _audited(*build_world(policy=policy), parse_scenario(text), 2500)
+
+
+def test_the_command_line_checks_simulate_directories(tmp_path, capsys):
+    model, scenario = tmp_path / "model.ucm", tmp_path / "failover.scn"
+    model.write_text(FIXTURE_MODEL, encoding="utf-8")
+    scenario.write_text(failover_scenario(), encoding="utf-8")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", str(model), "--scenario", str(scenario),
+                 "--horizon", "2000", "--out", str(out)]) == 0
+    assert audit.main([str(out)]) == 0
+    metrics = out / "metrics.txt"
+    text = metrics.read_text(encoding="utf-8")
+    metrics.write_text(text.replace("metrics-format: 1", "metrics-format: 2"), encoding="utf-8")
+    capsys.readouterr()
+    assert audit.main([str(out)]) == 1
+    assert "metrics.txt: line " in capsys.readouterr().out
+
+
+def test_the_auditor_imports_nothing_from_viewcase():
+    tree = ast.parse(Path(audit.__file__).read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
+    ]
+    assert imported and not [name for name in imported if name.split(".")[0] == "viewcase"]

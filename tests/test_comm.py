@@ -279,7 +279,7 @@ def test_priority_mapping_is_invertible():
 
 def test_packetize_splits_at_mtu():
     pkts = packetize(_msg(bytes(2500)), 1000, KEY)
-    assert [p.payload_len for p in pkts] == [1000, 1000, 500]
+    assert [len(p.payload) for p in pkts] == [1000, 1000, 500]
     assert [p.seq_index for p in pkts] == [0, 1, 2]
     assert all(p.total_count == 3 for p in pkts)
     assert all(p.msg_id == 7 for p in pkts)
@@ -701,7 +701,7 @@ def test_comm_config_render_round_trip():
 def test_packetize_then_reassemble_round_trip(payload, mtu, shuffle_seed, data_type):
     msg = AppMessage(42, "a", "b", data_type, payload)
     pkts = packetize(msg, mtu, KEY)
-    assert sum(p.payload_len for p in pkts) == len(payload)
+    assert sum(len(p.payload) for p in pkts) == len(payload)
     random.Random(shuffle_seed).shuffle(pkts)
     buf = ReassemblyBuffer(owner="b")
     final = None

@@ -1,6 +1,7 @@
 """Deterministic runtime simulation: scheduling, channels, watchdog, verdicts."""
 
 import dataclasses
+import heapq
 import itertools
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audit import parse_rows, rows_of
 from viewcase.engine import (
     FailoverConfig,
     FailoverRecord,
@@ -148,9 +150,9 @@ def test_trace_is_five_field_tsv():
 def test_rows_of_filters_event_and_process():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 0 priority 5 size 4"), 300)
-    stim = trace.rows_of("stimulus")
+    stim = rows_of(trace, "stimulus")
     assert len(stim) == 1 and stim[0].process == "A#0"
-    assert trace.rows_of("stimulus", "B#0") == []
+    assert rows_of(trace, "stimulus", "B#0") == []
 
 
 def test_rows_parse_back_to_the_traced_fields():
@@ -180,7 +182,7 @@ def test_world_keeps_no_trace_lines_after_run():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
     assert trace.rows
-    assert world._lines == [] and world.trace_rows == ()
+    assert world._lines == []
 
 
 def test_sink_receives_each_line_and_the_run_returns_an_empty_trace():
@@ -218,7 +220,7 @@ def test_receiver_activations_follow_configured_period():
     world, _ = _world(config=cfg)
     trace, _ = world.run(Scenario(), 1000)
     activations = [
-        r for r in trace.rows_of("activate", "B#0") if r.thread == "receiver"
+        r for r in rows_of(trace, "activate", "B#0") if r.thread == "receiver"
     ]
     assert [r.time for r in activations] == [100 * k for k in range(1, 11)]
 
@@ -230,10 +232,10 @@ def test_every_thread_role_follows_its_configured_period():
         parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
     )
     for role, period in (("watchdog", 100), ("receiver", 30), ("transmitter", 70)):
-        times = [r.time for r in trace.rows_of("activate", "B#0") if r.thread == role]
+        times = [r.time for r in rows_of(trace, "activate", "B#0") if r.thread == role]
         assert times == list(range(period, 1001, period)), role
     # the stalled producer trips on its fourth watchdog activation
-    trips = trace.rows_of("trip", "A#0")
+    trips = rows_of(trace, "trip", "A#0")
     assert [(r.time, r.detail) for r in trips] == [(400, "no progress for 300")]
 
 
@@ -342,11 +344,11 @@ def test_a_trip_inside_a_shared_sweep_stops_only_the_tripped_process():
     plan, channels, w0 = build_world()
     world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(1, 50, 1), w0.failover)
     trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 200)
-    first = trace.rows_of("trip")[0]
+    first = rows_of(trace, "trip")[0]
     assert (first.time, first.process) == (158, "LocalHost#1")
 
     def receiver_times(pid):
-        return [r.time for r in trace.rows_of("activate", pid) if r.thread == "receiver"]
+        return [r.time for r in rows_of(trace, "activate", pid) if r.thread == "receiver"]
 
     assert receiver_times("LocalHost#1")[-1] == 157
     order = list(world.processes)
@@ -388,7 +390,7 @@ def test_watchdog_trips_on_stalled_dispatch():
     trace, metrics = world.run(
         parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
     )
-    trips = trace.rows_of("trip", "A#0")
+    trips = rows_of(trace, "trip", "A#0")
     assert len(trips) == 1
     assert trips[0].time == 400  # stalled since 100, timeout 300
     assert metrics.processes["A#0"].watchdog_trips == 1
@@ -402,7 +404,7 @@ def test_healthy_steady_traffic_never_trips():
     trace, metrics = world.run(
         parse_scenario("stimulus A#0 POKE at 10 every 50 priority 5 size 8"), 3000
     )
-    assert trace.rows_of("trip") == []
+    assert rows_of(trace, "trip") == []
     assert metrics.processes["A#0"].watchdog_trips == 0
 
 
@@ -416,7 +418,7 @@ def test_higher_priority_dispatched_first():
         "stimulus A#0 HIGH at 100 every 0 priority 200 size 1\n"
     )
     trace, _ = world.run(scenario, 300)
-    order = [r.detail.split("/")[1].split(" ")[0] for r in trace.rows_of("dispatch", "A#0")]
+    order = [r.detail.split("/")[1].split(" ")[0] for r in rows_of(trace, "dispatch", "A#0")]
     assert order == ["HIGH", "LOW"]
 
 
@@ -425,8 +427,8 @@ def test_recalled_messages_precede_normal_arrivals_at_equal_priority():
     proc = world.processes["A#0"]
     world.post_mailbox("A#0", ActorMessage("LOW", b"n", 5), 0)
     world.post_mailbox("A#0", ActorMessage("HIGH", b"r", 5), 0, recalled=True)
-    first = world._pick_next(proc)
-    second = world._pick_next(proc)
+    first = heapq.heappop(proc.mailbox)
+    second = heapq.heappop(proc.mailbox)
     assert first.msg.body == b"r"  # recall lane wins the tie
     assert second.msg.body == b"n"
 
@@ -436,7 +438,7 @@ def test_fifo_within_equal_priority():
     proc = world.processes["A#0"]
     for body in (b"1", b"2", b"3"):
         world.post_mailbox("A#0", ActorMessage("LOW", body, 5), 0)
-    drained = [world._pick_next(proc).msg.body for _ in range(3)]
+    drained = [heapq.heappop(proc.mailbox).msg.body for _ in range(3)]
     assert drained == [b"1", b"2", b"3"]
 
 
@@ -448,8 +450,8 @@ def test_mailbox_drains_by_priority_then_recall_lane_then_arrival(posts):
     for i, (priority, recalled) in enumerate(posts):
         world.post_mailbox("A#0", ActorMessage("LOW", str(i).encode(), priority), 0, recalled=recalled)
     drained = []
-    while (entry := world._pick_next(proc)) is not None:
-        drained.append(int(entry.msg.body))
+    while proc.mailbox:
+        drained.append(int(heapq.heappop(proc.mailbox).msg.body))
     expected = sorted(range(len(posts)), key=lambda i: (-posts[i][0], not posts[i][1], i))
     assert drained == expected
 
@@ -476,12 +478,12 @@ def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
         ),
         500,
     )
-    assert [(r.time, r.detail) for r in trace.rows_of("defer", "B#0")] == [(100, "W/X")]
+    assert [(r.time, r.detail) for r in rows_of(trace, "defer", "B#0")] == [(100, "W/X")]
     stats = metrics.processes["B#0"]
     assert (stats.deferrals, stats.discards) == (1, 0)
     # GO moves the gate out of Wait, which recalls X into the same tick
-    assert [(r.time, r.detail) for r in trace.rows_of("recall", "B#0")] == [(200, "X")]
-    dispatched = [(r.time, r.detail) for r in trace.rows_of("dispatch", "B#0")]
+    assert [(r.time, r.detail) for r in rows_of(trace, "recall", "B#0")] == [(200, "X")]
+    dispatched = [(r.time, r.detail) for r in rows_of(trace, "dispatch", "B#0")]
     assert dispatched == [(200, "W/GO d1 actions 0"), (200, "W/X d2 actions 1")]
     assert world.processes["B#0"].machines["W"].current == "Open"
 
@@ -581,7 +583,7 @@ def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
     fired = metrics.processes["B#0"].dispatches
     assert fired > 0
     assert len(guard_calls) == fired
-    assert action_times == [r.time for r in trace.rows_of("dispatch", "B#0")]
+    assert action_times == [r.time for r in rows_of(trace, "dispatch", "B#0")]
 
 
 # --- channels ----------------------------------------------------------------------------
@@ -595,7 +597,7 @@ def test_message_queue_delivery_end_to_end():
     assert any(c.id == cid for c in channels)
     stats = metrics.links[(cid, "A#0", "B#0")]
     assert stats.sent == stats.delivered > 0
-    assert len(trace.rows_of("recv", "B#0")) == stats.delivered
+    assert len(rows_of(trace, "recv", "B#0")) == stats.delivered
     # consumer dispatched what it received
     assert metrics.processes["B#0"].dispatches >= stats.delivered
 
@@ -618,6 +620,31 @@ def test_queue_blocks_writer_when_full():
     assert [m.body for m in ch.items] == [b"\x02", b"\x03"]
 
 
+def test_a_blocked_send_records_no_link():
+    """A blocked send traces no row, so it adds no link either: not even the
+    standby's link onto a queue it just took over while full."""
+    _, _, world = build_world()
+    queue = "mq:LocalHost#0:PeerCI#0:SendData"
+    for k in range(64):
+        assert world.channel_send(queue, ActorMessage("DATA_PKT", bytes([k]), 200), 10)
+    world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 20)
+    before = {key: dataclasses.replace(s) for key, s in world.metrics.links.items()}
+    assert not world.channel_send(queue, ActorMessage("DATA_PKT", b"x", 200), 21)
+    assert world.metrics.links == before
+
+
+@pytest.mark.parametrize("capacity", [None, 0])
+def test_a_queue_without_room_is_refused_when_the_world_is_built(capacity):
+    world, channels = _world()
+    channels = [
+        dataclasses.replace(c, capacity=capacity) if c.kind is ChannelKind.MESSAGE_QUEUE else c
+        for c in channels
+    ]
+    behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
+    with pytest.raises(ValueError, match=f"mq:A#0:B#0:U needs a capacity of at least 1, got {capacity}$"):
+        instantiate(world.plan, channels, behaviors)
+
+
 def test_send_to_dead_reader_counts_sent_only():
     world, _ = _world()
     scenario = parse_scenario(
@@ -626,7 +653,7 @@ def test_send_to_dead_reader_counts_sent_only():
     trace, metrics = world.run(scenario, 1500)
     stats = metrics.links[("mq:A#0:B#0:U", "A#0", "B#0")]
     assert stats.sent > stats.delivered > 0
-    undeliverable = [r for r in trace.rows_of("send") if "undeliverable" in r.detail]
+    undeliverable = [r for r in rows_of(trace, "send") if "undeliverable" in r.detail]
     assert len(undeliverable) == stats.sent - stats.delivered
 
 
@@ -645,17 +672,17 @@ def test_shared_segment_keeps_only_latest_write():
 def test_periodic_segment_written_by_transmitter_without_stimuli():
     world, _ = _world(PERIODIC_MODEL, consumer_signals=("U",))
     trace, metrics = world.run(Scenario(), 1000)
-    sends = trace.rows_of("send", "A#0")
+    sends = rows_of(trace, "send", "A#0")
     assert sends and all("shm:A#0:U" in r.detail for r in sends)
     # period 100 over 1000 ms -> about ten refreshes, one per period
     assert 9 <= len(sends) <= 11
-    samples = trace.rows_of("sample", "B#0")
+    samples = rows_of(trace, "sample", "B#0")
     assert samples
     assert metrics.processes["B#0"].dispatches > 0
 
 
 def _assert_endpoint_index_matches_channels(world):
-    """Each process's read/write lists, and its drain and beat lists, equal a
+    """Each process's write list, and its drain and beat lists, equal a
     brute-force filter in channel order: a receiver drains its queues and
     the segments the scan does not own, a transmitter beats the periodic
     segments it writes."""
@@ -671,7 +698,6 @@ def _assert_endpoint_index_matches_channels(world):
             ch for ch in writes
             if isinstance(ch, SharedSegmentRt) and ch.channel.period_ms is not None
         ]
-        assert [id(ch) for ch in world.reads[pid]] == [id(ch) for ch in reads], pid
         assert [id(ch) for ch in world.writes[pid]] == [id(ch) for ch in writes], pid
         assert [id(ch) for ch in world.drains[pid]] == [id(ch) for ch in drains], pid
         assert [id(ch) for ch in world.beats[pid]] == [id(ch) for ch in beats], pid
@@ -706,7 +732,7 @@ def test_endpoint_index_follows_rebinding():
     world.rebind_endpoints("LocalHost#1", "StandbyCI#0", 1000)
     _assert_endpoint_index_matches_channels(world)
     # the dead host keeps only its scan-only health segment
-    assert world.reads["LocalHost#0"] == []
+    assert not [ch for ch in world.channels.values() if "LocalHost#0" in ch.readers]
     assert [ch.channel.id for ch in world.writes["LocalHost#0"]] == ["shm:LocalHost#0:ReportHealth"]
 
     segment = "shm:Operator#0:ExchangeStatus"
@@ -717,7 +743,7 @@ def test_endpoint_index_follows_rebinding():
     world._receiver_pass(world.processes["StandbyCI#0"], 1002)
     received = {
         (r.event, r.detail.split()[0])
-        for r in world.trace_rows
+        for r in parse_rows("".join(world._lines))
         if r.process == "StandbyCI#0" and r.thread == "receiver"
     }
     assert received == {("sample", segment), ("recv", queue)}
@@ -738,7 +764,7 @@ def test_killed_process_goes_silent():
         if r.process == "A#0" and r.time > 500 and r.event not in ("stimulus",)
     ]
     assert after == []
-    dropped = [r for r in trace.rows_of("stimulus", "A#0") if "dropped" in r.detail]
+    dropped = [r for r in rows_of(trace, "stimulus", "A#0") if "dropped" in r.detail]
     assert dropped and all(r.time > 500 for r in dropped)
     assert (500, "A#0", "killed") in metrics.faults
 
@@ -791,11 +817,11 @@ def test_a_failing_dispatch_kills_only_its_process(fault, cause):
         1000,
     )
     assert metrics.faults == [(100, "A#0", cause)]
-    assert [(r.time, r.detail) for r in trace.rows_of("fault", "A#0")] == [(100, cause)]
+    assert [(r.time, r.detail) for r in rows_of(trace, "fault", "A#0")] == [(100, cause)]
     assert not [r for r in trace.rows if r.process == "A#0" and r.thread == "processor" and r.time >= 100]
     assert metrics.processes["A#0"].dispatches == 1  # the first POKE only
     assert (machine.current, machine.variables) == ("Idle", {"n": 1})
-    consumer = [r.time for r in trace.rows_of("dispatch", "B#0")]
+    consumer = [r.time for r in rows_of(trace, "dispatch", "B#0")]
     assert consumer == list(range(50, 1000, 100))
     assert degradation_report(metrics, plan).verdict == "graceful"
 
@@ -897,9 +923,9 @@ def test_scenario_naming_an_unknown_process_is_refused_before_anything_runs(text
     world, _ = _world()
     with pytest.raises(ValueError, match="'Nobody#0'"):
         world.run(parse_scenario(text), 500)
-    assert not world.used and world.trace_rows == ()
+    assert not world.used and world._lines == []
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 5 every 0 priority 5 size 1"), 500)
-    assert trace.rows_of("stimulus", "A#0")
+    assert rows_of(trace, "stimulus", "A#0")
 
 
 @pytest.mark.parametrize("endpoint, ghost", [("readers", "PeerCI#9"), ("writer", "LocalHost#9")])
@@ -925,13 +951,13 @@ def test_missing_behavior_is_reported_with_node_id():
 def test_one_shot_stimulus_fires_once():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 50 every 0 priority 5 size 4"), 1000)
-    assert len(trace.rows_of("stimulus", "A#0")) == 1
+    assert len(rows_of(trace, "stimulus", "A#0")) == 1
 
 
 def test_repeating_stimulus_fires_on_schedule():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 50 every 200 priority 5 size 4"), 1000)
-    assert [r.time for r in trace.rows_of("stimulus", "A#0")] == [50, 250, 450, 650, 850]
+    assert [r.time for r in rows_of(trace, "stimulus", "A#0")] == [50, 250, 450, 650, 850]
 
 
 def test_watchdog_timeout_is_three_watchdog_periods():
@@ -939,7 +965,7 @@ def test_watchdog_timeout_is_three_watchdog_periods():
     trace, _ = world.run(
         parse_scenario("stimulus A#0 STALL at 100 every 0 priority 5 size 1"), 1000
     )
-    trips = trace.rows_of("trip", "A#0")
+    trips = rows_of(trace, "trip", "A#0")
     assert [(r.time, r.detail) for r in trips] == [(250, "no progress for 150")]
 
 
@@ -959,8 +985,8 @@ def test_trace_rows_are_trace_rows():
     assert trace.rows and all(type(r) is TraceRow for r in trace.rows)
     first = trace.rows[0]
     assert first == TraceRow(first.time, first.process, first.thread, first.event, first.detail)
-    assert trace.rows_of("stimulus") == [TraceRow(100, "LocalHost#0", "-", "stimulus", "SEND_REQ size 64")]
-    sends = [r for r in trace.rows_of("dispatch", "LocalHost#0") if "/SEND_REQ " in r.detail]
+    assert rows_of(trace, "stimulus") == [TraceRow(100, "LocalHost#0", "-", "stimulus", "SEND_REQ size 64")]
+    sends = [r for r in rows_of(trace, "dispatch", "LocalHost#0") if "/SEND_REQ " in r.detail]
     assert len(sends) == 1
     assert (sends[0].thread, sends[0].detail.split()[-2:]) == ("processor", ["actions", "3"])
     assert trace.to_text() == "".join("\t".join(map(str, r)) + "\n" for r in trace.rows)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from audit import rows_of
 from viewcase import comm, fixture, statechart
 from viewcase.comm import (
     CommConfig,
@@ -225,7 +226,7 @@ def test_completed_reassembly_keys_expire_after_the_timeout():
                 continue
             # actions run when their dispatch starts, so this is the last reassembly's time
             last = max(
-                r.time for r in trace.rows_of("dispatch", pid)
+                r.time for r in rows_of(trace, "dispatch", pid)
                 if r.detail.startswith(f"{key}/DATA_PKT ")
             )
             assert all(last - done_at < timeout for done_at in buf.completed.values())
@@ -272,7 +273,7 @@ def test_health_segments_are_scan_only():
     trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 1500)
     health_channels = {c.id for c in channels if c.source == HEALTH_SOURCE}
     assert len(health_channels) == 10
-    sampled = {r.detail.split()[0] for r in trace.rows_of("sample")}
+    sampled = {r.detail.split()[0] for r in rows_of(trace, "sample")}
     assert sampled.isdisjoint(health_channels)
 
 
@@ -284,7 +285,7 @@ def test_health_queues_stay_with_their_writer_through_failover():
     trace, metrics = world.run(parse_scenario(failover_scenario()), 2000)
     assert metrics.failover  # the standby took over
     assert world.channels[queue].writer == "LocalHost#0"
-    assert not [r for r in trace.rows_of("rebind") if r.detail.split()[0] == queue]
+    assert not [r for r in rows_of(trace, "rebind") if r.detail.split()[0] == queue]
 
 
 def test_build_world_refuses_an_auth_key_longer_than_blake2s_takes():

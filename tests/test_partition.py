@@ -48,6 +48,10 @@ def mb_plan(model):
     return build_plan(model, MappingPolicy(Objective.MEMORY_BOUND, memory_budget=38000))
 
 
+def _node(plan, node_id):
+    return next(n for n in plan.all_nodes() if n.id == node_id)
+
+
 # --- view partitioning -------------------------------------------------------
 
 
@@ -149,7 +153,7 @@ def test_use_case_inlined_into_a_service_stays_in_the_plan():
         "relation include U1 <- U2\n"
     )
     plan = build_plan(model_, MappingPolicy())
-    assert plan.node("U1#svc").inlined == ("U2",)
+    assert _node(plan, "U1#svc").inlined == ("U2",)
     assert plan.estimated_footprint == 9300  # 2 x U0 + U1 + U2
     assert "carries: U1 U2" in render_plan(plan)
 
@@ -168,10 +172,10 @@ def test_mb_plan_collapses_and_extracts(mb_plan):
 
 
 def test_mb_single_owner_for_multi_triggered(mb_plan):
-    owner = mb_plan.node("Operator#*")
+    owner = _node(mb_plan, "Operator#*")
     assert "ReportHealth" in owner.owned_use_cases()
     for nid in ("LocalHost#*", "StandbyCI#*", "PeerCI#*"):
-        node = mb_plan.node(nid)
+        node = _node(mb_plan, nid)
         assert "ReportHealth" in node.refs
         assert "ReportHealth" not in node.owned_use_cases()
         assert "ReportHealth" in node.view.use_cases  # still in the view

@@ -21,7 +21,6 @@ from viewcase.statechart import (
     Transition,
     dispatch,
     select_transition,
-    state_context,
 )
 
 
@@ -47,7 +46,7 @@ def _nested_machine(log):
 def test_initial_state_descends_initial_children():
     m = _nested_machine([])
     assert m.current == "LeafA"
-    assert state_context(m) == ["LeafA", "CompA", "Top"]
+    assert m.chart.ancestors(m.current) == ["LeafA", "CompA", "Top"]
 
 
 def test_innermost_transition_wins():
@@ -409,7 +408,7 @@ def _reference_transition_plan(machine, transition):
     b_set = set(machine.chart.ancestors(transition.target))
     lca = next(sid for sid in a_chain if sid in b_set)
     exit_states = []
-    for sid in state_context(machine):
+    for sid in machine.chart.ancestors(machine.current):
         if sid == lca:
             break
         exit_states.append(sid)
@@ -683,7 +682,7 @@ def test_compiled_dispatch_matches_uncompiled_reference(spec):
             assert got.actions_run == want.actions_run
             assert got.action_costs == want.action_costs
             assert got.cost_ms == want.cost_ms
-            assert state_context(compiled) == oracle.chart.ancestors(oracle.current)
+            assert compiled.chart.ancestors(compiled.current) == oracle.chart.ancestors(oracle.current)
 
 
 @st.composite
