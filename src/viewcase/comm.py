@@ -36,13 +36,14 @@ LINK_B frame: 0x7E delimiters around the byte-stuffed body
 body are escaped as 0x7D followed by the byte XOR 0x20.
 
 `convert_from_frame` memoizes decoded packets per (frame bytes, link) in a
-16-entry LRU, so every receiver of one frame shares one frozen `Packet`
-and pays for neither the CRC nor the LINK_B unstuffing again. Without it,
-steady 6-peer simulation time rises by about 10%. A frame that fails to
-decode raises `FrameCorrupt` on every call and is never cached. At most
-3 distinct frames lie between two decodes of one frame on the steady
-fixture run at 6, 50, 100 and 500 peers, and 0 on failover at 6 and 50
-peers.
+16-entry LRU, keyed by whether the link is LINK_A (a `LinkType` member
+would be hashed by Python code in `enum`), so every receiver of one frame
+shares one frozen `Packet` and pays for neither the CRC nor the LINK_B
+unstuffing again. Without it, steady 6-peer simulation time rises by
+about 10%. A frame that fails to decode raises `FrameCorrupt` on every
+call and is never cached. At most 3 distinct frames lie between two
+decodes of one frame on the steady fixture run at 6, 50, 100 and 500
+peers, and 0 on failover at 6 and 50 peers.
 
 Reassembly is keyed by (src, msg_id): packets may arrive in any order and
 duplicated; a completed key is remembered for one timeout window so late
@@ -361,12 +362,12 @@ def convert_to_frame(pkt: Packet, link: LinkType | str) -> bytes:
 
 def convert_from_frame(data: bytes, link: LinkType | str) -> Packet:
     """Decode one frame; FrameCorrupt if it does not check (memoized, see module doc)."""
-    return _decode(bytes(data), _resolve_link(link))
+    return _decode(bytes(data), _resolve_link(link) is LinkType.LINK_A)
 
 
 @functools.lru_cache(maxsize=16)
-def _decode(data: bytes, link: LinkType) -> Packet:
-    if link is LinkType.LINK_A:
+def _decode(data: bytes, link_a: bool) -> Packet:
+    if link_a:
         if len(data) < 2 + 2 + HEADER_LEN + 2:
             raise FrameCorrupt("short frame")
         if data[:2] != LINK_A_SYNC:

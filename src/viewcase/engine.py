@@ -22,7 +22,14 @@ dispatch finishes. Each action starts max(1, ceil(cost of the one before))
 ms after the one before it. A dispatch of one action costing at most a
 millisecond completes in the tick that started it; one whose actions cost
 nothing traces no action and lets the next message dispatch in the same
-tick.
+tick. Each millisecond has one handler: `_offer` spends a timed
+dispatch's first (it traces the first action, and completes the dispatch
+if that was all), and `_spend_ms` each later one of a dispatch still
+active.
+
+Trace rows: `run` formats the time column once per calendar time, and
+`trace` reuses it for every row at the clock's time; a row at any other
+time formats its own.
 
 Scenario files are line oriented (`#` comments):
 
@@ -223,9 +230,10 @@ class Metrics:
 
     def link(self, channel_id: str, producer: str, consumer: str) -> LinkStats:
         key = (channel_id, producer, consumer)
-        if key not in self.links:
-            self.links[key] = LinkStats()
-        return self.links[key]
+        stats = self.links.get(key)
+        if stats is None:
+            stats = self.links[key] = LinkStats()
+        return stats
 
     def to_text(self) -> str:
         lines = ["metrics-format: 1", f"links: {len(self.links)}"]
@@ -285,8 +293,8 @@ class _ActiveDispatch:
     result: DispatchResult
     label: str  # "<machine key>/<signal>", as traced
     number: str  # "d<n>", as traced
-    step: int = 0  # actions started so far
-    ms_left: int | float = 0
+    step: int  # actions started so far
+    ms_left: int | float  # of the action started last
 
 
 class _MailEntry(NamedTuple):
@@ -309,9 +317,6 @@ class ProcessInstance:
     active: _ActiveDispatch | None = None
     last_progress: int = 0
     tick_scheduled: bool = False
-
-    def has_work(self) -> bool:
-        return self.active is not None or bool(self.mailbox)
 
 
 # --- the world ----------------------------------------------------------------
@@ -352,6 +357,7 @@ class SimWorld:
         self._emit: Callable[[str], object] = self._lines.append
         self.used = False
         self.now = 0
+        self._stamp = "0"  # str(self.now), the time column of rows traced at the clock's time
         self.horizon = 0
         self.rng = random.Random(0)
         self._times: list[int] = []  # a heap of the times that have a bucket in _due
@@ -389,8 +395,13 @@ class SimWorld:
             bucket.append((handler, args))
 
     def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
-        """The one place that knows the TSV layout of a trace row."""
-        self._emit(f"{time}\t{process}\t{thread}\t{event}\t{detail}\n")
+        """The one place that knows the TSV layout of a trace row.
+
+        A row at the clock's time reuses the stamp `run` formats once per
+        calendar time; any other time is formatted here.
+        """
+        stamp = self._stamp if time == self.now else str(time)
+        self._emit(f"{stamp}\t{process}\t{thread}\t{event}\t{detail}\n")
 
     # -- messaging --
 
@@ -400,7 +411,7 @@ class SimWorld:
         proc = self.processes[process_id]
         if not proc.alive:
             return
-        had_work = proc.has_work()
+        had_work = proc.active is not None or bool(proc.mailbox)
         self._posted += 1
         heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._posted, msg))
         if not had_work:
@@ -408,7 +419,7 @@ class SimWorld:
         self._wake_processor(proc, now + 1 if recalled else now)
 
     def _wake_processor(self, proc: ProcessInstance, when: int) -> None:
-        if proc.alive and proc.has_work() and not proc.tick_scheduled:
+        if not proc.tick_scheduled and proc.alive and (proc.active is not None or proc.mailbox):
             proc.tick_scheduled = True
             self._schedule(when, self._on_tick, proc)
 
@@ -432,10 +443,12 @@ class SimWorld:
         ch.slot = msg
         ch.version += 1
         ch.last_write = now
+        links, writer, processes = self.metrics.links, ch.writer, self.processes
         for reader in ch.readers:
-            stats = self.metrics.link(channel_id, ch.writer, reader)
+            # a link is made on its first send, so `metrics.links` holds no unsent link
+            stats = links.get((channel_id, writer, reader)) or self.metrics.link(channel_id, writer, reader)
             stats.sent += 1
-            if self.processes[reader].alive:
+            if processes[reader].alive:
                 stats.delivered += 1
         self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} v{ch.version}")
         return True
@@ -507,7 +520,7 @@ class SimWorld:
 
     def _watchdog_pass(self, proc: ProcessInstance, now: int) -> None:
         idle = now - proc.last_progress
-        if proc.has_work() and idle >= 3 * self.config.watchdog_period:
+        if (proc.active is not None or proc.mailbox) and idle >= 3 * self.config.watchdog_period:
             proc.stats.watchdog_trips += 1
             self.trace(now, proc.id, "watchdog", "trip", f"no progress for {idle}")
             self.kill(proc.id, now, "watchdog")
@@ -551,33 +564,42 @@ class SimWorld:
         source = token[3:]
         return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == source]
 
-    def _complete_dispatch(self, proc: ProcessInstance, active: _ActiveDispatch, now: int) -> None:
-        for token, msg in active.result.emitted:
-            for channel_id in self.resolve_destination(proc, token):
-                proc.outbound.append((channel_id, msg))
-        for msg in active.result.recalled:
+    def _complete_dispatch(
+        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str, now: int
+    ) -> None:
+        if result.emitted:
+            for token, msg in result.emitted:
+                for channel_id in self.resolve_destination(proc, token):
+                    proc.outbound.append((channel_id, msg))
+        for msg in result.recalled:
             self.trace(now, proc.id, "processor", "recall", msg.signal)
             self.post_mailbox(proc.id, msg, now, recalled=True)
         proc.stats.dispatches += 1
         proc.last_progress = now
         proc.active = None
-        self.trace(now, proc.id, "processor", "complete", f"{active.label} {active.number}")
+        self.trace(now, proc.id, "processor", "complete", f"{label} {number}")
 
     def _spend_ms(self, proc: ProcessInstance, now: int) -> None:
+        """Spend a later millisecond of the active dispatch; `_offer` spent its first.
+
+        A dispatch stays active only while its current action has time left
+        or an action has yet to start, so when no time is left the next
+        action starts here.
+        """
         a = proc.active
         assert a is not None
         actions = a.result.actions_run
-        if a.ms_left <= 0 and a.step < len(actions):
+        if a.ms_left <= 0:
             a.ms_left = a.result.action_costs[a.step]
             self.trace(now, proc.id, "processor", "action", f"{a.label}/{actions[a.step]} {a.number}")
             a.step += 1
         a.ms_left -= 1
         if a.ms_left <= 0 and a.step == len(actions):
-            self._complete_dispatch(proc, a, now)
+            self._complete_dispatch(proc, a.result, a.label, a.number, now)
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
-        a timed dispatch started or the process was killed.
+        a timed dispatch spent its first millisecond or the process was killed.
 
         A guard that raises, two guards that pass at one scope, or an action
         that fails kills this process alone, with its machine left as it was
@@ -595,23 +617,27 @@ class SimWorld:
             if transition is None:
                 continue
             try:
-                result = dispatch(machine, msg, transition, now=now)
+                result = dispatch(machine, msg, transition, now)
             except ActionFailure as exc:
                 self.kill(proc.id, now, f"action-failure:{key}/{exc.action_id}")
                 return True
             # one dispatch at a time, and none after a kill: the earlier ones all completed
-            active = _ActiveDispatch(result, f"{key}/{msg.signal}", f"d{proc.stats.dispatches + 1}")
-            self.trace(
-                now, proc.id, "processor", "dispatch",
-                f"{active.label} {active.number} actions {len(result.actions_run)}",
-            )
+            label, number = f"{key}/{msg.signal}", f"d{proc.stats.dispatches + 1}"
+            actions = result.actions_run
+            self.trace(now, proc.id, "processor", "dispatch", f"{label} {number} actions {len(actions)}")
             if result.cost_ms <= 0:
-                self._complete_dispatch(proc, active, now)
+                self._complete_dispatch(proc, result, label, number, now)
                 return False
-            proc.active = active
+            # the first millisecond: the first action starts now
+            self.trace(now, proc.id, "processor", "action", f"{label}/{actions[0]} {number}")
+            ms_left = result.action_costs[0] - 1
+            if ms_left <= 0 and len(actions) == 1:
+                self._complete_dispatch(proc, result, label, number, now)
+            else:
+                proc.active = _ActiveDispatch(result, label, number, 1, ms_left)
             return True
         for key, machine in proc.machines.items():  # no machine matched
-            if dispatch(machine, msg, None, now=now).deferred:
+            if dispatch(machine, msg, None, now).deferred:
                 proc.stats.deferrals += 1
                 self.trace(now, proc.id, "processor", "defer", f"{key}/{msg.signal}")
                 return False
@@ -630,8 +656,6 @@ class SimWorld:
                 if not proc.mailbox:
                     break
                 if self._offer(proc, heapq.heappop(proc.mailbox).msg, now):
-                    if proc.alive:
-                        self._spend_ms(proc, now)
                     break
         self._wake_processor(proc, now + 1)
 
@@ -688,6 +712,7 @@ class SimWorld:
         while times:
             time = heapq.heappop(times)
             self.now = time
+            self._stamp = str(time)
             for handler, args in due[time]:  # also runs the events appended during the pass
                 handler(time, *args)
             del due[time]

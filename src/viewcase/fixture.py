@@ -160,8 +160,10 @@ def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
             buf, pkt, now=ctx.now, timeout=timeout, key=cfg.auth_key, src="wire", table=table
         )
         comm.scan_timeouts(buf, ctx.now, timeout)
-        ctx.vars[outcome.kind.value] = ctx.vars.get(outcome.kind.value, 0) + 1
-        if outcome.kind is comm.OutcomeKind.COMPLETE:
+        kind = outcome.kind
+        count = kind.value  # an enum property: read once
+        ctx.vars[count] = ctx.vars.get(count, 0) + 1
+        if kind is comm.OutcomeKind.COMPLETE:
             assert outcome.message is not None
             ctx.vars["last_size"] = len(outcome.message.payload)
 

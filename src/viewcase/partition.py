@@ -358,8 +358,11 @@ def render_plan(plan: ProcessPlan, channels: object = None) -> str:
     for d in plan.decisions:
         lines.append(f"- {d}")
     if channels is not None:
+        from .ipc import ChannelKind  # ipc imports this module
+
         lines += ["", f"channels: {len(tuple(channels))}"]
         for c in channels:
+            # `.value` is an enum property, Python code per read: one read per value
             lines += [
                 "",
                 f"channel: {c.id}",
@@ -368,7 +371,7 @@ def render_plan(plan: ProcessPlan, channels: object = None) -> str:
                 f"readers: {_fmt(c.readers)}",
                 f"class: {c.klass.value}",
             ]
-            if c.kind.value == "shared-segment":
+            if c.kind is ChannelKind.SHARED_SEGMENT:
                 lines += [
                     f"period: {c.period_ms if c.period_ms is not None else 'none'}",
                     f"segment-size: {c.segment_size}",

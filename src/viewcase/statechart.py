@@ -244,18 +244,15 @@ def _deferred_along(chart: Chart, leaf: str) -> frozenset[str]:
     return frozenset().union(*(chart.states[s].deferred_signals for s in chart.ancestors(leaf)))
 
 
-def _route(machine: StateMachine, signal: str) -> _Route:
-    """Where `signal` can fire from the current leaf; built on first use."""
-    chart = machine.chart
-    key = (machine.current, signal)
-    route = chart._routes.get(key)
-    if route is None:
-        groups = []
-        for scope in chart.ancestors(machine.current):
-            group = tuple(t for t in chart.transitions if t.scope == scope and t.signal == signal)
-            if group:
-                groups.append((scope, group))
-        route = chart._routes[key] = tuple(groups)
+def _route(chart: Chart, key: tuple[str, str]) -> _Route:
+    """Build and keep the route of a (leaf, signal) key the chart has not seen."""
+    leaf, signal = key
+    groups = []
+    for scope in chart.ancestors(leaf):
+        group = tuple(t for t in chart.transitions if t.scope == scope and t.signal == signal)
+        if group:
+            groups.append((scope, group))
+    route = chart._routes[key] = tuple(groups)
     return route
 
 
@@ -266,8 +263,12 @@ def select_transition(machine: StateMachine, msg: ActorMessage) -> Transition | 
     in declaration order against the instance's variables, and two that
     pass are ambiguous.
     """
+    key = (machine.current, msg.signal)
+    route = machine.chart._routes.get(key)
+    if route is None:  # an empty route is kept too
+        route = _route(machine.chart, key)
     variables = machine.variables
-    for scope, group in _route(machine, msg.signal):
+    for scope, group in route:
         matches = 0
         for t in group:
             if t.guard is None or t.guard(msg, variables):
@@ -309,16 +310,12 @@ def _walk(machine: StateMachine, transition: Transition) -> _Plan:
     return _Plan(fns, ids, costs, sum(costs), descent[-1])
 
 
-def _plan(machine: StateMachine, transition: Transition) -> _Plan:
-    """The plan of `transition` from the current leaf; cached in the chart
-    for the chart's own transitions, walked every time for any other."""
-    chart = machine.chart
-    key = (machine.current, id(transition))
-    plan = chart._plans.get(key)
-    if plan is None:
-        plan = _walk(machine, transition)
-        if any(t is transition for t in chart.transitions):
-            chart._plans[key] = plan
+def _plan(machine: StateMachine, transition: Transition, key: tuple[str, int]) -> _Plan:
+    """Walk the plan of a (leaf, id(transition)) key the chart has not kept;
+    kept for the chart's own transitions, walked every time for any other."""
+    plan = _walk(machine, transition)
+    if any(t is transition for t in machine.chart.transitions):
+        machine.chart._plans[key] = plan
     return plan
 
 
@@ -368,7 +365,10 @@ def dispatch(
             return _DEFERRED
         return _UNMATCHED
 
-    plan = _plan(machine, transition)
+    key = (machine.current, id(transition))
+    plan = machine.chart._plans.get(key)
+    if plan is None:
+        plan = _plan(machine, transition, key)
     saved_current = machine.current
     saved_vars = _snapshot(machine.variables)
     saved_buffer = list(machine.deferral_buffer)

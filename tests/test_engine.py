@@ -147,6 +147,20 @@ def test_trace_is_five_field_tsv():
     assert times == sorted(times)
 
 
+def test_a_row_traced_off_the_clock_carries_its_own_time():
+    queue, msg = "mq:A#0:B#0:U", ActorMessage("DATA", b"x", 5)
+    world, _ = _world()
+    world.channel_send(queue, msg, 7)
+    world.channel_send(queue, msg, 0)  # the clock's own time
+    assert [line.split("\t", 1)[0] for line in world._lines] == ["7", "0"]
+
+    world, _ = _world()
+    world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
+    for at in (world.now + 3, world.now):
+        world.channel_send(queue, msg, at)
+        assert world._lines[-1].startswith(f"{at}\t")
+
+
 def test_rows_of_filters_event_and_process():
     world, _ = _world()
     trace, _ = world.run(parse_scenario("stimulus A#0 POKE at 10 every 0 priority 5 size 4"), 300)
@@ -527,7 +541,8 @@ _COSTS = st.lists(st.sampled_from((0, 0.5, 1, 2)), min_size=1, max_size=3)
 def test_processor_rows_follow_the_action_costs(first, second):
     """Each action starts max(1, ceil(previous cost)) ms after the one before
     it, and the next message dispatches a ms after the last one completes,
-    or in the same tick when the dispatch cost nothing."""
+    or in the same tick when the dispatch cost nothing. The tick that starts
+    a dispatch spends its first ms, and `_spend_ms` each later one."""
     b = MachineBuilder("timed")
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
@@ -537,6 +552,8 @@ def test_processor_rows_follow_the_action_costs(first, second):
     plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
     channels = assign_ipc(dependency_graph(plan, model))
     world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"W": b.build()}})
+    spent, spend_ms = [], world._spend_ms
+    world._spend_ms = lambda proc, now: (spent.append(now), spend_ms(proc, now))
     trace, _ = world.run(
         parse_scenario(
             "stimulus B#0 M2 at 100 every 0 priority 5 size 1\n"
@@ -544,19 +561,22 @@ def test_processor_rows_follow_the_action_costs(first, second):
         ),
         300,
     )
-    expected = []
+    expected, later_ms = [], []
     t = 100
     for n, (signal, costs) in enumerate((("M1", first), ("M2", second)), start=1):
         expected.append((t, "dispatch", f"W/{signal} d{n} actions {len(costs)}"))
         if sum(costs) == 0:
             expected.append((t, "complete", f"W/{signal} d{n}"))
             continue
+        start = t
         for i, cost in enumerate(costs):
             expected.append((t, "action", f"W/{signal}/a{i} d{n}"))
             t += max(1, math.ceil(cost))
         expected.append((t - 1, "complete", f"W/{signal} d{n}"))
+        later_ms.extend(range(start + 1, t))
     rows = [(r.time, r.event, r.detail) for r in trace.rows if r.process == "B#0" and r.thread == "processor"]
     assert rows == expected
+    assert spent == later_ms
 
 
 def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
