@@ -24,11 +24,12 @@ def main() -> None:
     scenario = parse_scenario(failover_scenario(kill_at=args.kill_at))
     trace, metrics = world.run(scenario, args.horizon, seed=args.seed)
 
-    for row in trace.rows:
-        if row.event in ("fault", "alert", "takeover", "rebind") or (
-            row.event == "send" and "TAKEOVER" in row.detail
+    for line in trace.rows:
+        time, process, _, event, detail = line.split("\t", 4)
+        if event in ("fault", "alert", "takeover", "rebind") or (
+            event == "send" and "TAKEOVER" in detail
         ):
-            print(f"t={row.time:<6} {row.process:<14} {row.event:<9} {row.detail}")
+            print(f"t={time:<6} {process:<14} {event:<9} {detail}")
 
     print()
     for rec in metrics.failover:

@@ -11,8 +11,7 @@ The authentication tag is keyed BLAKE2s (RFC 7693) with a 4-byte digest
 over header-sans-tag || payload, read as a big-endian integer. The digest
 size is part of BLAKE2s's parameter block, so the tag is not a prefix of
 the 32-byte digest. BLAKE2s takes keys of at most 32 bytes
-(`MAX_AUTH_KEY_LEN`); `parse_comm_config`, `render_comm_config` and
-`fixture.build_world` refuse a longer one. A tag costs about 5 µs for a
+(`MAX_AUTH_KEY_LEN`); `CommConfig` refuses a longer one. A tag costs about 5 µs for a
 1,011-byte input (CPython 3.11 on an x86-64 Xeon). `verify_packet`
 memoizes its verdict per (key, packet) in a 16-entry LRU: every receiver
 of one frame gets the same decoded `Packet` (see below), so a frame sent
@@ -35,6 +34,9 @@ LINK_B frame: 0x7E delimiters around the byte-stuffed body
 (header | payload | CRC-16 over header+payload); 0x7E and 0x7D inside the
 body are escaped as 0x7D followed by the byte XOR 0x20.
 
+`convert_to_frame` and `convert_from_frame` take the link as a `LinkType`
+value only, never as a name.
+
 `convert_from_frame` memoizes decoded packets per (frame bytes, link) in a
 16-entry LRU, keyed by whether the link is LINK_A (a `LinkType` member
 would be hashed by Python code in `enum`), so every receiver of one frame
@@ -52,6 +54,10 @@ reported by `scan_timeouts`, which expires from the front and so needs
 insertion order to be time order: true while only `reassemble` changes
 the buffer and `now` never decreases. `reassemble` checks each key it
 touches lazily and needs no such order.
+
+A `CommConfig` checks every value rule when it is built, whether it comes
+from a config file (`parse_comm_config`, which names the offending line)
+or from code.
 """
 
 from __future__ import annotations
@@ -330,26 +336,12 @@ class FrameCorrupt(Exception):
     pass
 
 
-class UnknownLink(Exception):
-    pass
-
-
 LINK_A_SYNC = b"\xaa\x55"
 _FLAG = 0x7E
 _ESCAPE = 0x7D
 
 
-def _resolve_link(link: LinkType | str) -> LinkType:
-    if isinstance(link, LinkType):
-        return link
-    try:
-        return LinkType[str(link)]
-    except KeyError:
-        raise UnknownLink(str(link)) from None
-
-
-def convert_to_frame(pkt: Packet, link: LinkType | str) -> bytes:
-    link = _resolve_link(link)
+def convert_to_frame(pkt: Packet, link: LinkType) -> bytes:
     body = pkt.to_bytes()
     if link is LinkType.LINK_A:
         length = struct.pack(">H", len(body))
@@ -360,9 +352,9 @@ def convert_to_frame(pkt: Packet, link: LinkType | str) -> bytes:
     return b"\x7e" + stuffed + b"\x7e"
 
 
-def convert_from_frame(data: bytes, link: LinkType | str) -> Packet:
+def convert_from_frame(data: bytes, link: LinkType) -> Packet:
     """Decode one frame; FrameCorrupt if it does not check (memoized, see module doc)."""
-    return _decode(bytes(data), _resolve_link(link) is LinkType.LINK_A)
+    return _decode(bytes(data), link is LinkType.LINK_A)
 
 
 @functools.lru_cache(maxsize=16)
@@ -469,8 +461,44 @@ class HealthTable:
 # --- configuration ---------------------------------------------------------------------
 
 
+_COUNT_KEYS = ("mtu_payload", "reassembly_timeout", "scan_period", "dead_threshold")
+_INT_KEYS = (*_COUNT_KEYS, "default_priority")
+
+
+def _check_value(key: str, value) -> None:
+    """ValueError when `value` breaks the rule for config key `key`."""
+    if key == "auth_key":
+        if len(value) > MAX_AUTH_KEY_LEN:
+            raise ValueError(f"auth_key must be at most {MAX_AUTH_KEY_LEN} bytes, got {len(value)}")
+    elif key in _COUNT_KEYS:
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
+        if key == "mtu_payload" and value > MAX_MTU_PAYLOAD:
+            raise ValueError(f"mtu_payload must be at most {MAX_MTU_PAYLOAD}, got {value}")
+    elif not 0 <= value <= 255:
+        raise ValueError(f"{key} must be in 0..255, got {value}")
+
+
+def _priority_clash(default_priority: int, priorities) -> tuple[str, str, int] | None:
+    """The first two keys that share a priority, and that priority, or None."""
+    owner = {default_priority: "default_priority"}
+    for key, number in ((f"priority.{name}", n) for name, n in priorities):
+        other = owner.setdefault(number, key)
+        if other != key:
+            return key, other, number
+    return None
+
+
 @dataclass(frozen=True)
 class CommConfig:
+    """Comm-stack settings. Sizes, periods and thresholds must be at least 1,
+    mtu_payload at most MAX_MTU_PAYLOAD and auth_key at most
+    MAX_AUTH_KEY_LEN bytes; priorities travel in one header byte, so they
+    must lie in 0..255. A reassembled message's type is read back from its
+    priority, so no two types may share one and none may equal
+    default_priority. A config that breaks a rule raises ValueError when it
+    is built, from a file or from code."""
+
     mtu_payload: int = 1000
     reassembly_timeout: int = 3000
     scan_period: int = 100
@@ -479,24 +507,27 @@ class CommConfig:
     default_priority: int = DEFAULT_PRIORITY
     priorities: tuple[tuple[str, int], ...] = tuple(DEFAULT_PRIORITIES.items())
 
+    def __post_init__(self) -> None:
+        for key in (*_INT_KEYS, "auth_key"):
+            _check_value(key, getattr(self, key))
+        for name, number in self.priorities:
+            _check_value(f"priority.{name}", number)
+        clash = _priority_clash(self.default_priority, self.priorities)
+        if clash:
+            raise ValueError("{} and {} are both {}; types must differ".format(*clash))
+
     def priority_table(self) -> dict[str, int]:
         return dict(self.priorities)
 
 
 DEFAULT_CONFIG = CommConfig()
 
-_COUNT_KEYS = ("mtu_payload", "reassembly_timeout", "scan_period", "dead_threshold")
-_INT_KEYS = (*_COUNT_KEYS, "default_priority")
-
 
 def parse_comm_config(text: str) -> CommConfig:
     """Parse `key = value` configuration lines (comments as in model files).
 
-    Sizes, periods and thresholds must be at least 1, mtu_payload at most
-    MAX_MTU_PAYLOAD and auth_key at most MAX_AUTH_KEY_LEN bytes;
-    priorities travel in one header byte, so they must lie in 0..255. A
-    reassembled message's type is read back from its priority, so no two
-    types may share one and none may equal default_priority.
+    A value that breaks a `CommConfig` rule is refused at the line that
+    sets it; two types that share a priority, at the later of their lines.
     """
     values: dict[str, object] = {}
     priorities: dict[str, int] = dict(DEFAULT_PRIORITIES)
@@ -510,39 +541,28 @@ def parse_comm_config(text: str) -> CommConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "auth_key":
-            encoded = value.encode()
-            if len(encoded) > MAX_AUTH_KEY_LEN:
-                raise ValueError(
-                    f"line {lineno}: auth_key must be at most {MAX_AUTH_KEY_LEN} bytes,"
-                    f" got {len(encoded)}"
-                )
-            values[key] = encoded
-            continue
-        if key not in _INT_KEYS and not key.startswith("priority."):
+            number: object = value.encode()
+        elif key not in _INT_KEYS and not key.startswith("priority."):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
-            number = int(value)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
-        if key in _COUNT_KEYS and number < 1:
-            raise ValueError(f"line {lineno}: {key} must be at least 1, got {number}")
-        if key == "mtu_payload" and number > MAX_MTU_PAYLOAD:
-            raise ValueError(
-                f"line {lineno}: mtu_payload must be at most {MAX_MTU_PAYLOAD}, got {number}"
-            )
-        if key not in _COUNT_KEYS and not 0 <= number <= 255:
-            raise ValueError(f"line {lineno}: {key} must be in 0..255, got {number}")
-        if key in _INT_KEYS:
-            values[key] = number
         else:
-            priorities[key[len("priority."):]] = number
+            try:
+                number = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
+        try:
+            _check_value(key, number)
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+        if key.startswith("priority."):
+            priorities[key[len("priority."):]] = number  # type: ignore[assignment]
+        else:
+            values[key] = number
         set_at[key] = lineno
-    owner = {values.get("default_priority", DEFAULT_PRIORITY): "default_priority"}
-    for key, number in ((f"priority.{name}", n) for name, n in priorities.items()):
-        other = owner.setdefault(number, key)
-        if other != key:
-            lineno = max(set_at.get(key, 0), set_at.get(other, 0))
-            raise ValueError(f"line {lineno}: {key} and {other} are both {number}; types must differ")
+    clash = _priority_clash(values.get("default_priority", DEFAULT_PRIORITY), priorities.items())
+    if clash:
+        key, other, number = clash
+        lineno = max(set_at.get(key, 0), set_at.get(other, 0))
+        raise ValueError(f"line {lineno}: {key} and {other} are both {number}; types must differ")
     return CommConfig(priorities=tuple(priorities.items()), **values)  # type: ignore[arg-type]
 
 
@@ -553,16 +573,9 @@ def _reads_back(key: str, value: str) -> bool:
     return line.splitlines() == [line] and (left.strip(), right.strip()) == (key, value)
 
 
-def check_auth_key(key: bytes) -> None:
-    """ValueError when `key` is longer than a BLAKE2s key may be."""
-    if len(key) > MAX_AUTH_KEY_LEN:
-        raise ValueError(f"auth_key must be at most {MAX_AUTH_KEY_LEN} bytes, got {len(key)}")
-
-
 def render_comm_config(cfg: CommConfig) -> str:
     """Config-file text of `cfg`; ValueError naming the auth_key or the
     priority whose line would not read back."""
-    check_auth_key(cfg.auth_key)
     key = cfg.auth_key.decode(errors="replace")
     if key.encode() != cfg.auth_key or not _reads_back("auth_key", key):
         raise ValueError(f"auth_key {cfg.auth_key!r} would not read back from a config file")

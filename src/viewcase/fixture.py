@@ -361,7 +361,6 @@ def _failover(
     TAKEOVER message), and send the monitor's alert queue one EQUIP_STATUS
     summary per scan whatever the alert count, so link traffic stays
     constant across runs. The scan owns every HEALTH_SOURCE channel."""
-    comm.check_auth_key(cfg.auth_key)
     standbys = standby_map(plan)
     monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order

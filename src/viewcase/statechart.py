@@ -235,9 +235,6 @@ class StateMachine:
         self.resources: dict = {}
         self.deferral_buffer: list[ActorMessage] = []
 
-    def dispatch(self, msg: ActorMessage) -> DispatchResult:
-        return dispatch(self, msg)
-
 
 def _deferred_along(chart: Chart, leaf: str) -> frozenset[str]:
     """The signals deferred by `leaf` and its ancestors."""

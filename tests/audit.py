@@ -60,8 +60,9 @@ def parse_rows(text: str) -> list[Row]:
 
 
 def rows_of(trace, event: str, process: str | None = None) -> list:
-    """The rows of `trace.rows` with this event, and this process if given."""
-    return [r for r in trace.rows if r.event == event and (process is None or r.process == process)]
+    """The rows of `trace` with this event, and this process if given."""
+    rows = parse_rows(trace.to_text())
+    return [r for r in rows if r.event == event and (process is None or r.process == process)]
 
 
 @dataclass

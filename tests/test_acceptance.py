@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from audit import rows_of
+from audit import parse_rows, rows_of
 from viewcase import comm
 from viewcase.cli import main
 from viewcase.engine import degradation_report, parse_scenario
@@ -275,10 +275,11 @@ def test_acceptance_7_run_to_completion_throughput(capsys):
                 return int(token[1:])
         return None
 
+    rows = parse_rows(trace.to_text())
     interleaved = 0
     for pid in metrics.processes:
         seen = []
-        for row in trace.rows:
+        for row in rows:
             if row.process != pid or row.thread != "processor":
                 continue
             n = dispatch_no(row.detail)

@@ -34,7 +34,6 @@ from viewcase.comm import (
     OutcomeKind,
     Packet,
     ReassemblyBuffer,
-    UnknownLink,
     auth_tag,
     classify_priority,
     convert_from_frame,
@@ -459,7 +458,7 @@ def test_link_a_frame_layout():
     assert frame[4:-2] == pkt.to_bytes()
     (crc,) = struct.unpack(">H", frame[-2:])
     assert crc == crc16(frame[2:-2])
-    assert convert_from_frame(frame, "LINK_A") == pkt
+    assert convert_from_frame(frame, LinkType.LINK_A) == pkt
 
 
 def test_link_b_frame_is_flag_delimited():
@@ -467,7 +466,7 @@ def test_link_b_frame_is_flag_delimited():
     frame = convert_to_frame(pkt, LinkType.LINK_B)
     assert frame[0] == 0x7E and frame[-1] == 0x7E
     assert 0x7E not in frame[1:-1]
-    assert convert_from_frame(frame, "LINK_B") == pkt
+    assert convert_from_frame(frame, LinkType.LINK_B) == pkt
 
 
 def test_link_b_escapes_flag_and_escape_bytes():
@@ -521,7 +520,7 @@ def test_repeated_frame_decodes_to_an_equal_packet(link):
     frame = convert_to_frame(pkt, link)
     first = convert_from_frame(frame, link)
     hits = comm._decode.cache_info().hits
-    assert convert_from_frame(bytes(frame), link.value) == first == pkt
+    assert convert_from_frame(bytes(frame), link) == first == pkt
     assert comm._decode.cache_info().hits == hits + 1
 
 
@@ -545,13 +544,6 @@ def test_decode_of_a_mutated_buffer_is_not_stale():
     buf[-1] ^= 0xFF
     with pytest.raises(FrameCorrupt):
         convert_from_frame(buf, LinkType.LINK_A)
-
-
-def test_unknown_link_name_is_rejected():
-    with pytest.raises(UnknownLink):
-        convert_to_frame(_pkt(), "LINK_C")
-    with pytest.raises(UnknownLink):
-        convert_from_frame(b"\x7e\x7e", "serial")
 
 
 # --- health table -----------------------------------------------------------------------
@@ -677,6 +669,27 @@ def test_parse_comm_config_rejects_values_the_simulation_cannot_use(text):
         parse_comm_config("# tuning\n" + text)
     assert "line 2" in str(err.value)
     assert parse_comm_config("mtu_payload = 1\ndefault_priority = 255\npriority.status = 0\n")
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"mtu_payload": 0}, "mtu_payload must be at least 1, got 0"),
+        ({"mtu_payload": MAX_MTU_PAYLOAD + 1}, f"mtu_payload must be at most {MAX_MTU_PAYLOAD}"),
+        ({"reassembly_timeout": 0}, "reassembly_timeout must be at least 1, got 0"),
+        ({"scan_period": -5}, "scan_period must be at least 1, got -5"),
+        ({"dead_threshold": 0}, "dead_threshold must be at least 1, got 0"),
+        ({"auth_key": b"k" * 33}, "auth_key must be at most 32 bytes, got 33"),
+        ({"default_priority": 256}, "default_priority must be in 0..255, got 256"),
+        ({"priorities": (("track_data", 300),)}, "priority.track_data must be in 0..255, got 300"),
+        ({"priorities": (("a", 7), ("b", 7))}, "priority.b and priority.a are both 7"),
+        ({"default_priority": 140}, "priority.status and default_priority are both 140"),
+    ],
+)
+def test_comm_config_built_in_code_refuses_what_a_file_would(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        CommConfig(**kwargs)
+    assert str(err.value).startswith(message)
 
 
 def test_comm_config_render_round_trip():
@@ -949,8 +962,8 @@ def test_render_comm_config_rejects_keys_it_cannot_read_back(key):
 @settings(max_examples=300, deadline=None)
 @given(st.binary())
 def test_render_comm_config_round_trips_or_refuses(key):
-    cfg = CommConfig(auth_key=key)
     try:
+        cfg = CommConfig(auth_key=key)
         text = render_comm_config(cfg)
     except ValueError as err:
         assert "auth_key" in str(err)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audit import parse_rows, rows_of
+from audit import Row, parse_rows, rows_of
 from viewcase.engine import (
     FailoverConfig,
     FailoverRecord,
@@ -26,7 +26,6 @@ from viewcase.engine import (
     SharedSegmentRt,
     SimConfig,
     StimulusSpec,
-    TraceRow,
     degradation_report,
     instantiate,
     parse_scenario,
@@ -121,6 +120,7 @@ def test_parse_scenario_hash_in_process_id_is_not_a_comment():
         ("fault kill PeerCI#0 at -7", 1),
         ("stimulus A X at 1 every -3 priority 2 size 3", 1),
         ("fault kill A at 1\nstimulus A X at 1 every 0 priority 2 size -1", 2),
+        ("# repeat?\nfault kill PeerCI#3 at 5000 every 100", 2),
     ],
 )
 def test_parse_scenario_errors_carry_line_numbers(text, line):
@@ -186,8 +186,9 @@ def test_rows_parse_back_to_the_traced_fields():
         ),
         500,
     )
-    assert trace.rows == tuple(TraceRow(*fields) for fields in traced)
-    details = {r.detail for r in trace.rows}
+    rows = parse_rows(trace.to_text())
+    assert rows == [Row(*fields) for fields in traced]
+    details = {r.detail for r in rows}
     assert "" in details and "POKE size 4" in details  # empty details and inner spaces
     assert trace.to_text() == trace.text
 
@@ -207,7 +208,7 @@ def test_sink_receives_each_line_and_the_run_returns_an_empty_trace():
     streamed, metrics = world.run(scenario, 500, sink=lines.append)
     assert "".join(lines) == collected.to_text()
     assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
-    assert streamed.text == "" and streamed.rows == ()
+    assert streamed.text == "" and streamed.rows == []
     assert world._lines == [] and metrics.processes["B#0"].dispatches > 0
 
 
@@ -410,7 +411,8 @@ def test_watchdog_trips_on_stalled_dispatch():
     assert metrics.processes["A#0"].watchdog_trips == 1
     assert (400, "A#0", "watchdog") in metrics.faults
     # the killed process does nothing afterwards
-    assert all(r.time <= 400 for r in trace.rows if r.process == "A#0" and r.event != "stimulus")
+    rows = parse_rows(trace.to_text())
+    assert all(r.time <= 400 for r in rows if r.process == "A#0" and r.event != "stimulus")
 
 
 def test_healthy_steady_traffic_never_trips():
@@ -520,7 +522,11 @@ def test_recall_after_a_timed_dispatch_runs_a_ms_after_its_tick():
         ),
         500,
     )
-    rows = [(r.time, r.event, r.detail) for r in trace.rows if r.process == "B#0" and r.thread == "processor"]
+    rows = [
+        (r.time, r.event, r.detail)
+        for r in parse_rows(trace.to_text())
+        if r.process == "B#0" and r.thread == "processor"
+    ]
     assert rows == [
         (100, "defer", "W/X"),
         (200, "dispatch", "W/GO d1 actions 1"),
@@ -574,7 +580,11 @@ def test_processor_rows_follow_the_action_costs(first, second):
             t += max(1, math.ceil(cost))
         expected.append((t - 1, "complete", f"W/{signal} d{n}"))
         later_ms.extend(range(start + 1, t))
-    rows = [(r.time, r.event, r.detail) for r in trace.rows if r.process == "B#0" and r.thread == "processor"]
+    rows = [
+        (r.time, r.event, r.detail)
+        for r in parse_rows(trace.to_text())
+        if r.process == "B#0" and r.thread == "processor"
+    ]
     assert rows == expected
     assert spent == later_ms
 
@@ -780,7 +790,7 @@ def test_killed_process_goes_silent():
     trace, metrics = world.run(scenario, 1500)
     after = [
         r
-        for r in trace.rows
+        for r in parse_rows(trace.to_text())
         if r.process == "A#0" and r.time > 500 and r.event not in ("stimulus",)
     ]
     assert after == []
@@ -838,7 +848,8 @@ def test_a_failing_dispatch_kills_only_its_process(fault, cause):
     )
     assert metrics.faults == [(100, "A#0", cause)]
     assert [(r.time, r.detail) for r in rows_of(trace, "fault", "A#0")] == [(100, cause)]
-    assert not [r for r in trace.rows if r.process == "A#0" and r.thread == "processor" and r.time >= 100]
+    rows = parse_rows(trace.to_text())
+    assert not [r for r in rows if r.process == "A#0" and r.thread == "processor" and r.time >= 100]
     assert metrics.processes["A#0"].dispatches == 1  # the first POKE only
     assert (machine.current, machine.variables) == ("Idle", {"n": 1})
     consumer = [r.time for r in rows_of(trace, "dispatch", "B#0")]
@@ -1002,11 +1013,13 @@ def test_trace_rows_are_trace_rows():
     _, _, world = build_world()
     scenario = parse_scenario("stimulus LocalHost#0 SEND_REQ at 100 every 0 priority 180 size 64\n")
     trace, _ = world.run(scenario, 400)
-    assert trace.rows and all(type(r) is TraceRow for r in trace.rows)
-    first = trace.rows[0]
-    assert first == TraceRow(first.time, first.process, first.thread, first.event, first.detail)
-    assert rows_of(trace, "stimulus") == [TraceRow(100, "LocalHost#0", "-", "stimulus", "SEND_REQ size 64")]
+    rows = parse_rows(trace.to_text())
+    assert rows and all(type(r) is Row for r in rows)
+    first = rows[0]
+    assert first == Row(first.time, first.process, first.thread, first.event, first.detail)
+    assert rows_of(trace, "stimulus") == [Row(100, "LocalHost#0", "-", "stimulus", "SEND_REQ size 64")]
     sends = [r for r in rows_of(trace, "dispatch", "LocalHost#0") if "/SEND_REQ " in r.detail]
     assert len(sends) == 1
     assert (sends[0].thread, sends[0].detail.split()[-2:]) == ("processor", ["actions", "3"])
-    assert trace.to_text() == "".join("\t".join(map(str, r)) + "\n" for r in trace.rows)
+    assert trace.to_text() == "".join("\t".join(map(str, r)) + "\n" for r in rows)
+    assert "".join(line + "\n" for line in trace.rows) == trace.to_text()

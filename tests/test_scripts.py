@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end and exit cleanly."""
+"""The experiment scripts run end to end, exit cleanly and print what they found."""
 
 import os
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from audit import rows_of
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,17 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+# lines each script prints for the arguments below
+_EXPECTED = {
+    "run_failover.py": ["verdict: graceful"],
+    "run_degradation.py": [
+        "verdict: graceful",
+        "non-incident links identical to the clean run: True",
+    ],
+    "run_scaleout.py": ["  + node PeerCI#6"],
+}
+
+
 @pytest.mark.parametrize(
     "name, args",
     [
@@ -35,7 +48,11 @@ def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_script_exits_cleanly(name, args):
     result = _run_script(name, *args)
     assert result.returncode == 0, result.stderr
-    assert result.stdout
+    lines = result.stdout.splitlines()
+    assert all(line in lines for line in _EXPECTED[name]), result.stdout
+    if name == "run_failover.py":
+        takeovers = [line for line in lines if line.startswith("takeover:")]
+        assert len(takeovers) == 2 and all("active t=1301 " in line for line in takeovers)
 
 
 def test_make_fixture_writes_every_file(tmp_path):
@@ -57,7 +74,7 @@ def test_make_fixture_scales_the_model_with_the_scenarios(tmp_path):
     _, _, world = build_world(model)
     scenario = parse_scenario((tmp_path / "degradation.scn").read_text(encoding="utf-8"))
     trace, _ = world.run(scenario, 1000, seed=0)
-    stimuli = [(r.process, r.detail) for r in trace.rows if r.event == "stimulus"]
+    stimuli = [(r.process, r.detail) for r in rows_of(trace, "stimulus")]
     assert ("PeerCI#8", "RX_DATA size 700") in stimuli
     assert not [s for s in stimuli if s[1].endswith(" dropped")]
 

@@ -101,7 +101,7 @@ def test_guards_disambiguate_same_scope():
 def test_exit_transition_entry_order():
     log = []
     m = _nested_machine(log)
-    result = m.dispatch(ActorMessage("GO"))
+    result = dispatch(m, ActorMessage("GO"))
     assert result.fired
     assert log == ["exitLeafA", "exitA", "tGo", "enterB", "enterLeafB"]
     assert m.current == "LeafB"
@@ -117,7 +117,7 @@ def test_leaf_self_transition_runs_actions_only():
     b.state("Leaf", parent="Top", entry=[_recorder(log, "enter")], exit=[_recorder(log, "exit")])
     b.transition("Leaf", "TICK", "Leaf", actions=[_recorder(log, "work")])
     m = b.build()
-    m.dispatch(ActorMessage("TICK"))
+    dispatch(m, ActorMessage("TICK"))
     assert log == ["work"]  # no exit/entry on a leaf self-loop
     assert m.current == "Leaf"
 
@@ -132,10 +132,10 @@ def test_composite_self_transition_resets_to_initial_child():
     b.transition("First", "NEXT", "Second")
     b.transition("Comp", "RESET", "Comp")
     m = b.build()
-    m.dispatch(ActorMessage("NEXT"))
+    dispatch(m, ActorMessage("NEXT"))
     assert m.current == "Second"
     log.clear()
-    m.dispatch(ActorMessage("RESET"))
+    dispatch(m, ActorMessage("RESET"))
     assert m.current == "First"
     assert log == ["exitSecond", "enterFirst"]
 
@@ -143,7 +143,7 @@ def test_composite_self_transition_resets_to_initial_child():
 def test_transition_to_composite_descends_initial_chain():
     log = []
     m = _nested_machine(log)
-    m.dispatch(ActorMessage("GO"))
+    dispatch(m, ActorMessage("GO"))
     assert m.current == "LeafB"  # CompB's initial child, not CompB itself
 
 
@@ -163,16 +163,16 @@ def _deferring_machine():
 
 def test_unmatched_deferred_signal_is_buffered():
     m = _deferring_machine()
-    r = m.dispatch(ActorMessage("DATA", b"1"))
+    r = dispatch(m, ActorMessage("DATA", b"1"))
     assert not r.fired and r.deferred
     assert [d.body for d in m.deferral_buffer] == [b"1"]
 
 
 def test_recall_happens_in_arrival_order_after_leaving_deferring_state():
     m = _deferring_machine()
-    m.dispatch(ActorMessage("DATA", b"1"))
-    m.dispatch(ActorMessage("DATA", b"2", priority=99))
-    r = m.dispatch(ActorMessage("OPEN"))
+    dispatch(m, ActorMessage("DATA", b"1"))
+    dispatch(m, ActorMessage("DATA", b"2", priority=99))
+    r = dispatch(m, ActorMessage("OPEN"))
     assert r.fired
     assert [d.body for d in r.recalled] == [b"1", b"2"]  # arrival order, not priority
     assert m.deferral_buffer == []
@@ -186,8 +186,8 @@ def test_still_deferred_signals_stay_buffered():
     b.state("B", parent="Comp")
     b.transition("A", "STEP", "B")
     m = b.build()
-    m.dispatch(ActorMessage("DATA"))
-    r = m.dispatch(ActorMessage("STEP"))
+    dispatch(m, ActorMessage("DATA"))
+    r = dispatch(m, ActorMessage("STEP"))
     assert r.recalled == ()
     assert len(m.deferral_buffer) == 1  # Top still in context, still deferring
 
@@ -195,7 +195,7 @@ def test_still_deferred_signals_stay_buffered():
 def test_unmatched_undeferred_signal_is_discarded_without_mutation():
     m = _deferring_machine()
     before = (m.current, dict(m.variables), list(m.deferral_buffer))
-    r = m.dispatch(ActorMessage("NO_SUCH"))
+    r = dispatch(m, ActorMessage("NO_SUCH"))
     assert not r.fired and not r.deferred
     assert (m.current, m.variables, m.deferral_buffer) == before
 
@@ -228,7 +228,7 @@ def test_action_failure_restores_pre_dispatch_state():
     m = b.build()
     m.variables["n"] = 1
     with pytest.raises(ActionFailure) as err:
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert err.value.action_id == "bad"
     assert m.current == "A"  # state rolled back
     assert m.variables == {"n": 1}  # variable mutation rolled back
@@ -243,7 +243,7 @@ def test_entry_action_failure_also_rolls_back():
     b.transition("A", "GO", "B")
     m = b.build()
     with pytest.raises(ActionFailure) as err:
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert err.value.action_id == "on_enter"
     assert m.current == "A"
 
@@ -254,9 +254,9 @@ def test_action_failure_restores_deferral_buffer():
     b.state("A", parent="Top")
     b.transition("A", "GO", "A", actions=[_exploding("bad")])
     m = b.build()
-    m.dispatch(ActorMessage("LATER"))
+    dispatch(m, ActorMessage("LATER"))
     with pytest.raises(ActionFailure):
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert len(m.deferral_buffer) == 1
 
 
@@ -272,9 +272,9 @@ def test_action_failure_keeps_resource_mutations():
     b.transition("A", "GO", "B", actions=[Action("touch", touch), _exploding("bad")])
     m = b.build({"n": 1})
     m.resources["log"] = []
-    m.dispatch(ActorMessage("LATER"))
+    dispatch(m, ActorMessage("LATER"))
     with pytest.raises(ActionFailure):
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert m.current == "A"
     assert m.variables == {"n": 1}  # variables rolled back
     assert m.deferral_buffer == [ActorMessage("LATER")]
@@ -288,7 +288,7 @@ def test_actions_see_the_dispatch_time():
     b.state("A", parent="Top")
     b.transition("A", "GO", "A", actions=[Action("clock", lambda ctx: seen.append(ctx.now))])
     m = b.build()
-    m.dispatch(ActorMessage("GO"))
+    dispatch(m, ActorMessage("GO"))
     dispatch(m, ActorMessage("GO"), now=1234)
     assert seen == [0, 1234]
 
@@ -327,7 +327,7 @@ def test_actions_can_emit_messages():
         actions=[Action("say", lambda ctx: ctx.emit("uc:Send", ActorMessage("OUT", ctx.msg.body)))],
     )
     m = b.build()
-    r = m.dispatch(ActorMessage("GO", b"payload"))
+    r = dispatch(m, ActorMessage("GO", b"payload"))
     assert r.emitted == (("uc:Send", ActorMessage("OUT", b"payload")),)
 
 
@@ -776,7 +776,7 @@ def test_failed_action_restores_mutated_list_and_nested_dict():
 
     m = _failing_machine(touch, {"n": 1, "log": ["a"], "nested": {"inner": {"k": 1}}})
     with pytest.raises(ActionFailure):
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert m.current == "A"
     assert m.variables == {"n": 1, "log": ["a"], "nested": {"inner": {"k": 1}}}
 
@@ -790,7 +790,7 @@ def test_failed_action_restores_atom_only_variables_exactly():
     before = {"n": 1, "gone": "s", "x": 1.5, "flag": True, "raw": b"\x00", "none": None}
     m = _failing_machine(touch, before)
     with pytest.raises(ActionFailure):
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert m.variables == before
     assert list(m.variables) == list(before)  # key order kept too
 
@@ -802,7 +802,7 @@ def test_failed_action_restores_dict_with_non_str_key():
 
     m = _failing_machine(touch, {7: "seven", "n": 1})
     with pytest.raises(ActionFailure):
-        m.dispatch(ActorMessage("GO"))
+        dispatch(m, ActorMessage("GO"))
     assert m.variables == {7: "seven", "n": 1}
 
 
