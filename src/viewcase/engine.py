@@ -328,11 +328,12 @@ class SimWorld:
         self._owned = failover.owned if failover is not None else frozenset()
         self.processes = processes
         self.channels: dict[str, ChannelRt] = {}
+        known, queue = set(processes), ChannelKind.MESSAGE_QUEUE
         for c in channels:
-            for pid in (c.writer, *c.readers):
-                if pid not in processes:
-                    raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
-            if c.kind is ChannelKind.MESSAGE_QUEUE:
+            if c.writer not in known or not known.issuperset(c.readers):
+                pid = next(p for p in (c.writer, *c.readers) if p not in known)
+                raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
+            if c.kind is queue:
                 if c.capacity is None or c.capacity < 1:
                     raise ValueError(f"message queue {c.id} needs a capacity of at least 1, got {c.capacity}")
                 self.channels[c.id] = MessageQueueRt(c, c.writer, list(c.readers))
@@ -357,18 +358,20 @@ class SimWorld:
         """Per-process lists in channel order: the channels each process writes,
         the periodic segments it beats, and the channels its receiver drains
         (queues, and the segments the scan does not own)."""
-        self.writes: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
-        self.beats: dict[str, list[SharedSegmentRt]] = {pid: [] for pid in self.processes}
-        self.drains: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        writes: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        beats: dict[str, list[SharedSegmentRt]] = {pid: [] for pid in self.processes}
+        drains: dict[str, list[ChannelRt]] = {pid: [] for pid in self.processes}
+        owned = self._owned
         for ch in self.channels.values():
-            self.writes[ch.writer].append(ch)
+            writes[ch.writer].append(ch)
             if isinstance(ch, SharedSegmentRt):
                 if ch.channel.period_ms is not None:
-                    self.beats[ch.writer].append(ch)
-                if ch.channel.id in self._owned:
+                    beats[ch.writer].append(ch)
+                if ch.channel.id in owned:
                     continue
             for reader in dict.fromkeys(ch.readers):
-                self.drains[reader].append(ch)
+                drains[reader].append(ch)
+        self.writes, self.beats, self.drains = writes, beats, drains
 
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
         """Run `handler(time, *args)` at `time`, after every event already due then."""

@@ -279,6 +279,7 @@ def build_behaviors(
     operator = _loop_chart("Watch", [("EQUIP_STATUS", (Action("record_alerts", _record_alerts),))])
     monitor = _loop_chart("Scanning", [("ExchangeStatus", (_NOTE_STATUS,))])
     generic: dict[tuple[tuple[str, ...], tuple[str, ...]], Chart] = {}
+    reads: dict[str, set[str]] | None = None  # reader -> sources, on the first generic node
     out: dict[str, dict[str, StateMachine]] = {}
     host_lane, peer_lane = 1, 16
     for node in plan.all_nodes():
@@ -302,8 +303,13 @@ def build_behaviors(
         elif actor == "CommEquipment":
             out[node.id] = {"MonitorEquipment": StateMachine(monitor, name=node.id)}
         else:
+            if reads is None:
+                reads = {}
+                for ch in channels:
+                    for reader in ch.readers:
+                        reads.setdefault(reader, set()).add(ch.source)
             owned = set(node.owned_use_cases())
-            inbound = {ch.source for ch in channels if node.id in ch.readers} | {"DATA_PKT"}
+            inbound = reads.get(node.id, set()) | {"DATA_PKT"}
             key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
             if key not in generic:
                 generic[key] = _generic_chart(*key)

@@ -25,6 +25,7 @@ The two policy objectives trade memory for isolation:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -238,7 +239,8 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
 
     nodes = [ProcessNode(**entry, inlined=tuple(inl)) for entry, inl in zip(layout, inlined)]
     size = {u.id: u.code_size for u in model.use_cases}
-    footprint = sum(size[u] for n in nodes for u in n.owned_use_cases())
+    resident = Counter(n.owned_use_cases() for n in nodes)  # k instances share one set
+    footprint = sum(k * sum(size[u] for u in owned) for owned, k in resident.items())
     if memory_bound:
         assert policy.memory_budget is not None
         if footprint > policy.memory_budget:

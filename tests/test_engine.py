@@ -637,7 +637,7 @@ def test_queue_blocks_writer_when_full():
     cid = "mq:A#0:B#0:U"
     ch = world.channels[cid]
     assert isinstance(ch, MessageQueueRt)
-    ch.channel = dataclasses.replace(ch.channel, capacity=2)
+    ch.channel = ch.channel._replace(capacity=2)
     proc = world.processes["A#0"]
     proc.outbound = [(cid, ActorMessage("DATA", bytes([i]), 5)) for i in range(4)]
     world._transmitter_pass(proc, 0)
@@ -667,7 +667,7 @@ def test_a_blocked_send_records_no_link():
 def test_a_queue_without_room_is_refused_when_the_world_is_built(capacity):
     world, channels = _world()
     channels = [
-        dataclasses.replace(c, capacity=capacity) if c.kind is ChannelKind.MESSAGE_QUEUE else c
+        c._replace(capacity=capacity) if c.kind is ChannelKind.MESSAGE_QUEUE else c
         for c in channels
     ]
     behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
@@ -965,9 +965,30 @@ def test_channel_endpoint_outside_the_plan_is_refused(endpoint, ghost):
     i = next(i for i, c in enumerate(channels) if c.kind is ChannelKind.MESSAGE_QUEUE)
     ch = channels[i]
     wired = list(channels)
-    wired[i] = dataclasses.replace(ch, **{endpoint: (ghost,) if endpoint == "readers" else ghost})
+    wired[i] = ch._replace(**{endpoint: (ghost,) if endpoint == "readers" else ghost})
     with pytest.raises(ValueError, match=re.escape(f"channel {ch.id} names '{ghost}'")):
         instantiate(plan, wired, build_behaviors(plan, wired))
+
+
+@pytest.mark.parametrize(
+    "writer, readers, named",
+    [
+        ("LocalHost#9", ("PeerCI#0", "PeerCI#9"), "LocalHost#9"),
+        ("LocalHost#0", ("PeerCI#0", "PeerCI#8", "PeerCI#9"), "PeerCI#8"),
+    ],
+    ids=["writer-before-reader", "first-of-two-readers"],
+)
+def test_channel_check_names_the_first_endpoint_outside_the_plan(writer, readers, named):
+    plan, channels, _ = build_world()
+    i = next(i for i, c in enumerate(channels) if c.kind is ChannelKind.SHARED_SEGMENT)
+    ch = channels[i]
+    wired = list(channels)
+    wired[i] = IpcChannel(
+        ch.id, ch.kind, writer, readers, ch.klass, ch.source, ch.message_size,
+        segment_size=ch.segment_size, period_ms=ch.period_ms,
+    )
+    with pytest.raises(ValueError, match=re.escape(f"channel {ch.id} names '{named}',")):
+        instantiate(plan, wired, build_behaviors(plan, channels))
 
 
 def test_missing_behavior_is_reported_with_node_id():

@@ -153,6 +153,32 @@ def test_generic_charts_are_shared_by_signal_signature():
     assert {m.name for m in relays.values()} == set(relays)
 
 
+def test_generic_charts_match_a_per_node_scan_at_multiplicity_300():
+    text = (
+        "actor Gw multiplicity 1\n"
+        "actor Node multiplicity 300\n"
+        'usecase Route "Route traffic" codesize 700\n'
+        'usecase Handle "Handle traffic" codesize 600\n'
+        "trigger Gw -> Route\n"
+        "trigger Node -> Handle\n"
+        "flow Route -> Node async size 96\n"
+        "flow Handle -> Gw periodic 100 size 16\n"
+    )
+    model = parse_model(text)
+    plan = build_plan(model, MappingPolicy())
+    channels = assign_ipc(dependency_graph(plan, model))
+    behaviors = build_behaviors(plan, channels)
+    charts = {}
+    for node in plan.all_nodes():
+        owned = set(node.owned_use_cases())
+        inbound = {ch.source for ch in channels if node.id in ch.readers} | {"DATA_PKT"}
+        key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
+        chart = behaviors[node.id]["relay"].chart
+        assert [t.signal for t in chart.transitions] == [*key[0], *key[1]], node.id
+        assert charts.setdefault(key, chart) is chart, node.id
+    assert len(plan.all_nodes()) == 301 and len(charts) == 2
+
+
 # --- scenarios -------------------------------------------------------------------
 
 

@@ -101,7 +101,7 @@ def _reference_dependency_graph(plan, model):
     return edges
 
 
-@pytest.mark.parametrize("peers", [1, 6, 50])
+@pytest.mark.parametrize("peers", [1, 6, 50, 500])
 @pytest.mark.parametrize(
     "policy",
     [MappingPolicy(), MappingPolicy(Objective.MEMORY_BOUND, memory_budget=10**9)],
@@ -163,6 +163,20 @@ def test_r3_async_point_to_point_becomes_queue():
     assert ch.id == "mq:W#0:R#0:Cmd"
     assert ch.capacity == DEFAULT_QUEUE_CAPACITY
     assert ch.segment_size is None
+
+
+def test_channel_records_are_immutable_hashable_values():
+    flow = TrafficFlow("Cmd", "X", FlowClass.ASYNC, 64)
+    (ch,) = assign_ipc([DependencyEdge("W#0", ("R#0",), flow)])
+    with pytest.raises(AttributeError):
+        ch.capacity = 2
+    (twin,) = assign_ipc([DependencyEdge("W#0", ("R#0",), flow)])
+    assert twin == ch and twin is not ch
+    assert hash(twin) == hash(ch) and len({ch, twin}) == 1
+    roomy = ch._replace(capacity=2)
+    assert roomy.capacity == 2 and roomy.id == ch.id and roomy != ch
+    assert ch.capacity == DEFAULT_QUEUE_CAPACITY
+    assert repr(ch).startswith("IpcChannel(id=")
 
 
 # --- fixture channel census ----------------------------------------------------------
