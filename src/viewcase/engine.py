@@ -39,9 +39,10 @@ Scenario files are line oriented (`#` comments):
 `every 0` means a one-shot stimulus; `at`, `every` and `size` must not
 be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
-refuses a channel endpoint outside the plan and a message queue whose
-capacity is missing or below 1, and `run` (via `check_run`) a horizon below
-1 or a scenario naming a process the plan does not have.
+refuses a channel endpoint outside the plan, a channel that names a reader
+twice and a message queue whose capacity is missing or below 1, and `run`
+(via `check_run`) a horizon below 1 or a scenario naming a process the plan
+does not have.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .ipc import ChannelKind, IpcChannel
 from .model import strip_comment
@@ -311,6 +312,16 @@ class ProcessInstance:
 _MAX_BATCH = 256  # zero-cost processor outcomes folded into one tick
 
 
+def _refuse(c: IpcChannel, known: set[str]) -> NoReturn:
+    """Raise for the first endpoint, writer then readers, that is not a process
+    of the plan, or else for the first reader named twice."""
+    for pid in (c.writer, *c.readers):
+        if pid not in known:
+            raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
+    dup = next(r for i, r in enumerate(c.readers) if r in c.readers[:i])
+    raise ValueError(f"channel {c.id} names {dup!r} twice")
+
+
 class SimWorld:
     """A single-use simulated deployment of a plan; see `instantiate`."""
 
@@ -328,17 +339,22 @@ class SimWorld:
         self._owned = failover.owned if failover is not None else frozenset()
         self.processes = processes
         self.channels: dict[str, ChannelRt] = {}
-        known, queue = set(processes), ChannelKind.MESSAGE_QUEUE
+        rts, known, queue = self.channels, set(processes), ChannelKind.MESSAGE_QUEUE
         for c in channels:
-            if c.writer not in known or not known.issuperset(c.readers):
-                pid = next(p for p in (c.writer, *c.readers) if p not in known)
-                raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
-            if c.kind is queue:
-                if c.capacity is None or c.capacity < 1:
-                    raise ValueError(f"message queue {c.id} needs a capacity of at least 1, got {c.capacity}")
-                self.channels[c.id] = MessageQueueRt(c, c.writer, list(c.readers))
+            cid, kind, writer, readers, _, _, _, capacity, _, _ = c
+            # planned readers never repeat; a hand-built channel's may
+            if (
+                writer not in known
+                or not known.issuperset(readers)
+                or len(readers) > 1 and len(set(readers)) < len(readers)
+            ):
+                _refuse(c, known)
+            if kind is queue:
+                if capacity is None or capacity < 1:
+                    raise ValueError(f"message queue {cid} needs a capacity of at least 1, got {capacity}")
+                rts[cid] = MessageQueueRt(c, writer, list(readers))
             else:
-                self.channels[c.id] = SharedSegmentRt(c, c.writer, list(c.readers))
+                rts[cid] = SharedSegmentRt(c, writer, list(readers))
         self._index_endpoints()
         self.metrics = Metrics(processes={pid: proc.stats for pid, proc in processes.items()})
         self._lines: list[str] = []  # trace lines not yet returned by `run`
@@ -369,7 +385,7 @@ class SimWorld:
                     beats[ch.writer].append(ch)
                 if ch.channel.id in owned:
                     continue
-            for reader in dict.fromkeys(ch.readers):
+            for reader in ch.readers:  # each once: `__init__` and `rebind_endpoints` see to it
                 drains[reader].append(ch)
         self.writes, self.beats, self.drains = writes, beats, drains
 

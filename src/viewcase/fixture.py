@@ -370,10 +370,13 @@ def _failover(
     standbys = standby_map(plan)
     monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
+    owned: list[str] = []  # every HEALTH_SOURCE channel
     alert_channel: str | None = None  # the first MonitorEquipment queue
     for c in channels:
-        if c.source == HEALTH_SOURCE and c.kind is ChannelKind.SHARED_SEGMENT:
-            health.append((c.id, c.writer))
+        if c.source == HEALTH_SOURCE:
+            owned.append(c.id)
+            if c.kind is ChannelKind.SHARED_SEGMENT:
+                health.append((c.id, c.writer))
         elif c.source == "MonitorEquipment" and c.kind is ChannelKind.MESSAGE_QUEUE:
             alert_channel = alert_channel or c.id
     status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
@@ -405,8 +408,7 @@ def _failover(
                 alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority), now
             )
 
-    owned = frozenset(c.id for c in channels if c.source == HEALTH_SOURCE)
-    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=owned)
+    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(owned))
 
 
 def build_world(

@@ -20,7 +20,6 @@ Channel assignment rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,17 +34,27 @@ class ChannelKind(Enum):
     MESSAGE_QUEUE = "message-queue"
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyEdge:
+class _Edge(NamedTuple):
     producer: str
     consumers: tuple[str, ...]
     flow: TrafficFlow
 
-    def __post_init__(self) -> None:
-        if not self.consumers:
+
+class DependencyEdge(_Edge):
+    """One planned edge; immutable, so copy it with `_replace`, which checks too."""
+
+    __slots__ = ()
+
+    def __new__(cls, producer: str, consumers: tuple[str, ...], flow: TrafficFlow):
+        if not consumers:
             raise ValueError("edge needs at least one consumer")
-        if self.producer in self.consumers:
-            raise ValueError(f"{self.producer} cannot consume its own edge")
+        if producer in consumers:
+            raise ValueError(f"{producer} cannot consume its own edge")
+        return tuple.__new__(cls, (producer, consumers, flow))
+
+    @classmethod
+    def _make(cls, iterable) -> DependencyEdge:
+        return cls(*iterable)
 
 
 class IpcChannel(NamedTuple):
@@ -73,7 +82,8 @@ class UnroutableFlow(Exception):
 
 def _route(owned: set[str], flows: list[TrafficFlow], sinks: dict[str, list[str]]) -> tuple:
     """The flows leaving a node with these resident use cases: each async flow
-    with its sink nodes, then each periodic source's first flow with the
+    with its sink nodes, each a 1-tuple that the edges of all nodes with this
+    resident set share, then each periodic source's first flow with the
     deduplicated sink nodes of all its periodic flows."""
     async_flows = []
     periodic_by_source: dict[str, list[TrafficFlow]] = {}
@@ -83,7 +93,7 @@ def _route(owned: set[str], flows: list[TrafficFlow], sinks: dict[str, list[str]
         if flow.klass is FlowClass.PERIODIC:
             periodic_by_source.setdefault(flow.source, []).append(flow)
         else:
-            async_flows.append((flow, sinks[flow.sink]))
+            async_flows.append((flow, [(c,) for c in sinks[flow.sink]]))
     periodic = [
         (group[0], tuple(dict.fromkeys(c for flow in group for c in sinks[flow.sink])))
         for group in periodic_by_source.values()
@@ -116,8 +126,8 @@ def dependency_graph(plan: ProcessPlan, model: UseCaseModel) -> list[DependencyE
         nid = node.id
         for flow, consumers in async_flows:
             for consumer in consumers:
-                if consumer != nid:
-                    edges.append(DependencyEdge(nid, (consumer,), flow))
+                if consumer[0] != nid:
+                    edges.append(DependencyEdge(nid, consumer, flow))
         for flow, consumers in periodic:
             if nid in consumers:
                 consumers = tuple(c for c in consumers if c != nid)

@@ -26,7 +26,7 @@ The two policy objectives trade memory for isolation:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Instantiation, UseCaseModel, trigger_map
@@ -72,7 +72,9 @@ class ProcessNode:
     instance (`<Actor>#<k>`); collapsed and shared nodes use `<Actor>#*`.
     `refs` lists view use cases whose code lives in another node (the
     memory-bound single-owner rule); `inlined` lists common use cases
-    statically integrated into this node.
+    statically integrated into this node. `owned_use_cases()` is worked
+    out on first use and kept in `_owned`, which no comparison, hash,
+    `repr` or `replace` sees.
     """
 
     id: str
@@ -82,6 +84,7 @@ class ProcessNode:
     refs: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     service: bool = False
+    _owned: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def actor(self) -> str:
@@ -89,7 +92,14 @@ class ProcessNode:
 
     def owned_use_cases(self) -> tuple[str, ...]:
         """Use cases whose code is resident in this node."""
-        return tuple(u for u in self.view.use_cases if u not in self.refs) + self.inlined
+        owned = self._owned
+        if owned is None:
+            owned, refs = self.view.use_cases, self.refs
+            if refs:
+                owned = tuple(u for u in owned if u not in refs)
+            owned += self.inlined  # the view's own tuple when nothing is added or left out
+            object.__setattr__(self, "_owned", owned)
+        return owned
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,19 +184,17 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
             PlanDecision(1, uc.id, choice, f"triggered by {len(uc.triggers)} actors; {why}")
         )
 
-    # case 2: actor multiplicity; each layout entry is a ProcessNode's fields but `inlined`
-    layout: list[dict] = []
+    # case 2: actor multiplicity; each layout entry is a node's
+    # (id, view, instance_index, refs, service)
+    layout: list[tuple] = []
     for view in views:
         actor = model.actor(view.actor)
         collapse = memory_bound or actor.instantiation is Instantiation.SHARED
         refs = tuple(u for u in view.use_cases if owner[u] != actor.name) if memory_bound else ()
         if collapse:
-            layout.append({"id": f"{actor.name}#*", "view": view, "refs": refs})
+            layout.append((f"{actor.name}#*", view, None, refs, False))
         else:
-            layout += [
-                {"id": f"{actor.name}#{k}", "view": view, "instance_index": k, "refs": refs}
-                for k in range(actor.multiplicity)
-            ]
+            layout += [(f"{actor.name}#{k}", view, k, refs, False) for k in range(actor.multiplicity)]
         if actor.multiplicity < 2:
             continue
         if memory_bound:
@@ -201,9 +209,9 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
     # case 3: each included or extending use case goes inline or into a service
     inlined: list[list[str]] = [[] for _ in layout]
     residence: dict[str, list[int]] = {}  # uc id -> layout indices holding its code
-    for i, entry in enumerate(layout):
-        for u in entry["view"].use_cases:
-            if u not in entry["refs"]:
+    for i, (_, view, _, refs, _) in enumerate(layout):
+        for u in view.use_cases:
+            if u not in refs:
                 residence.setdefault(u, []).append(i)
     for uc_id in _common_use_cases_in_order(model):
         uc = model.use_case(uc_id)
@@ -213,21 +221,14 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
             for i in host_ids:
                 inlined[i].append(uc_id)
                 residence.setdefault(uc_id, []).append(i)
-            names = ", ".join(layout[i]["id"] for i in host_ids)
+            names = ", ".join(layout[i][0] for i in host_ids)
             choice = "inline"
             why = (
                 f"code size {uc.code_size} <= inline threshold "
                 f"{policy.inline_threshold}; duplicated into {names}"
             )
         else:
-            layout.append(
-                {
-                    "id": f"{uc_id}#svc",
-                    "view": ViewCase("", (uc_id,)),
-                    "warnings": (SPOF_WARNING,),
-                    "service": True,
-                }
-            )
+            layout.append((f"{uc_id}#svc", ViewCase("", (uc_id,)), None, (), True))
             inlined.append([])  # deeper includes can land on the service
             residence.setdefault(uc_id, []).append(len(layout) - 1)
             if memory_bound:
@@ -237,7 +238,10 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
             choice, why = "shared-service", f"{why}; {SPOF_WARNING}"
         decisions.append(PlanDecision(3, uc_id, choice, why))
 
-    nodes = [ProcessNode(**entry, inlined=tuple(inl)) for entry, inl in zip(layout, inlined)]
+    nodes = [
+        ProcessNode(nid, view, k, tuple(inl), refs, (SPOF_WARNING,) if service else (), service)
+        for (nid, view, k, refs, service), inl in zip(layout, inlined)
+    ]
     size = {u.id: u.code_size for u in model.use_cases}
     resident = Counter(n.owned_use_cases() for n in nodes)  # k instances share one set
     footprint = sum(k * sum(size[u] for u in owned) for owned, k in resident.items())

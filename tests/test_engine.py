@@ -779,6 +779,50 @@ def test_endpoint_index_follows_rebinding():
     assert received == {("sample", segment), ("recv", queue)}
 
 
+def _hand_built(readers, kind=ChannelKind.SHARED_SEGMENT):
+    """ASYNC_MODEL's plan with one hand-built channel from A#0 to `readers`."""
+    plan = build_plan(parse_model(ASYNC_MODEL), MappingPolicy(Objective.FAULT_TOLERANCE))
+    channel = IpcChannel("x:A#0", kind, "A#0", tuple(readers), FlowClass.ASYNC, "U", 8, capacity=4)
+    behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
+    return lambda: instantiate(plan, [channel], behaviors)
+
+
+@pytest.mark.parametrize(
+    "kind, readers",
+    [
+        (ChannelKind.MESSAGE_QUEUE, ("B#0", "B#0")),
+        (ChannelKind.SHARED_SEGMENT, ("B#0", "B#0")),
+        (ChannelKind.SHARED_SEGMENT, ("B#0", "A#0", "B#0")),
+    ],
+)
+def test_a_channel_naming_a_reader_twice_is_refused_when_the_world_is_built(kind, readers):
+    with pytest.raises(ValueError, match="^channel x:A#0 names 'B#0' twice$"):
+        _hand_built(readers, kind)()
+
+
+def test_an_unknown_endpoint_is_reported_before_a_repeated_reader():
+    with pytest.raises(ValueError, match="^channel x:A#0 names 'C#0', which is not a process of the plan$"):
+        _hand_built(("B#0", "B#0", "C#0"))()
+    world = _hand_built(("B#0",))()
+    assert [ch.channel.id for ch in world.drains["B#0"]] == ["x:A#0"]
+
+
+def test_rebinding_onto_a_standby_that_already_reads_names_it_once():
+    _, _, world = build_world()
+    both = [
+        cid for cid, ch in world.channels.items()
+        if "LocalHost#0" in ch.readers and "StandbyCI#0" in ch.readers
+    ]
+    assert both == ["shm:Operator#0:ExchangeStatus"]
+    world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 1000)
+    for ch in world.channels.values():
+        assert len(set(ch.readers)) == len(ch.readers), ch.channel.id
+    assert world.channels[both[0]].readers.count("StandbyCI#0") == 1
+    drained = [ch.channel.id for ch in world.drains["StandbyCI#0"]]
+    assert drained.count(both[0]) == 1 and len(set(drained)) == len(drained)
+    _assert_endpoint_index_matches_channels(world)
+
+
 # --- kill isolation -------------------------------------------------------------------------
 
 

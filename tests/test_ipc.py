@@ -179,6 +179,23 @@ def test_channel_records_are_immutable_hashable_values():
     assert repr(ch).startswith("IpcChannel(id=")
 
 
+def test_dependency_edges_are_immutable_hashable_values():
+    flow = TrafficFlow("Cmd", "X", FlowClass.ASYNC, 64)
+    edge = DependencyEdge("W#0", ("R#0",), flow)
+    with pytest.raises(AttributeError):
+        edge.consumers = ("R#1",)
+    twin = DependencyEdge("W#0", ("R#0",), flow)
+    assert twin == edge and twin is not edge
+    assert hash(twin) == hash(edge) and len({edge, twin}) == 1
+    wider = edge._replace(consumers=("R#0", "R#1"))
+    assert type(wider) is DependencyEdge
+    assert wider.consumers == ("R#0", "R#1") and wider.producer == edge.producer and wider != edge
+    assert edge.consumers == ("R#0",)
+    with pytest.raises(ValueError, match="^W#0 cannot consume its own edge$"):
+        edge._replace(consumers=("W#0",))
+    assert repr(edge).startswith("DependencyEdge(producer=")
+
+
 # --- fixture channel census ----------------------------------------------------------
 
 

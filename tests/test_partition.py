@@ -561,3 +561,29 @@ def test_one_pass_plan_equals_staged_reference(model_, policy):
     assert render_plan(got) == render_plan(want)
     assert got.all_nodes() == want.all_nodes()  # every field of every node
     assert got == want
+
+
+def _resident(node):
+    return tuple(u for u in node.view.use_cases if u not in node.refs) + node.inlined
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    wide_planning_models() | planning_models(),
+    st.sampled_from([MappingPolicy(), MappingPolicy(Objective.MEMORY_BOUND, memory_budget=10**12)]),
+)
+def test_resident_set_is_kept_out_of_identity(model_, policy):
+    """A node works out its resident use cases once, and the memo is part of
+    neither its identity nor of a copy made with `replace`."""
+    plan = build_plan(model_, policy)
+    for node in plan.all_nodes():
+        twin = replace(node)  # equal fields, memo not yet filled
+        assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+        assert node.owned_use_cases() == _resident(node)  # filled by build_plan or here
+        assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+        assert twin.owned_use_cases() == _resident(node)
+        assert twin == node and hash(twin) == hash(node)
+        for inlined in ((), node.inlined + ("Extra",), node.inlined[::-1]):
+            other = replace(node, inlined=inlined)
+            assert other.owned_use_cases() == _resident(other)
+            assert (other == node) == (inlined == node.inlined)
