@@ -40,9 +40,9 @@ Scenario files are line oriented (`#` comments):
 be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
 refuses a channel endpoint outside the plan, a channel that names a reader
-twice and a message queue whose capacity is missing or below 1, and `run`
-(via `check_run`) a horizon below 1 or a scenario naming a process the plan
-does not have.
+twice and a message queue without exactly one reader or whose capacity is
+missing or below 1, and `run` (via `check_run`) a horizon below 1 or a
+scenario naming a process the plan does not have.
 """
 
 from __future__ import annotations
@@ -352,6 +352,8 @@ class SimWorld:
             if kind is queue:
                 if capacity is None or capacity < 1:
                     raise ValueError(f"message queue {cid} needs a capacity of at least 1, got {capacity}")
+                if len(readers) != 1:
+                    raise ValueError(f"message queue {cid} needs exactly one reader, got {len(readers)}")
                 rts[cid] = MessageQueueRt(c, writer, list(readers))
             else:
                 rts[cid] = SharedSegmentRt(c, writer, list(readers))
@@ -460,29 +462,19 @@ class SimWorld:
         return True
 
     def rebind_endpoints(self, dead_id: str, standby_id: str, now: int) -> list[str]:
-        """Move a failed process's channel endpoints to its standby.
-
-        Channels the scan owns keep their endpoints, so the failed process
-        stays visibly dead to the scan.
-        """
+        """Put the standby in the failed process's place on each channel that
+        names it, and return their ids; channels the scan owns keep their
+        endpoints, so the failed process stays visibly dead to the scan."""
         rebound = []
         for ch in self.channels.values():
-            if ch.channel.id in self._owned:
+            cid = ch.channel.id
+            if cid in self._owned or (ch.writer != dead_id and dead_id not in ch.readers):
                 continue
-            changed = False
             if ch.writer == dead_id:
                 ch.writer = standby_id
-                changed = True
-            if dead_id in ch.readers:
-                ch.readers = [
-                    r for r in ch.readers if r != dead_id
-                ]
-                if standby_id not in ch.readers:
-                    ch.readers.append(standby_id)
-                changed = True
-            if changed:
-                rebound.append(ch.channel.id)
-                self.trace(now, standby_id, "-", "rebind", f"{ch.channel.id} from {dead_id}")
+            ch.readers = list(dict.fromkeys(standby_id if r == dead_id else r for r in ch.readers))
+            rebound.append(cid)
+            self.trace(now, standby_id, "-", "rebind", f"{cid} from {dead_id}")
         self._index_endpoints()
         return rebound
 
@@ -554,28 +546,23 @@ class SimWorld:
             remaining: list[tuple[str, ActorMessage]] = []
             blocked: set[str] = set()
             for channel_id, msg in proc.outbound:
-                if channel_id in blocked:
-                    remaining.append((channel_id, msg))
-                    continue
-                if not self.channel_send(channel_id, msg, now):
+                # a blocked channel sends nothing more this pass, so its messages keep their order
+                if channel_id in blocked or not self.channel_send(channel_id, msg, now):
                     blocked.add(channel_id)
                     remaining.append((channel_id, msg))
             proc.outbound = remaining
 
-    def resolve_destination(self, proc: ProcessInstance, token: str) -> list[str]:
-        """Map an emission destination `uc:<UseCase>` to every channel the
-        process currently writes for that use case."""
-        if not token.startswith("uc:"):
-            raise ValueError(f"emission destination {token!r} is not uc:<UseCase>")
-        source = token[3:]
-        return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == source]
+    def resolve_destination(self, proc: ProcessInstance, use_case: str) -> list[str]:
+        """Every channel the process currently writes for `use_case`, the
+        destination its actions emit to."""
+        return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == use_case]
 
     def _complete_dispatch(
         self, proc: ProcessInstance, result: DispatchResult, label: str, number: str, now: int
     ) -> None:
         if result.emitted:
-            for token, msg in result.emitted:
-                for channel_id in self.resolve_destination(proc, token):
+            for use_case, msg in result.emitted:
+                for channel_id in self.resolve_destination(proc, use_case):
                     proc.outbound.append((channel_id, msg))
         for msg in result.recalled:
             self.trace(now, proc.id, "processor", "recall", msg.signal)

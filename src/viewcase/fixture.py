@@ -128,7 +128,7 @@ def _encode(data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: di
 def _transmit(uc: str, priority: int):
     def fn(ctx: ActionContext) -> None:
         for frame in ctx.vars.pop("_frames"):
-            ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", frame, priority))
+            ctx.emit(uc, ActorMessage("DATA_PKT", frame, priority))
 
     return fn
 
@@ -227,8 +227,7 @@ def _standby_chart(cfg: comm.CommConfig, table: dict[str, int]) -> Chart:
     b.state("Top", initial="Standby")
     b.state("Standby", parent="Top", defer=("DATA_PKT",))
     b.state("Active", parent="Top")
-    b.transition("Standby", "TAKEOVER", "Active", actions=(Action("announce", _bump("takeovers")),))
-    b.transition("Active", "TAKEOVER", "Active", actions=(Action("announce", _bump("takeovers")),))
+    b.transition("Top", "TAKEOVER", "Active", actions=(Action("announce", _bump("takeovers")),))
     b.transition(
         "Active",
         "DATA_PKT",
@@ -243,7 +242,7 @@ def _standby_chart(cfg: comm.CommConfig, table: dict[str, int]) -> Chart:
 def _relay(uc: str):
     def fn(ctx: ActionContext) -> None:
         ctx.vars[f"relayed_{uc}"] = ctx.vars.get(f"relayed_{uc}", 0) + 1
-        ctx.emit(f"uc:{uc}", ActorMessage("DATA_PKT", _as_bytes(ctx.msg.body), ctx.msg.priority))
+        ctx.emit(uc, ActorMessage("DATA_PKT", _as_bytes(ctx.msg.body), ctx.msg.priority))
 
     return fn
 

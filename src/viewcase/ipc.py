@@ -141,8 +141,7 @@ def assign_ipc(edges: list[DependencyEdge]) -> list[IpcChannel]:
     periodic_class, async_class = FlowClass.PERIODIC, FlowClass.ASYNC
     segment, queue = ChannelKind.SHARED_SEGMENT, ChannelKind.MESSAGE_QUEUE
     channels = []
-    for e in edges:
-        flow, producer, consumers = e.flow, e.producer, e.consumers
+    for producer, consumers, flow in edges:
         uc, klass, size = flow.source, flow.klass, flow.message_size
         periodic = klass is periodic_class
         if periodic or len(consumers) >= 2:  # R1, R2

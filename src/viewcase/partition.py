@@ -72,9 +72,9 @@ class ProcessNode:
     instance (`<Actor>#<k>`); collapsed and shared nodes use `<Actor>#*`.
     `refs` lists view use cases whose code lives in another node (the
     memory-bound single-owner rule); `inlined` lists common use cases
-    statically integrated into this node. `owned_use_cases()` is worked
-    out on first use and kept in `_owned`, which no comparison, hash,
-    `repr` or `replace` sees.
+    statically integrated into this node. The resident set that
+    `owned_use_cases()` returns is computed when the node is built and
+    kept in `_owned`, which no comparison, hash or `repr` sees.
     """
 
     id: str
@@ -84,7 +84,14 @@ class ProcessNode:
     refs: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     service: bool = False
-    _owned: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _owned: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        owned, refs = self.view.use_cases, self.refs
+        if refs:
+            owned = tuple(u for u in owned if u not in refs)
+        owned += self.inlined  # the view's own tuple when nothing is added or left out
+        object.__setattr__(self, "_owned", owned)
 
     @property
     def actor(self) -> str:
@@ -92,14 +99,7 @@ class ProcessNode:
 
     def owned_use_cases(self) -> tuple[str, ...]:
         """Use cases whose code is resident in this node."""
-        owned = self._owned
-        if owned is None:
-            owned, refs = self.view.use_cases, self.refs
-            if refs:
-                owned = tuple(u for u in owned if u not in refs)
-            owned += self.inlined  # the view's own tuple when nothing is added or left out
-            object.__setattr__(self, "_owned", owned)
-        return owned
+        return self._owned
 
 
 @dataclass(frozen=True, slots=True)

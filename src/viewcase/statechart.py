@@ -109,8 +109,9 @@ class ActionContext:
     def res(self) -> dict:
         return self.machine.resources
 
-    def emit(self, destination: str, msg: ActorMessage) -> None:
-        self.emitted.append((destination, msg))
+    def emit(self, use_case: str, msg: ActorMessage) -> None:
+        """Send `msg` on every channel the process writes for `use_case`."""
+        self.emitted.append((use_case, msg))
 
 
 class DispatchResult(NamedTuple):

@@ -55,7 +55,7 @@ def _producer_machine():
     b.state("Idle", parent="Top")
     b.transition(
         "Idle", "POKE", "Idle",
-        actions=[Action("emit", lambda ctx: ctx.emit("uc:U", ActorMessage("DATA", ctx.msg.body)))],
+        actions=[Action("emit", lambda ctx: ctx.emit("U", ActorMessage("DATA", ctx.msg.body)))],
     )
     b.transition("Idle", "HIGH", "Idle", actions=[Action("h")])
     b.transition("Idle", "LOW", "Idle", actions=[Action("l")])
@@ -800,6 +800,12 @@ def test_a_channel_naming_a_reader_twice_is_refused_when_the_world_is_built(kind
         _hand_built(readers, kind)()
 
 
+@pytest.mark.parametrize("readers", [(), ("B#0", "A#0")])
+def test_a_queue_without_exactly_one_reader_is_refused_when_the_world_is_built(readers):
+    with pytest.raises(ValueError, match=f"^message queue x:A#0 needs exactly one reader, got {len(readers)}$"):
+        _hand_built(readers, ChannelKind.MESSAGE_QUEUE)()
+
+
 def test_an_unknown_endpoint_is_reported_before_a_repeated_reader():
     with pytest.raises(ValueError, match="^channel x:A#0 names 'C#0', which is not a process of the plan$"):
         _hand_built(("B#0", "B#0", "C#0"))()
@@ -821,6 +827,37 @@ def test_rebinding_onto_a_standby_that_already_reads_names_it_once():
     drained = [ch.channel.id for ch in world.drains["StandbyCI#0"]]
     assert drained.count(both[0]) == 1 and len(set(drained)) == len(drained)
     _assert_endpoint_index_matches_channels(world)
+
+
+def test_rebinding_puts_the_standby_in_the_dead_endpoints_place():
+    """For every ordered pair of distinct fixture processes, rebinding changes
+    exactly the channels the scan does not own that name the dead process:
+    the standby takes the dead writer's place and the dead reader's place in
+    the reader order, a later repeat of the standby is dropped, and one
+    `rebind` row per channel is traced by the standby."""
+    pids = list(build_world()[2].processes)
+    assert len(pids) == 11
+    for dead, standby in itertools.permutations(pids, 2):
+        _, _, world = build_world()
+        owned = world.failover.owned
+        before = {cid: (ch.writer, list(ch.readers)) for cid, ch in world.channels.items()}
+        expected = [
+            cid for cid, (writer, readers) in before.items()
+            if cid not in owned and (writer == dead or dead in readers)
+        ]
+        pair = (dead, standby)
+        assert world.rebind_endpoints(dead, standby, 1000) == expected, pair
+        for cid, ch in world.channels.items():
+            writer, readers = before[cid]
+            if cid in expected:
+                assert ch.writer == (standby if writer == dead else writer), (pair, cid)
+                placed = [standby if r == dead else r for r in readers]
+                assert ch.readers == [r for i, r in enumerate(placed) if r not in placed[:i]], (pair, cid)
+            else:
+                assert (ch.writer, ch.readers) == (writer, readers), (pair, cid)
+        rows = [(r.process, r.event, r.detail) for r in parse_rows("".join(world._lines))]
+        assert rows == [(standby, "rebind", f"{cid} from {dead}") for cid in expected], pair
+        _assert_endpoint_index_matches_channels(world)
 
 
 # --- kill isolation -------------------------------------------------------------------------
@@ -1068,10 +1105,9 @@ def test_watchdog_timeout_is_three_watchdog_periods():
 def test_emission_destinations_must_name_a_use_case():
     world, channels = _world()
     proc = world.processes["A#0"]
-    assert world.resolve_destination(proc, "uc:U") == [channels[0].id]
-    assert world.resolve_destination(proc, "uc:V") == []
-    with pytest.raises(ValueError, match="uc:<UseCase>"):
-        world.resolve_destination(proc, channels[0].id)
+    assert world.resolve_destination(proc, "U") == [channels[0].id]
+    assert world.resolve_destination(proc, "V") == []
+    assert world.resolve_destination(proc, channels[0].id) == []
 
 
 def test_trace_rows_are_trace_rows():

@@ -324,11 +324,11 @@ def test_actions_can_emit_messages():
     b.state("A", parent="Top")
     b.transition(
         "A", "GO", "A",
-        actions=[Action("say", lambda ctx: ctx.emit("uc:Send", ActorMessage("OUT", ctx.msg.body)))],
+        actions=[Action("say", lambda ctx: ctx.emit("Send", ActorMessage("OUT", ctx.msg.body)))],
     )
     m = b.build()
     r = dispatch(m, ActorMessage("GO", b"payload"))
-    assert r.emitted == (("uc:Send", ActorMessage("OUT", b"payload")),)
+    assert r.emitted == (("Send", ActorMessage("OUT", b"payload")),)
 
 
 def test_empty_signal_is_rejected():
