@@ -40,9 +40,10 @@ Scenario files are line oriented (`#` comments):
 be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
 refuses a channel endpoint outside the plan, a channel that names a reader
-twice and a message queue without exactly one reader or whose capacity is
-missing or below 1, and `run` (via `check_run`) a horizon below 1 or a
-scenario naming a process the plan does not have.
+twice, a message queue without exactly one reader or whose capacity is
+missing or below 1, and a channel whose writer is also one of its readers;
+`run` (via `check_run`) refuses a horizon below 1 or a scenario naming a
+process the plan does not have.
 """
 
 from __future__ import annotations
@@ -354,9 +355,10 @@ class SimWorld:
                     raise ValueError(f"message queue {cid} needs a capacity of at least 1, got {capacity}")
                 if len(readers) != 1:
                     raise ValueError(f"message queue {cid} needs exactly one reader, got {len(readers)}")
-                rts[cid] = MessageQueueRt(c, writer, list(readers))
-            else:
-                rts[cid] = SharedSegmentRt(c, writer, list(readers))
+            if writer in readers:
+                raise ValueError(f"channel {cid} names {writer!r} as its writer and as a reader")
+            rt = MessageQueueRt if kind is queue else SharedSegmentRt
+            rts[cid] = rt(c, writer, list(readers))
         self._index_endpoints()
         self.metrics = Metrics(processes={pid: proc.stats for pid, proc in processes.items()})
         self._lines: list[str] = []  # trace lines not yet returned by `run`
@@ -463,12 +465,16 @@ class SimWorld:
 
     def rebind_endpoints(self, dead_id: str, standby_id: str, now: int) -> list[str]:
         """Put the standby in the failed process's place on each channel that
-        names it, and return their ids; channels the scan owns keep their
-        endpoints, so the failed process stays visibly dead to the scan."""
-        rebound = []
+        names it, and return their ids. Channels the scan owns keep their
+        endpoints, so the failed process stays visibly dead to the scan, and
+        so does a channel that one of the two writes and the other reads,
+        where the standby would read what it writes."""
+        rebound, pair = [], {dead_id, standby_id}
         for ch in self.channels.values():
             cid = ch.channel.id
             if cid in self._owned or (ch.writer != dead_id and dead_id not in ch.readers):
+                continue
+            if ch.writer in pair and not pair.isdisjoint(ch.readers):
                 continue
             if ch.writer == dead_id:
                 ch.writer = standby_id

@@ -12,10 +12,15 @@ communication equipment, and six peer interfaces::
 
 `build_behaviors` attaches statecharts whose actions run the real wire
 codecs (packetize / frame / deframe / reassemble), so a simulation run
-exercises the same code paths as the unit-level packet tests. Actors
+exercises the same code paths as the unit-level packet tests. Each codec
+direction is one function on one named step, `encode` out and
+`reassemble` in; `authenticate`, `transmit` and `deframe` only cost
+time, so no bytes wait in machine variables between steps. Actors
 outside this model get a generic relay machine, which keeps arbitrary
 models simulatable from the command line. `build_world` adds the heartbeat
-scan, whose takeover and status summary the standby and operator charts handle.
+scan, whose takeover and status summary the standby and operator charts
+handle; rebinding moves a dead host's endpoints to its standby except on
+a channel one of the two writes and the other reads.
 """
 
 from __future__ import annotations
@@ -104,54 +109,35 @@ def _as_bytes(body: object) -> bytes:
     return bytes(body) if isinstance(body, (bytes, bytearray)) else b""
 
 
-def _authenticate(ctx: ActionContext) -> None:
-    """Stage the body; packetize computes each packet's tag."""
-    ctx.vars["_body"] = _as_bytes(ctx.msg.body)
-
-
-def _encode(data_type: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]):
-    """Packetize the staged body and frame every packet for the link; the
-    message id carries the machine's lane from `ctx.vars["lane"]`."""
+def _send_frames(uc: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]):
+    """Packetize the message body, frame every packet for the link and emit
+    it on `uc`. The message id carries the machine's lane from
+    `ctx.vars["lane"]`; packetize computes each packet's tag."""
+    priority = comm.classify_priority("track_data", table, cfg.default_priority)
 
     def fn(ctx: ActionContext) -> None:
         n = ctx.vars["produced"] = ctx.vars.get("produced", 0) + 1
         msg_id = (ctx.vars["lane"] << 20) | n
-        app = comm.AppMessage(msg_id, "", "", data_type, ctx.vars.pop("_body"))
-        packets = comm.packetize(
-            app, cfg.mtu_payload, cfg.auth_key, table, cfg.default_priority
-        )
-        ctx.vars["_frames"] = [comm.convert_to_frame(p, link) for p in packets]
+        app = comm.AppMessage(msg_id, "", "", "track_data", _as_bytes(ctx.msg.body))
+        for pkt in comm.packetize(app, cfg.mtu_payload, cfg.auth_key, table, cfg.default_priority):
+            ctx.emit(uc, ActorMessage("DATA_PKT", comm.convert_to_frame(pkt, link), priority))
 
     return fn
 
 
-def _transmit(uc: str, priority: int):
-    def fn(ctx: ActionContext) -> None:
-        for frame in ctx.vars.pop("_frames"):
-            ctx.emit(uc, ActorMessage("DATA_PKT", frame, priority))
-
-    return fn
-
-
-def _deframe(ctx: ActionContext) -> None:
-    """Decode the arriving frame; the first byte 0x7E marks the escaped link."""
-    frame = _as_bytes(ctx.msg.body)
-    link = comm.LinkType.LINK_B if frame[:1] == b"\x7e" else comm.LinkType.LINK_A
-    try:
-        ctx.vars["_pkt"] = comm.convert_from_frame(frame, link)
-    except comm.FrameCorrupt:
-        ctx.vars["_pkt"] = None
-        ctx.vars["corrupt"] = ctx.vars.get("corrupt", 0) + 1
-
-
-def _reassemble(cfg: comm.CommConfig, table: dict[str, int]):
-    """Feed the decoded packet to the machine's buffer, a resource: a failed
-    action does not roll it back, and no dispatch copies it."""
+def _receive_frame(cfg: comm.CommConfig, table: dict[str, int]):
+    """Decode the arriving frame, whose first byte 0x7E marks the escaped
+    link, or count it `corrupt`; feed the packet to the machine's buffer, a
+    resource: a failed action does not roll it back, and no dispatch copies it."""
+    timeout = cfg.reassembly_timeout
 
     def fn(ctx: ActionContext) -> None:
-        timeout = cfg.reassembly_timeout
-        pkt = ctx.vars.pop("_pkt", None)
-        if pkt is None:
+        frame = _as_bytes(ctx.msg.body)
+        link = comm.LinkType.LINK_B if frame[:1] == b"\x7e" else comm.LinkType.LINK_A
+        try:
+            pkt = comm.convert_from_frame(frame, link)
+        except comm.FrameCorrupt:
+            ctx.vars["corrupt"] = ctx.vars.get("corrupt", 0) + 1
             return
         buf = ctx.res.get("rx")
         if buf is None:
@@ -184,26 +170,6 @@ def _loop_chart(leaf: str, loops: list[tuple[str, tuple[Action, ...]]]) -> Chart
     return b.chart()
 
 
-def _codec_chart(
-    uc: str,
-    link: comm.LinkType,
-    trigger: str,
-    leaf: str,
-    cfg: comm.CommConfig,
-    table: dict[str, int],
-) -> Chart:
-    """Endpoint that both produces framed traffic and ingests it."""
-    priority = comm.classify_priority("track_data", table, cfg.default_priority)
-    encode = (
-        Action("authenticate", _authenticate),
-        Action("encode", _encode("track_data", link, cfg, table)),
-        Action("transmit", _transmit(uc, priority)),
-    )
-    decode = (Action("deframe", _deframe), Action("reassemble", _reassemble(cfg, table)))
-    status = (_NOTE_STATUS,)
-    return _loop_chart(leaf, [(trigger, encode), ("DATA_PKT", decode), ("ExchangeStatus", status)])
-
-
 def _session_chart() -> Chart:
     b = MachineBuilder()
     b.state("Session", initial="Down")
@@ -222,18 +188,13 @@ def _record_alerts(ctx: ActionContext) -> None:
         ctx.vars["alerts"] = ctx.vars.get("alerts", 0) + len(text.split("|"))
 
 
-def _standby_chart(cfg: comm.CommConfig, table: dict[str, int]) -> Chart:
+def _standby_chart(receive: tuple[Action, ...]) -> Chart:
     b = MachineBuilder()
     b.state("Top", initial="Standby")
     b.state("Standby", parent="Top", defer=("DATA_PKT",))
     b.state("Active", parent="Top")
     b.transition("Top", "TAKEOVER", "Active", actions=(Action("announce", _bump("takeovers")),))
-    b.transition(
-        "Active",
-        "DATA_PKT",
-        "Active",
-        actions=(Action("deframe", _deframe), Action("reassemble", _reassemble(cfg, table))),
-    )
+    b.transition("Active", "DATA_PKT", "Active", actions=receive)
     b.transition("Standby", "ExchangeStatus", "Standby", actions=(_NOTE_STATUS,))
     b.transition("Active", "ExchangeStatus", "Active", actions=(_NOTE_STATUS,))
     return b.chart()
@@ -270,11 +231,17 @@ def build_behaviors(
     reassembly timeout and priorities from cfg.
     """
     table = cfg.priority_table()
-    host_codec = _codec_chart("SendData", comm.LinkType.LINK_A, "SEND_REQ", "Idle", cfg, table)
-    peer_codec = _codec_chart(
-        "ReceiveData", comm.LinkType.LINK_B, "RX_DATA", "Listening", cfg, table
-    )
-    session, standby = _session_chart(), _standby_chart(cfg, table)
+    receive = (Action("deframe"), Action("reassemble", _receive_frame(cfg, table)))
+
+    def codec(leaf: str, trigger: str, uc: str, link: comm.LinkType) -> Chart:
+        send = _send_frames(uc, link, cfg, table)
+        encode = (Action("authenticate"), Action("encode", send), Action("transmit"))
+        loops = [(trigger, encode), ("DATA_PKT", receive), ("ExchangeStatus", (_NOTE_STATUS,))]
+        return _loop_chart(leaf, loops)
+
+    host_codec = codec("Idle", "SEND_REQ", "SendData", comm.LinkType.LINK_A)
+    peer_codec = codec("Listening", "RX_DATA", "ReceiveData", comm.LinkType.LINK_B)
+    session, standby = _session_chart(), _standby_chart(receive)
     operator = _loop_chart("Watch", [("EQUIP_STATUS", (Action("record_alerts", _record_alerts),))])
     monitor = _loop_chart("Scanning", [("ExchangeStatus", (_NOTE_STATUS,))])
     generic: dict[tuple[tuple[str, ...], tuple[str, ...]], Chart] = {}

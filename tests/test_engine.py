@@ -806,6 +806,13 @@ def test_a_queue_without_exactly_one_reader_is_refused_when_the_world_is_built(r
         _hand_built(readers, ChannelKind.MESSAGE_QUEUE)()
 
 
+@pytest.mark.parametrize("kind", [ChannelKind.SHARED_SEGMENT, ChannelKind.MESSAGE_QUEUE])
+def test_a_channel_its_writer_reads_is_refused_when_the_world_is_built(kind):
+    refusal = "^channel x:A#0 names 'A#0' as its writer and as a reader$"
+    with pytest.raises(ValueError, match=refusal):
+        _hand_built(("A#0",), kind)()
+
+
 def test_an_unknown_endpoint_is_reported_before_a_repeated_reader():
     with pytest.raises(ValueError, match="^channel x:A#0 names 'C#0', which is not a process of the plan$"):
         _hand_built(("B#0", "B#0", "C#0"))()
@@ -831,8 +838,9 @@ def test_rebinding_onto_a_standby_that_already_reads_names_it_once():
 
 def test_rebinding_puts_the_standby_in_the_dead_endpoints_place():
     """For every ordered pair of distinct fixture processes, rebinding changes
-    exactly the channels the scan does not own that name the dead process:
-    the standby takes the dead writer's place and the dead reader's place in
+    exactly the channels the scan does not own that name the dead process,
+    except one that either of the pair writes and the other reads: the
+    standby takes the dead writer's place and the dead reader's place in
     the reader order, a later repeat of the standby is dropped, and one
     `rebind` row per channel is traced by the standby."""
     pids = list(build_world()[2].processes)
@@ -844,6 +852,7 @@ def test_rebinding_puts_the_standby_in_the_dead_endpoints_place():
         expected = [
             cid for cid, (writer, readers) in before.items()
             if cid not in owned and (writer == dead or dead in readers)
+            and not (writer == dead and standby in readers or writer == standby and dead in readers)
         ]
         pair = (dead, standby)
         assert world.rebind_endpoints(dead, standby, 1000) == expected, pair

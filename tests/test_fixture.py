@@ -280,6 +280,68 @@ def test_incomplete_reassembly_entries_expire_after_the_timeout():
     assert machine.resources["rx"].entries == {}
 
 
+def _no_staged_variables(machines):
+    return not any(k.startswith("_") for m in machines for k in m.variables)
+
+
+def test_a_send_too_large_to_packetize_fails_the_encode_step():
+    _, _, world = build_world(comm_config=CommConfig(mtu_payload=1))
+    scenario = parse_scenario("stimulus LocalHost#0 SEND_REQ at 10 every 0 priority 180 size 70000")
+    _, metrics = world.run(scenario, 40)
+    assert metrics.faults == [(10, "LocalHost#0", "action-failure:SendData/encode")]
+    machines = [m for proc in world.processes.values() for m in proc.machines.values()]
+    assert _no_staged_variables(machines)
+
+
+def test_a_corrupt_frame_is_counted_and_reaches_no_buffer():
+    _, _, world = build_world()
+    machine = world.processes["LocalHost#0"].machines["SendData"]
+    result = dispatch(machine, ActorMessage("DATA_PKT", b"\x7e\x00\x7e"), now=5)
+    assert result.actions_run == ("deframe", "reassemble")
+    assert machine.variables["corrupt"] == 1
+    assert "rx" not in machine.resources
+    (frame,) = _link_a_frames(1, 10)
+    dispatch(machine, ActorMessage("DATA_PKT", frame), now=6)
+    assert (machine.variables["complete"], machine.variables["last_size"]) == (1, 10)
+    assert _no_staged_variables([machine])
+
+
+def test_the_standby_decodes_the_packets_it_deferred_once_it_takes_over():
+    _, _, world = build_world()
+    machine = world.processes["StandbyCI#0"].machines["TakeOver"]
+    app = comm.AppMessage(1, "", "", "track_data", bytes(10))
+    (packet,) = comm.packetize(app, comm.DEFAULT_CONFIG.mtu_payload, comm.DEFAULT_CONFIG.auth_key)
+    pkt = ActorMessage("DATA_PKT", comm.convert_to_frame(packet, LinkType.LINK_B))
+    assert dispatch(machine, pkt, now=1).deferred
+    taken = dispatch(machine, ActorMessage("TAKEOVER", b"LocalHost#0"), now=2)
+    assert machine.current == "Active" and taken.recalled == (pkt,)
+    assert dispatch(machine, taken.recalled[0], now=3).actions_run == ("deframe", "reassemble")
+    assert machine.variables["complete"] == 1
+    assert _no_staged_variables([machine])
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [degradation_scenario(kill_at=1500), failover_scenario()],
+    ids=["degradation", "failover"],
+)
+def test_fixture_traffic_never_deep_copies_machine_variables(monkeypatch, scenario):
+    """Actions keep only atoms in variables, so every rollback snapshot is a
+    shallow copy; a list or object staged there would take `copy.deepcopy`."""
+    calls = []
+    deepcopy = statechart.copy.deepcopy
+
+    def spy(obj, *args, **kwargs):
+        calls.append(type(obj))
+        return deepcopy(obj, *args, **kwargs)
+
+    monkeypatch.setattr(statechart.copy, "deepcopy", spy)
+    _, _, world = build_world()
+    _, metrics = world.run(parse_scenario(scenario), 3000)
+    assert sum(p.dispatches for p in metrics.processes.values()) > 500
+    assert calls == []
+
+
 def test_build_world_memory_bound_policy():
     plan, channels, world = build_world(
         policy=MappingPolicy(Objective.MEMORY_BOUND, memory_budget=50000),
