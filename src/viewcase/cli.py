@@ -231,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a write: a failed read is already a ValueError
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ dispatch's first (it traces the first action, and completes the dispatch
 if that was all), and `_spend_ms` each later one of a dispatch still
 active.
 
-Trace rows: `run` formats the time column once per calendar time, and
-`trace` reuses it for every row at the clock's time; a row at any other
-time formats its own.
+The clock: only `run` moves it, and it formats the time column of the
+trace once per calendar time. Handlers, sends and `trace` read the clock,
+so no public method takes a time, and every row is stamped with it.
 
 Scenario files are line oriented (`#` comments):
 
@@ -78,11 +78,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FailoverConfig:
-    """A periodic scan and the channels it owns: receivers skip those
-    segments and rebinding leaves every one of them with its writer."""
+    """A periodic scan, run as `scan_fn(world)`, and the channels it owns:
+    receivers skip those segments and rebinding leaves every one of them
+    with its writer."""
 
     scan_period: int
-    scan_fn: Callable[["SimWorld", int], None]
+    scan_fn: Callable[["SimWorld"], None]
     owned: frozenset[str] = frozenset()  # channel ids
 
     def __post_init__(self) -> None:
@@ -364,10 +365,9 @@ class SimWorld:
         self._lines: list[str] = []  # trace lines not yet returned by `run`
         self._emit: Callable[[str], object] = self._lines.append
         self.used = False
-        self.now = 0
-        self._stamp = "0"  # str(self.now), the time column of rows traced at the clock's time
+        self.now = 0  # the clock, in virtual ms: only `run` moves it
+        self._stamp = "0"  # str(self.now), the time column of every trace row
         self.horizon = 0
-        self.rng = random.Random(0)
         self._times: list[int] = []  # a heap of the times that have a bucket in _due
         self._due: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
         self._posted = 0  # mailbox posts so far; orders equal-rank entries
@@ -394,7 +394,7 @@ class SimWorld:
         self.writes, self.beats, self.drains = writes, beats, drains
 
     def _schedule(self, time: int, handler: Callable[..., None], *args) -> None:
-        """Run `handler(time, *args)` at `time`, after every event already due then."""
+        """Run `handler(*args)` at `time`, after every event already due then."""
         if time > self.horizon:
             return
         bucket = self._due.get(time)
@@ -404,23 +404,19 @@ class SimWorld:
         else:
             bucket.append((handler, args))
 
-    def trace(self, time: int, process: str, thread: str, event: str, detail: str) -> None:
-        """The one place that knows the TSV layout of a trace row.
-
-        A row at the clock's time reuses the stamp `run` formats once per
-        calendar time; any other time is formatted here.
-        """
-        stamp = self._stamp if time == self.now else str(time)
-        self._emit(f"{stamp}\t{process}\t{thread}\t{event}\t{detail}\n")
+    def trace(self, process: str, thread: str, event: str, detail: str) -> None:
+        """The one place that knows the TSV layout of a trace row, stamped with the clock."""
+        self._emit(f"{self._stamp}\t{process}\t{thread}\t{event}\t{detail}\n")
 
     # -- messaging --
 
-    def post_mailbox(self, process_id: str, msg: ActorMessage, now: int, recalled: bool = False) -> None:
+    def post_mailbox(self, process_id: str, msg: ActorMessage, recalled: bool = False) -> None:
         # Only `_complete_dispatch` recalls, and it runs inside its own process's
-        # tick, which already owns `now`: a recall wakes the processor a ms later.
+        # tick, which is already due now: a recall wakes the processor a ms later.
         proc = self.processes[process_id]
         if not proc.alive:
             return
+        now = self.now
         had_work = proc.active is not None or bool(proc.mailbox)
         self._posted += 1
         heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._posted, msg))
@@ -433,14 +429,14 @@ class SimWorld:
             proc.tick_scheduled = True
             self._schedule(when, self._on_tick, proc)
 
-    def channel_send(self, channel_id: str, msg: ActorMessage, now: int) -> bool:
+    def channel_send(self, channel_id: str, msg: ActorMessage) -> bool:
         """Send on a channel; returns False when a full queue blocks the writer."""
         ch = self.channels[channel_id]
         if isinstance(ch, MessageQueueRt):
             reader = ch.readers[0]
             if not self.processes[reader].alive:
                 self.metrics.link(channel_id, ch.writer, reader).sent += 1
-                self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
+                self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
                 return True
             if len(ch.items) >= ch.channel.capacity:
                 return False  # writer blocks; caller retries
@@ -448,11 +444,11 @@ class SimWorld:
             stats = self.metrics.link(channel_id, ch.writer, reader)
             stats.sent += 1
             stats.delivered += 1
-            self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} queued")
+            self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} queued")
             return True
         ch.slot = msg
         ch.version += 1
-        ch.last_write = now
+        ch.last_write = self.now
         links, writer, processes = self.metrics.links, ch.writer, self.processes
         for reader in ch.readers:
             # a link is made on its first send, so `metrics.links` holds no unsent link
@@ -460,10 +456,10 @@ class SimWorld:
             stats.sent += 1
             if processes[reader].alive:
                 stats.delivered += 1
-        self.trace(now, ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} v{ch.version}")
+        self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} v{ch.version}")
         return True
 
-    def rebind_endpoints(self, dead_id: str, standby_id: str, now: int) -> list[str]:
+    def rebind_endpoints(self, dead_id: str, standby_id: str) -> list[str]:
         """Put the standby in the failed process's place on each channel that
         names it, and return their ids. Channels the scan owns keep their
         endpoints, so the failed process stays visibly dead to the scan, and
@@ -480,80 +476,78 @@ class SimWorld:
                 ch.writer = standby_id
             ch.readers = list(dict.fromkeys(standby_id if r == dead_id else r for r in ch.readers))
             rebound.append(cid)
-            self.trace(now, standby_id, "-", "rebind", f"{cid} from {dead_id}")
+            self.trace(standby_id, "-", "rebind", f"{cid} from {dead_id}")
         self._index_endpoints()
         return rebound
 
-    def kill(self, process_id: str, now: int, cause: str) -> None:
+    def kill(self, process_id: str, cause: str) -> None:
         proc = self.processes[process_id]
         if not proc.alive:
             return
         proc.alive = False
         proc.active = None
-        self.metrics.faults.append((now, process_id, cause))
-        self.trace(now, process_id, "-", "fault", cause)
+        self.metrics.faults.append((self.now, process_id, cause))
+        self.trace(process_id, "-", "fault", cause)
 
     # -- event handlers --
 
-    def _on_fault(self, now: int, proc: ProcessInstance) -> None:
-        self.kill(proc.id, now, "killed")
-
-    def _on_stimulus(self, now: int, spec: StimulusSpec, proc: ProcessInstance) -> None:
+    def _on_stimulus(self, spec: StimulusSpec, proc: ProcessInstance) -> None:
         if proc.alive:
             body = self.rng.randbytes(spec.size)
-            self.trace(now, proc.id, "-", "stimulus", f"{spec.signal} size {spec.size}")
-            self.post_mailbox(proc.id, ActorMessage(spec.signal, body, spec.priority), now)
+            self.trace(proc.id, "-", "stimulus", f"{spec.signal} size {spec.size}")
+            self.post_mailbox(proc.id, ActorMessage(spec.signal, body, spec.priority))
         else:
-            self.trace(now, proc.id, "-", "stimulus", f"{spec.signal} dropped")
+            self.trace(proc.id, "-", "stimulus", f"{spec.signal} dropped")
         if spec.every > 0:
-            self._schedule(now + spec.every, self._on_stimulus, spec, proc)
+            self._schedule(self.now + spec.every, self._on_stimulus, spec, proc)
 
-    def _on_scan(self, now: int) -> None:
+    def _on_scan(self) -> None:
         assert self.failover is not None
-        self.failover.scan_fn(self, now)
-        self._schedule(now + self.failover.scan_period, self._on_scan)
+        self.failover.scan_fn(self)
+        self._schedule(self.now + self.failover.scan_period, self._on_scan)
 
-    def _on_sweep(self, now: int, period: int, threads: list[tuple[str, Callable[..., None]]]) -> None:
+    def _on_sweep(self, period: int, threads: list[tuple[str, Callable[..., None]]]) -> None:
         """Activate the threads of one period for every live process, in plan order."""
         for proc in self.processes.values():
             for role, run in threads:
                 if proc.alive:  # the watchdog may have just tripped
-                    self.trace(now, proc.id, role, "activate", "")
-                    run(proc, now)
-        self._schedule(now + period, self._on_sweep, period, threads)
+                    self.trace(proc.id, role, "activate", "")
+                    run(proc)
+        self._schedule(self.now + period, self._on_sweep, period, threads)
 
-    def _watchdog_pass(self, proc: ProcessInstance, now: int) -> None:
-        idle = now - proc.last_progress
+    def _watchdog_pass(self, proc: ProcessInstance) -> None:
+        idle = self.now - proc.last_progress
         if (proc.active is not None or proc.mailbox) and idle >= 3 * self.config.watchdog_period:
             proc.stats.watchdog_trips += 1
-            self.trace(now, proc.id, "watchdog", "trip", f"no progress for {idle}")
-            self.kill(proc.id, now, "watchdog")
+            self.trace(proc.id, "watchdog", "trip", f"no progress for {idle}")
+            self.kill(proc.id, "watchdog")
 
-    def _receiver_pass(self, proc: ProcessInstance, now: int) -> None:
+    def _receiver_pass(self, proc: ProcessInstance) -> None:
         for ch in self.drains[proc.id]:
             if isinstance(ch, MessageQueueRt):
                 if ch.items:
                     items, ch.items = ch.items, []
                     for msg in items:
-                        self.trace(now, proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
-                        self.post_mailbox(proc.id, msg, now)
+                        self.trace(proc.id, "receiver", "recv", f"{ch.channel.id} {msg.signal}")
+                        self.post_mailbox(proc.id, msg)
             elif ch.slot is not None:
-                self.trace(now, proc.id, "receiver", "sample", f"{ch.channel.id} v{ch.version}")
-                self.post_mailbox(proc.id, ch.slot, now)
+                self.trace(proc.id, "receiver", "sample", f"{ch.channel.id} v{ch.version}")
+                self.post_mailbox(proc.id, ch.slot)
 
-    def _transmitter_pass(self, proc: ProcessInstance, now: int) -> None:
+    def _transmitter_pass(self, proc: ProcessInstance) -> None:
+        now = self.now
         for ch in self.beats[proc.id]:
             if now - ch.last_write >= ch.channel.period_ms or ch.version == 0:
                 beat = ActorMessage(
                     ch.channel.source, f"{proc.id}:{ch.version + 1}".encode(), 0
                 )
-                self.channel_send(ch.channel.id, beat, now)
+                self.channel_send(ch.channel.id, beat)
         if proc.outbound:
             remaining: list[tuple[str, ActorMessage]] = []
             blocked: set[str] = set()
             for channel_id, msg in proc.outbound:
                 # a blocked channel sends nothing more this pass, so its messages keep their order
-                if channel_id in blocked or not self.channel_send(channel_id, msg, now):
+                if channel_id in blocked or not self.channel_send(channel_id, msg):
                     blocked.add(channel_id)
                     remaining.append((channel_id, msg))
             proc.outbound = remaining
@@ -564,21 +558,21 @@ class SimWorld:
         return [ch.channel.id for ch in self.writes[proc.id] if ch.channel.source == use_case]
 
     def _complete_dispatch(
-        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str, now: int
+        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str
     ) -> None:
         if result.emitted:
             for use_case, msg in result.emitted:
                 for channel_id in self.resolve_destination(proc, use_case):
                     proc.outbound.append((channel_id, msg))
         for msg in result.recalled:
-            self.trace(now, proc.id, "processor", "recall", msg.signal)
-            self.post_mailbox(proc.id, msg, now, recalled=True)
+            self.trace(proc.id, "processor", "recall", msg.signal)
+            self.post_mailbox(proc.id, msg, recalled=True)
         proc.stats.dispatches += 1
-        proc.last_progress = now
+        proc.last_progress = self.now
         proc.active = None
-        self.trace(now, proc.id, "processor", "complete", f"{label} {number}")
+        self.trace(proc.id, "processor", "complete", f"{label} {number}")
 
-    def _spend_ms(self, proc: ProcessInstance, now: int) -> None:
+    def _spend_ms(self, proc: ProcessInstance) -> None:
         """Spend a later millisecond of the active dispatch; `_offer` spent its first.
 
         A dispatch stays active only while its current action has time left
@@ -590,13 +584,13 @@ class SimWorld:
         actions = a.result.actions_run
         if a.ms_left <= 0:
             a.ms_left = a.result.action_costs[a.step]
-            self.trace(now, proc.id, "processor", "action", f"{a.label}/{actions[a.step]} {a.number}")
+            self.trace(proc.id, "processor", "action", f"{a.label}/{actions[a.step]} {a.number}")
             a.step += 1
         a.ms_left -= 1
         if a.ms_left <= 0 and a.step == len(actions):
-            self._complete_dispatch(proc, a.result, a.label, a.number, now)
+            self._complete_dispatch(proc, a.result, a.label, a.number)
 
-    def _offer(self, proc: ProcessInstance, msg: ActorMessage, now: int) -> bool:
+    def _offer(self, proc: ProcessInstance, msg: ActorMessage) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
         a timed dispatch spent its first millisecond or the process was killed.
 
@@ -608,55 +602,55 @@ class SimWorld:
             try:
                 transition = select_transition(machine, msg)
             except AmbiguousTransition:
-                self.kill(proc.id, now, f"ambiguous:{key}/{msg.signal}")
+                self.kill(proc.id, f"ambiguous:{key}/{msg.signal}")
                 return True
             except Exception:
-                self.kill(proc.id, now, f"guard:{key}/{msg.signal}")
+                self.kill(proc.id, f"guard:{key}/{msg.signal}")
                 return True
             if transition is None:
                 continue
             try:
-                result = dispatch(machine, msg, transition, now)
+                result = dispatch(machine, msg, transition, self.now)
             except ActionFailure as exc:
-                self.kill(proc.id, now, f"action-failure:{key}/{exc.action_id}")
+                self.kill(proc.id, f"action-failure:{key}/{exc.action_id}")
                 return True
             # one dispatch at a time, and none after a kill: the earlier ones all completed
             label, number = f"{key}/{msg.signal}", f"d{proc.stats.dispatches + 1}"
             actions = result.actions_run
-            self.trace(now, proc.id, "processor", "dispatch", f"{label} {number} actions {len(actions)}")
+            self.trace(proc.id, "processor", "dispatch", f"{label} {number} actions {len(actions)}")
             if result.cost_ms <= 0:
-                self._complete_dispatch(proc, result, label, number, now)
+                self._complete_dispatch(proc, result, label, number)
                 return False
             # the first millisecond: the first action starts now
-            self.trace(now, proc.id, "processor", "action", f"{label}/{actions[0]} {number}")
+            self.trace(proc.id, "processor", "action", f"{label}/{actions[0]} {number}")
             ms_left = result.action_costs[0] - 1
             if ms_left <= 0 and len(actions) == 1:
-                self._complete_dispatch(proc, result, label, number, now)
+                self._complete_dispatch(proc, result, label, number)
             else:
                 proc.active = _ActiveDispatch(result, label, number, 1, ms_left)
             return True
         for key, machine in proc.machines.items():  # no machine matched
-            if dispatch(machine, msg, None, now).deferred:
+            if dispatch(machine, msg, None, self.now).deferred:
                 proc.stats.deferrals += 1
-                self.trace(now, proc.id, "processor", "defer", f"{key}/{msg.signal}")
+                self.trace(proc.id, "processor", "defer", f"{key}/{msg.signal}")
                 return False
         proc.stats.discards += 1
-        self.trace(now, proc.id, "processor", "discard", msg.signal)
+        self.trace(proc.id, "processor", "discard", msg.signal)
         return False
 
-    def _on_tick(self, now: int, proc: ProcessInstance) -> None:
+    def _on_tick(self, proc: ProcessInstance) -> None:
         proc.tick_scheduled = False
         if not proc.alive:
             return
         if proc.active is not None:
-            self._spend_ms(proc, now)
+            self._spend_ms(proc)
         else:
             for _ in range(_MAX_BATCH):
                 if not proc.mailbox:
                     break
-                if self._offer(proc, heapq.heappop(proc.mailbox).msg, now):
+                if self._offer(proc, heapq.heappop(proc.mailbox).msg):
                     break
-        self._wake_processor(proc, now + 1)
+        self._wake_processor(proc, self.now + 1)
 
     # -- run --
 
@@ -690,7 +684,7 @@ class SimWorld:
             self._emit = sink
 
         for f in scenario.faults:
-            self._schedule(f.at, self._on_fault, self.processes[f.process])
+            self._schedule(f.at, self.kill, f.process, "killed")
         for s in scenario.stimuli:
             self._schedule(s.at, self._on_stimulus, s, self.processes[s.process])
         cfg = self.config
@@ -713,7 +707,7 @@ class SimWorld:
             self.now = time
             self._stamp = str(time)
             for handler, args in due[time]:  # also runs the events appended during the pass
-                handler(time, *args)
+                handler(*args)
             del due[time]
 
         if sink is not None:

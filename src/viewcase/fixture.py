@@ -348,31 +348,30 @@ def _failover(
     status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
     table = comm.HealthTable()
 
-    def scan(world: SimWorld, now: int) -> None:
-        world.trace(now, "-", "-", "scan", "heartbeat")
+    def scan(world: SimWorld) -> None:
+        now = world.now
+        world.trace("-", "-", "scan", "heartbeat")
         for channel_id, writer in health:
             table.observe(writer, world.channels[channel_id].version)
         alerts = table.scan(now, cfg.dead_threshold)
         for alert in alerts:
             main = alert.process
-            world.trace(now, main, "-", "alert", alert.status.value)
+            world.trace(main, "-", "alert", alert.status.value)
             standby = standbys.get(main)
             if (
                 alert.status is comm.HealthStatus.DEAD
                 and standby in world.processes
                 and world.processes[standby].alive
             ):
-                world.rebind_endpoints(main, standby, now)
+                world.rebind_endpoints(main, standby)
                 world.post_mailbox(
-                    standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY), now
+                    standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY)
                 )
-                world.trace(now, standby, "-", "takeover", f"from {main}")
+                world.trace(standby, "-", "takeover", f"from {main}")
                 world.metrics.failover.append(FailoverRecord(main, standby, now, now))
         if alert_channel and monitor in world.processes and world.processes[monitor].alive:
             body = "|".join(f"{a.process}:{a.status.value}" for a in alerts).encode()
-            world.channel_send(
-                alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority), now
-            )
+            world.channel_send(alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority))
 
     return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(owned))
 

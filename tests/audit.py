@@ -11,6 +11,16 @@ simulator, so a counter that drifts from the trace shows as a difference
 checks every artifact directory written by `viewcase simulate`, prints one
 line per directory and exits 1 at the first file that differs.
 
+Before it counts anything, `rebuild` checks two rules of the rows
+themselves, and raises ValueError naming the first row that breaks one
+(the command line prints it and exits 1):
+
+- time never decreases: no row is earlier than the row before it;
+- a dead process runs no thread: after a process's `fault` row, the only
+  rows it names are on the `-` thread (a dropped stimulus, the scan's
+  `alert`). The standby's `rebind` row names the dead process only in
+  its detail.
+
 How the rows rebuild each `metrics.txt` line:
 
 - `link:` from `send` rows, with each channel's kind, writer and readers
@@ -106,7 +116,14 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
         stats[0] += 1
         stats[1] += delivered
 
-    for row in parse_rows(trace_text):
+    last = 0
+    for n, row in enumerate(parse_rows(trace_text), start=1):
+        if row.time < last:
+            raise ValueError(f"row {n}: time {row.time} is below {last}, the row before it")
+        last = row.time
+        if row.process in failed and row.thread != "-":
+            dead = f"{row.process} traces {row.event} on {row.thread}"
+            raise ValueError(f"row {n}: {dead} after its fault")
         event = row.event
         if event == "send":
             words = row.detail.split()
@@ -190,10 +207,14 @@ def main(argv: list[str]) -> int:
         return 2
     for name in argv:
         out = Path(name)
-        metrics, report = rebuild(
-            (out / "trace.tsv").read_text(encoding="utf-8"),
-            (out / "plan.txt").read_text(encoding="utf-8"),
-        )
+        try:
+            metrics, report = rebuild(
+                (out / "trace.tsv").read_text(encoding="utf-8"),
+                (out / "plan.txt").read_text(encoding="utf-8"),
+            )
+        except ValueError as exc:
+            print(f"{out / 'trace.tsv'}: {exc}")
+            return 1
         for filename, rebuilt in (("metrics.txt", metrics), ("report.txt", report)):
             diff = first_difference(rebuilt, (out / filename).read_text(encoding="utf-8"))
             if diff is not None:

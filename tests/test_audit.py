@@ -1,6 +1,7 @@
 """The auditor rebuilds metrics.txt and report.txt from trace.tsv and plan.txt."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,35 @@ def _fixture_runs(draw):
 def test_the_trace_rebuilds_metrics_and_report_of_any_fixture_scenario(run):
     policy, text = run
     _audited(*build_world(policy=policy), parse_scenario(text), 2500)
+
+
+def _failover_trace_lines():
+    plan, channels, world = build_world()
+    trace, _ = world.run(parse_scenario(failover_scenario()), 2000)
+    return trace.to_text().splitlines(keepends=True), render_plan(plan, channels)
+
+
+def test_the_auditor_refuses_a_row_earlier_than_the_row_before_it():
+    lines, plan = _failover_trace_lines()
+    audit.rebuild("".join(lines), plan)
+    times = [line.split("\t", 1)[0] for line in lines]
+    i = next(i for i in range(len(lines) - 1) if times[i] != times[i + 1])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    with pytest.raises(ValueError, match=f"^row {i + 2}: time .* is below "):
+        audit.rebuild("".join(lines), plan)
+
+
+def test_the_auditor_refuses_a_row_from_a_thread_of_a_dead_process():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, fault = next((k, r) for k, r in enumerate(rows) if r.event == "fault")
+    # the `-` thread may still name it: a stimulus sent to it is dropped
+    lines.insert(k + 1, f"{fault.time}\t{fault.process}\t-\tstimulus\tPING dropped\n")
+    audit.rebuild("".join(lines), plan)
+    lines.insert(k + 2, f"{fault.time}\t{fault.process}\tprocessor\tdiscard\tPING\n")
+    refused = f"^row {k + 3}: {re.escape(fault.process)} traces discard on processor after"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(lines), plan)
 
 
 def test_the_command_line_checks_simulate_directories(tmp_path, capsys):

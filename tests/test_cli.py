@@ -68,6 +68,14 @@ def test_plan_to_directory(model_file, tmp_path, capsys):
     assert "footprint: 130800" in text
 
 
+def test_plan_into_a_path_that_is_a_file_is_usage_error(model_file, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["plan", "--model", model_file, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker}: ") and err.count("\n") == 1
+
+
 def test_plan_memory_objective_respects_budget(model_file, capsys):
     assert main([
         "plan", "--model", model_file, "--objective", "mem", "--memory-budget", "40000",
@@ -213,6 +221,15 @@ def test_simulate_refuses_horizon_zero_before_writing_a_trace(model_file, tmp_pa
     assert main(["simulate", "--model", model_file, "--horizon", "0", "--out", str(out_dir)]) == 2
     assert "horizon" in capsys.readouterr().err
     assert not (out_dir / "trace.tsv").exists()
+
+
+def test_simulate_into_a_path_under_a_file_is_usage_error(model_file, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "x"
+    assert main(["simulate", "--model", model_file, "--horizon", "100", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_dir}: ") and err.count("\n") == 1
 
 
 # --- --config --------------------------------------------------------------------------

@@ -147,18 +147,17 @@ def test_trace_is_five_field_tsv():
     assert times == sorted(times)
 
 
-def test_a_row_traced_off_the_clock_carries_its_own_time():
+def test_a_row_traced_outside_run_carries_the_worlds_clock():
     queue, msg = "mq:A#0:B#0:U", ActorMessage("DATA", b"x", 5)
     world, _ = _world()
-    world.channel_send(queue, msg, 7)
-    world.channel_send(queue, msg, 0)  # the clock's own time
-    assert [line.split("\t", 1)[0] for line in world._lines] == ["7", "0"]
+    world.channel_send(queue, msg)
+    assert [line.split("\t", 1)[0] for line in world._lines] == ["0"]
 
     world, _ = _world()
     world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 4"), 500)
-    for at in (world.now + 3, world.now):
-        world.channel_send(queue, msg, at)
-        assert world._lines[-1].startswith(f"{at}\t")
+    assert world.now > 0
+    world.channel_send(queue, msg)
+    assert world._lines[-1].startswith(f"{world.now}\t")
 
 
 def test_rows_of_filters_event_and_process():
@@ -175,7 +174,7 @@ def test_rows_parse_back_to_the_traced_fields():
     trace_row = world.trace
 
     def record(*fields):
-        traced.append(fields)
+        traced.append((world.now, *fields))
         trace_row(*fields)
 
     world.trace = record
@@ -281,9 +280,9 @@ def test_events_run_in_time_then_scheduling_order(failover, victim, kill_at, per
     def recording(time, handler, *args):
         n = next(calls)
 
-        def run(now, *handler_args):
-            ran.append((now, n))
-            handler(now, *handler_args)
+        def run(*handler_args):
+            ran.append((world.now, n))
+            handler(*handler_args)
 
         schedule(time, run, *args)
 
@@ -302,12 +301,12 @@ def _per_process_activations(world):
     per period: the reference the sweeps must match byte for byte."""
     schedule = world._schedule
 
-    def activate(now, proc, role, run, period):
+    def activate(proc, role, run, period):
         if proc.alive:
-            world.trace(now, proc.id, role, "activate", "")
-            run(proc, now)
+            world.trace(proc.id, role, "activate", "")
+            run(proc)
             if proc.alive:
-                schedule(now + period, activate, proc, role, run, period)
+                schedule(world.now + period, activate, proc, role, run, period)
 
     def split_sweeps(time, handler, *args):
         if handler != world._on_sweep:
@@ -383,7 +382,7 @@ def test_sim_config_rejects_periods_below_one(name, period):
 @pytest.mark.parametrize("period", [0, -1])
 def test_failover_config_rejects_a_scan_period_below_one(period):
     with pytest.raises(ValueError, match="scan_period"):
-        FailoverConfig(scan_period=period, scan_fn=lambda world, now: None)
+        FailoverConfig(scan_period=period, scan_fn=lambda world: None)
 
 
 def test_deterministic_same_seed_same_bytes():
@@ -441,8 +440,8 @@ def test_higher_priority_dispatched_first():
 def test_recalled_messages_precede_normal_arrivals_at_equal_priority():
     world, _ = _world()
     proc = world.processes["A#0"]
-    world.post_mailbox("A#0", ActorMessage("LOW", b"n", 5), 0)
-    world.post_mailbox("A#0", ActorMessage("HIGH", b"r", 5), 0, recalled=True)
+    world.post_mailbox("A#0", ActorMessage("LOW", b"n", 5))
+    world.post_mailbox("A#0", ActorMessage("HIGH", b"r", 5), recalled=True)
     first = heapq.heappop(proc.mailbox)
     second = heapq.heappop(proc.mailbox)
     assert first.msg.body == b"r"  # recall lane wins the tie
@@ -453,7 +452,7 @@ def test_fifo_within_equal_priority():
     world, _ = _world()
     proc = world.processes["A#0"]
     for body in (b"1", b"2", b"3"):
-        world.post_mailbox("A#0", ActorMessage("LOW", body, 5), 0)
+        world.post_mailbox("A#0", ActorMessage("LOW", body, 5))
     drained = [heapq.heappop(proc.mailbox).msg.body for _ in range(3)]
     assert drained == [b"1", b"2", b"3"]
 
@@ -464,7 +463,7 @@ def test_mailbox_drains_by_priority_then_recall_lane_then_arrival(posts):
     world, _ = _world()
     proc = world.processes["A#0"]
     for i, (priority, recalled) in enumerate(posts):
-        world.post_mailbox("A#0", ActorMessage("LOW", str(i).encode(), priority), 0, recalled=recalled)
+        world.post_mailbox("A#0", ActorMessage("LOW", str(i).encode(), priority), recalled=recalled)
     drained = []
     while proc.mailbox:
         drained.append(int(heapq.heappop(proc.mailbox).msg.body))
@@ -559,7 +558,7 @@ def test_processor_rows_follow_the_action_costs(first, second):
     channels = assign_ipc(dependency_graph(plan, model))
     world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"W": b.build()}})
     spent, spend_ms = [], world._spend_ms
-    world._spend_ms = lambda proc, now: (spent.append(now), spend_ms(proc, now))
+    world._spend_ms = lambda proc: (spent.append(world.now), spend_ms(proc))
     trace, _ = world.run(
         parse_scenario(
             "stimulus B#0 M2 at 100 every 0 priority 5 size 1\n"
@@ -640,12 +639,12 @@ def test_queue_blocks_writer_when_full():
     ch.channel = ch.channel._replace(capacity=2)
     proc = world.processes["A#0"]
     proc.outbound = [(cid, ActorMessage("DATA", bytes([i]), 5)) for i in range(4)]
-    world._transmitter_pass(proc, 0)
+    world._transmitter_pass(proc)
     assert [m.body for _, m in proc.outbound] == [b"\x02", b"\x03"]  # head-of-line keeps order
     assert [m.body for m in ch.items] == [b"\x00", b"\x01"]
     # drain the queue, retry forwards the rest
-    world._receiver_pass(world.processes["B#0"], 1)
-    world._transmitter_pass(proc, 2)
+    world._receiver_pass(world.processes["B#0"])
+    world._transmitter_pass(proc)
     assert proc.outbound == []
     assert [m.body for m in ch.items] == [b"\x02", b"\x03"]
 
@@ -656,10 +655,10 @@ def test_a_blocked_send_records_no_link():
     _, _, world = build_world()
     queue = "mq:LocalHost#0:PeerCI#0:SendData"
     for k in range(64):
-        assert world.channel_send(queue, ActorMessage("DATA_PKT", bytes([k]), 200), 10)
-    world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 20)
+        assert world.channel_send(queue, ActorMessage("DATA_PKT", bytes([k]), 200))
+    world.rebind_endpoints("LocalHost#0", "StandbyCI#0")
     before = {key: dataclasses.replace(s) for key, s in world.metrics.links.items()}
-    assert not world.channel_send(queue, ActorMessage("DATA_PKT", b"x", 200), 21)
+    assert not world.channel_send(queue, ActorMessage("DATA_PKT", b"x", 200))
     assert world.metrics.links == before
 
 
@@ -691,8 +690,8 @@ def test_shared_segment_keeps_only_latest_write():
     world, _ = _world(PERIODIC_MODEL, consumer_signals=("U",))
     cid = "shm:A#0:U"
     ch = world.channels[cid]
-    world.channel_send(cid, ActorMessage("U", b"old", 0), 0)
-    world.channel_send(cid, ActorMessage("U", b"new", 0), 1)
+    world.channel_send(cid, ActorMessage("U", b"old", 0))
+    world.channel_send(cid, ActorMessage("U", b"new", 0))
     assert ch.slot.body == b"new"
     assert ch.version == 2
     stats = world.metrics.links[(cid, "A#0", "B#0")]
@@ -746,7 +745,7 @@ def test_drain_and_beat_lists_leave_out_owned_and_aperiodic_channels():
             "mq:A#0:B#0:U", ChannelKind.MESSAGE_QUEUE, "A#0", ("B#0",), FlowClass.ASYNC, "U", 8, capacity=4,
         ),
     ]
-    failover = FailoverConfig(scan_period=100, scan_fn=lambda world, now: None, owned=frozenset({"shm:A#0:U:health"}))
+    failover = FailoverConfig(scan_period=100, scan_fn=lambda world: None, owned=frozenset({"shm:A#0:U:health"}))
     behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
     world = instantiate(plan, channels, behaviors, failover=failover)
     _assert_endpoint_index_matches_channels(world)
@@ -757,9 +756,9 @@ def test_drain_and_beat_lists_leave_out_owned_and_aperiodic_channels():
 def test_endpoint_index_follows_rebinding():
     _, _, world = build_world()
     _assert_endpoint_index_matches_channels(world)
-    rebound = world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 1000)
+    rebound = world.rebind_endpoints("LocalHost#0", "StandbyCI#0")
     _assert_endpoint_index_matches_channels(world)
-    world.rebind_endpoints("LocalHost#1", "StandbyCI#0", 1000)
+    world.rebind_endpoints("LocalHost#1", "StandbyCI#0")
     _assert_endpoint_index_matches_channels(world)
     # the dead host keeps only its scan-only health segment
     assert not [ch for ch in world.channels.values() if "LocalHost#0" in ch.readers]
@@ -768,9 +767,9 @@ def test_endpoint_index_follows_rebinding():
     segment = "shm:Operator#0:ExchangeStatus"
     queue = "mq:PeerCI#0:LocalHost#0:ReceiveData"
     assert {segment, queue} <= set(rebound)
-    world.channel_send(segment, ActorMessage("ExchangeStatus", b"s", 0), 1001)
-    world.channel_send(queue, ActorMessage("DATA_PKT", b"q", 200), 1001)
-    world._receiver_pass(world.processes["StandbyCI#0"], 1002)
+    world.channel_send(segment, ActorMessage("ExchangeStatus", b"s", 0))
+    world.channel_send(queue, ActorMessage("DATA_PKT", b"q", 200))
+    world._receiver_pass(world.processes["StandbyCI#0"])
     received = {
         (r.event, r.detail.split()[0])
         for r in parse_rows("".join(world._lines))
@@ -827,7 +826,7 @@ def test_rebinding_onto_a_standby_that_already_reads_names_it_once():
         if "LocalHost#0" in ch.readers and "StandbyCI#0" in ch.readers
     ]
     assert both == ["shm:Operator#0:ExchangeStatus"]
-    world.rebind_endpoints("LocalHost#0", "StandbyCI#0", 1000)
+    world.rebind_endpoints("LocalHost#0", "StandbyCI#0")
     for ch in world.channels.values():
         assert len(set(ch.readers)) == len(ch.readers), ch.channel.id
     assert world.channels[both[0]].readers.count("StandbyCI#0") == 1
@@ -855,7 +854,7 @@ def test_rebinding_puts_the_standby_in_the_dead_endpoints_place():
             and not (writer == dead and standby in readers or writer == standby and dead in readers)
         ]
         pair = (dead, standby)
-        assert world.rebind_endpoints(dead, standby, 1000) == expected, pair
+        assert world.rebind_endpoints(dead, standby) == expected, pair
         for cid, ch in world.channels.items():
             writer, readers = before[cid]
             if cid in expected:

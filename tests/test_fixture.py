@@ -385,9 +385,9 @@ def _record_sends(monkeypatch, world):
     sent = []
     send = world.channel_send
 
-    def recording(channel_id, msg, now):
+    def recording(channel_id, msg):
         sent.append(msg)
-        return send(channel_id, msg, now)
+        return send(channel_id, msg)
 
     monkeypatch.setattr(world, "channel_send", recording)
     return sent
