@@ -22,10 +22,9 @@ dispatch finishes. Each action starts max(1, ceil(cost of the one before))
 ms after the one before it. A dispatch of one action costing at most a
 millisecond completes in the tick that started it; one whose actions cost
 nothing traces no action and lets the next message dispatch in the same
-tick. Each millisecond has one handler: `_offer` spends a timed
-dispatch's first (it traces the first action, and completes the dispatch
-if that was all), and `_spend_ms` each later one of a dispatch still
-active.
+tick. One method, `_spend_ms`, spends each millisecond of a timed
+dispatch, the first included: it starts and traces an action when the one
+before has no time left, and completes the dispatch after the last.
 
 The clock: only `run` moves it, and it formats the time column of the
 trace once per calendar time. Handlers, sends and `trace` read the clock,
@@ -276,17 +275,6 @@ ChannelRt = MessageQueueRt | SharedSegmentRt
 # --- processes ----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _ActiveDispatch:
-    """A fired dispatch whose actions are still spending virtual time."""
-
-    result: DispatchResult
-    label: str  # "<machine key>/<signal>", as traced
-    number: str  # "d<n>", as traced
-    step: int  # actions started so far
-    ms_left: int | float  # of the action started last
-
-
 class _MailEntry(NamedTuple):
     """Mailbox entry; the smallest entry is dispatched next."""
 
@@ -304,7 +292,7 @@ class ProcessInstance:
     alive: bool = True
     mailbox: list[_MailEntry] = field(default_factory=list)  # a heap
     outbound: list[tuple[str, ActorMessage]] = field(default_factory=list)  # resolved channel ids
-    active: _ActiveDispatch | None = None
+    active: tuple[DispatchResult, str, str, int, int | float] | None = None  # see `_spend_ms`
     last_progress: int = 0
     tick_scheduled: bool = False
 
@@ -439,7 +427,8 @@ class SimWorld:
                 self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
                 return True
             if len(ch.items) >= ch.channel.capacity:
-                return False  # writer blocks; caller retries
+                self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} blocked")
+                return False  # counted nowhere; the caller keeps the message or drops it
             ch.items.append(msg)
             stats = self.metrics.link(channel_id, ch.writer, reader)
             stats.sent += 1
@@ -572,23 +561,24 @@ class SimWorld:
         proc.active = None
         self.trace(proc.id, "processor", "complete", f"{label} {number}")
 
-    def _spend_ms(self, proc: ProcessInstance) -> None:
-        """Spend a later millisecond of the active dispatch; `_offer` spent its first.
-
-        A dispatch stays active only while its current action has time left
-        or an action has yet to start, so when no time is left the next
-        action starts here.
-        """
-        a = proc.active
-        assert a is not None
-        actions = a.result.actions_run
-        if a.ms_left <= 0:
-            a.ms_left = a.result.action_costs[a.step]
-            self.trace(proc.id, "processor", "action", f"{a.label}/{actions[a.step]} {a.number}")
-            a.step += 1
-        a.ms_left -= 1
-        if a.ms_left <= 0 and a.step == len(actions):
-            self._complete_dispatch(proc, a.result, a.label, a.number)
+    def _spend_ms(
+        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str,
+        step: int = 0, ms_left: int | float = 0,
+    ) -> None:
+        """Spend one millisecond of a timed dispatch, the first included: start
+        the next action when the one started last (`step` so far) has no time
+        left (`ms_left`), and complete after the last. While the dispatch runs
+        past this millisecond, `proc.active` holds the arguments after `proc`."""
+        actions = result.actions_run
+        if ms_left <= 0:
+            ms_left = result.action_costs[step]
+            self.trace(proc.id, "processor", "action", f"{label}/{actions[step]} {number}")
+            step += 1
+        ms_left -= 1
+        if ms_left <= 0 and step == len(actions):
+            self._complete_dispatch(proc, result, label, number)
+        else:
+            proc.active = (result, label, number, step, ms_left)
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
@@ -621,13 +611,7 @@ class SimWorld:
             if result.cost_ms <= 0:
                 self._complete_dispatch(proc, result, label, number)
                 return False
-            # the first millisecond: the first action starts now
-            self.trace(proc.id, "processor", "action", f"{label}/{actions[0]} {number}")
-            ms_left = result.action_costs[0] - 1
-            if ms_left <= 0 and len(actions) == 1:
-                self._complete_dispatch(proc, result, label, number)
-            else:
-                proc.active = _ActiveDispatch(result, label, number, 1, ms_left)
+            self._spend_ms(proc, result, label, number)
             return True
         for key, machine in proc.machines.items():  # no machine matched
             if dispatch(machine, msg, None, self.now).deferred:
@@ -643,7 +627,7 @@ class SimWorld:
         if not proc.alive:
             return
         if proc.active is not None:
-            self._spend_ms(proc)
+            self._spend_ms(proc, *proc.active)
         else:
             for _ in range(_MAX_BATCH):
                 if not proc.mailbox:

@@ -109,15 +109,17 @@ def _as_bytes(body: object) -> bytes:
     return bytes(body) if isinstance(body, (bytes, bytearray)) else b""
 
 
-def _send_frames(uc: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int]):
+def _send_frames(
+    uc: str, link: comm.LinkType, cfg: comm.CommConfig, table: dict[str, int], count_bits: int
+):
     """Packetize the message body, frame every packet for the link and emit
-    it on `uc`. The message id carries the machine's lane from
-    `ctx.vars["lane"]`; packetize computes each packet's tag."""
+    it on `uc`; packetize computes each packet's tag. The 32-bit message id is
+    the lane `ctx.vars["lane"]` over a count of messages in its low `count_bits`."""
     priority = comm.classify_priority("track_data", table, cfg.default_priority)
 
     def fn(ctx: ActionContext) -> None:
         n = ctx.vars["produced"] = ctx.vars.get("produced", 0) + 1
-        msg_id = (ctx.vars["lane"] << 20) | n
+        msg_id = (ctx.vars["lane"] << count_bits) | n % (1 << count_bits)
         app = comm.AppMessage(msg_id, "", "", "track_data", _as_bytes(ctx.msg.body))
         for pkt in comm.packetize(app, cfg.mtu_payload, cfg.auth_key, table, cfg.default_priority):
             ctx.emit(uc, ActorMessage("DATA_PKT", comm.convert_to_frame(pkt, link), priority))
@@ -227,14 +229,16 @@ def build_behaviors(
     node that runs it; a generic chart is shared by the nodes with the same
     signals. Message-id lanes are disjoint per node, held in each codec
     machine's `lane` variable, so reassembly keys from different producers
-    never collide at a shared consumer. The codec machines take MTU, key,
-    reassembly timeout and priorities from cfg.
-    """
+    never collide at a shared consumer; the id's other bits count the
+    machine's messages and wrap, harmlessly while 2^bits encodes of 3 ms or
+    more outlast the reassembly timeout. The codec machines take MTU, key,
+    reassembly timeout and priorities from cfg."""
     table = cfg.priority_table()
     receive = (Action("deframe"), Action("reassemble", _receive_frame(cfg, table)))
+    count_bits = 32 - (15 + len(plan.all_nodes())).bit_length()  # lanes are below 16 + nodes
 
     def codec(leaf: str, trigger: str, uc: str, link: comm.LinkType) -> Chart:
-        send = _send_frames(uc, link, cfg, table)
+        send = _send_frames(uc, link, cfg, table, count_bits)
         encode = (Action("authenticate"), Action("encode", send), Action("transmit"))
         loops = [(trigger, encode), ("DATA_PKT", receive), ("ExchangeStatus", (_NOTE_STATUS,))]
         return _loop_chart(leaf, loops)
@@ -332,7 +336,8 @@ def _failover(
     move each dead main of `standby_map` onto its standby (endpoints plus a
     TAKEOVER message), and send the monitor's alert queue one EQUIP_STATUS
     summary per scan whatever the alert count, so link traffic stays
-    constant across runs. The scan owns every HEALTH_SOURCE channel."""
+    constant across runs; a summary that finds the queue full is dropped, not
+    retried, and its `blocked` row records the drop. The scan owns every HEALTH_SOURCE channel."""
     standbys = standby_map(plan)
     monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order

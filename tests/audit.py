@@ -28,7 +28,8 @@ How the rows rebuild each `metrics.txt` line:
   one to `sent` on (channel, writer, first reader), and one to `delivered`
   if it was queued. A segment's `send <ch> <sig> v<n>` adds one to `sent`
   for every current reader, and one to `delivered` unless that reader
-  already has a `fault` row.
+  already has a `fault` row. A `send <ch> <sig> blocked` row, a writer
+  held back by a full queue, counts nothing and is skipped.
 - `rebind <ch> from <dead>`, traced by the standby: a dead writer becomes
   the standby; the dead process leaves the readers, and the standby joins
   them unless it already reads the channel.
@@ -127,6 +128,8 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
         event = row.event
         if event == "send":
             words = row.detail.split()
+            if words[-1] == "blocked":
+                continue
             cid = words[0]
             ch = channels[cid]
             if ch.kind == "message-queue":

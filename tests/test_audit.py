@@ -89,6 +89,22 @@ def test_the_trace_rebuilds_deferrals_discards_and_takeovers():
     assert len(metrics.failover) == 2
 
 
+def test_the_trace_rebuilds_metrics_and_report_when_writers_block():
+    """70 kB every 100 ms fills the host's queues: each blocked send traces
+    a `blocked` row that counts nothing, and the auditor skips it."""
+    plan, channels, world = build_world()
+    overload = "stimulus LocalHost#0 SEND_REQ at 100 every 100 priority 180 size 70000\n"
+    trace, metrics = world.run(parse_scenario(overload), 2000)
+    blocked = [r for r in audit.parse_rows(trace.to_text()) if r.detail.endswith(" blocked")]
+    assert len(blocked) == 114
+    assert {r.event for r in blocked} == {"send"}
+    rebuilt_metrics, rebuilt_report = audit.rebuild(trace.to_text(), render_plan(plan, channels))
+    assert rebuilt_metrics == metrics.to_text()
+    assert rebuilt_report == degradation_report(metrics, plan).to_text(metrics)
+    queue = ("mq:LocalHost#0:PeerCI#0:SendData", "LocalHost#0", "PeerCI#0")
+    assert metrics.links[queue].sent == 1330  # the auditor would rebuild 1349 with the rows counted
+
+
 _SIGNALS = (
     "SEND_REQ", "RX_DATA", "DATA_PKT", "ExchangeStatus", "SESSION_UP", "SESSION_DOWN",
     "PEER_MSG", "TAKEOVER", "EQUIP_STATUS", "NOT_A_SIGNAL",

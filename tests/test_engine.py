@@ -546,8 +546,8 @@ _COSTS = st.lists(st.sampled_from((0, 0.5, 1, 2)), min_size=1, max_size=3)
 def test_processor_rows_follow_the_action_costs(first, second):
     """Each action starts max(1, ceil(previous cost)) ms after the one before
     it, and the next message dispatches a ms after the last one completes,
-    or in the same tick when the dispatch cost nothing. The tick that starts
-    a dispatch spends its first ms, and `_spend_ms` each later one."""
+    or in the same tick when the dispatch cost nothing. `_spend_ms` spends
+    every millisecond of a timed dispatch, the first included."""
     b = MachineBuilder("timed")
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
@@ -558,7 +558,7 @@ def test_processor_rows_follow_the_action_costs(first, second):
     channels = assign_ipc(dependency_graph(plan, model))
     world = instantiate(plan, channels, {"A#0": {"U": _producer_machine()}, "B#0": {"W": b.build()}})
     spent, spend_ms = [], world._spend_ms
-    world._spend_ms = lambda proc: (spent.append(world.now), spend_ms(proc))
+    world._spend_ms = lambda proc, *dispatch: (spent.append(world.now), spend_ms(proc, *dispatch))
     trace, _ = world.run(
         parse_scenario(
             "stimulus B#0 M2 at 100 every 0 priority 5 size 1\n"
@@ -578,7 +578,7 @@ def test_processor_rows_follow_the_action_costs(first, second):
             expected.append((t, "action", f"W/{signal}/a{i} d{n}"))
             t += max(1, math.ceil(cost))
         expected.append((t - 1, "complete", f"W/{signal} d{n}"))
-        later_ms.extend(range(start + 1, t))
+        later_ms.extend(range(start, t))
     rows = [
         (r.time, r.event, r.detail)
         for r in parse_rows(trace.to_text())
@@ -650,8 +650,8 @@ def test_queue_blocks_writer_when_full():
 
 
 def test_a_blocked_send_records_no_link():
-    """A blocked send traces no row, so it adds no link either: not even the
-    standby's link onto a queue it just took over while full."""
+    """A blocked send's row counts nothing, so it adds no link either: not
+    even the standby's link onto a queue it just took over while full."""
     _, _, world = build_world()
     queue = "mq:LocalHost#0:PeerCI#0:SendData"
     for k in range(64):
@@ -659,6 +659,31 @@ def test_a_blocked_send_records_no_link():
     world.rebind_endpoints("LocalHost#0", "StandbyCI#0")
     before = {key: dataclasses.replace(s) for key, s in world.metrics.links.items()}
     assert not world.channel_send(queue, ActorMessage("DATA_PKT", b"x", 200))
+    assert world.metrics.links == before
+
+
+def test_a_full_queue_traces_one_blocked_row_per_channel_per_pass():
+    """A send onto a full queue traces `send <ch> <sig> blocked` and records
+    no link; a transmitter pass stops at a blocked channel's first message,
+    so two messages held for it trace one row, not two."""
+    world, _ = _world()
+    cid = "mq:A#0:B#0:U"
+    ch = world.channels[cid]
+    assert isinstance(ch, MessageQueueRt)
+    ch.channel = ch.channel._replace(capacity=1)
+    assert world.channel_send(cid, ActorMessage("DATA", b"\x00", 5))
+    before = {key: dataclasses.replace(s) for key, s in world.metrics.links.items()}
+    world._lines.clear()
+    assert not world.channel_send(cid, ActorMessage("DATA", b"\x01", 5))
+    assert world._lines == [f"0\tA#0\ttransmitter\tsend\t{cid} DATA blocked\n"]
+    assert world.metrics.links == before
+
+    world._lines.clear()
+    proc = world.processes["A#0"]
+    proc.outbound = [(cid, ActorMessage("DATA", bytes([i]), 5)) for i in (2, 3)]
+    world._transmitter_pass(proc)
+    assert [m.body for _, m in proc.outbound] == [b"\x02", b"\x03"]
+    assert [line.split("\t")[3:] for line in world._lines] == [["send", f"{cid} DATA blocked\n"]]
     assert world.metrics.links == before
 
 

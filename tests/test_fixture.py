@@ -112,6 +112,25 @@ def test_host_and_peer_machines_have_disjoint_message_lanes(plan, model):
     assert len(lanes) == 8  # 2 hosts + 6 peers
 
 
+@pytest.mark.parametrize("peers", [4100, 20000])
+def test_the_last_peer_encodes_at_any_peer_count(model, peers):
+    """Message ids fit their 32 bits however many lanes the plan needs: the
+    last peer's RX_DATA encodes and completes, and nothing faults."""
+    last = f"PeerCI#{peers - 1}"
+    _, _, world = build_world(scale_peers(model, peers))
+    rows: list[list[str]] = []
+
+    def keep(line: str) -> None:
+        fields = line.rstrip("\n").split("\t")
+        if fields[1] == last and fields[3] == "complete":
+            rows.append(fields[4:])
+
+    scenario = f"stimulus {last} RX_DATA at 50 every 0 priority 200 size 700\n"
+    _, metrics = world.run(parse_scenario(scenario), 100, sink=keep)
+    assert metrics.faults == []
+    assert ["ReceiveData/RX_DATA d1"] in rows
+
+
 def test_generic_behaviors_back_arbitrary_models():
     text = (
         "actor Gw multiplicity 1\n"
