@@ -10,17 +10,19 @@ communication equipment, and six peer interfaces::
     * ──ReportHealth──▶ CommEquipment              (heartbeat segments)
     CommEquipment ──MonitorEquipment──▶ Operator   (alert summaries)
 
-`build_behaviors` attaches statecharts whose actions run the real wire
-codecs (packetize / frame / deframe / reassemble), so a simulation run
+`build_behaviors` attaches one statechart per charted use case, whatever
+actor triggers it; the codec charts' actions run the real wire codecs
+(packetize / frame / deframe / reassemble), so a simulation run
 exercises the same code paths as the unit-level packet tests. Each codec
 direction is one function on one named step, `encode` out and
 `reassemble` in; `authenticate`, `transmit` and `deframe` only cost
-time, so no bytes wait in machine variables between steps. Actors
-outside this model get a generic relay machine, which keeps arbitrary
-models simulatable from the command line. `build_world` adds the heartbeat
-scan, whose takeover and status summary the standby and operator charts
-handle; rebinding moves a dead host's endpoints to its standby except on
-a channel one of the two writes and the other reads.
+time, so no bytes wait in machine variables between steps. A node that
+owns no charted use case gets a generic relay machine, which keeps
+arbitrary models simulatable from the command line. `build_world` adds
+the heartbeat scan, whose takeover and status summary the standby and
+operator charts handle; rebinding moves a dead host's endpoints to its
+standby except on a channel one of the two writes and the other reads.
+No behavior depends on an actor's name; only `scale_peers` reads one.
 """
 
 from __future__ import annotations
@@ -225,65 +227,63 @@ def build_behaviors(
 ) -> dict[str, dict[str, StateMachine]]:
     """One behavior set per process node, keyed by the machine's use case.
 
-    Each machine kind is one chart, built once per call and shared by every
-    node that runs it; a generic chart is shared by the nodes with the same
-    signals. Message-id lanes are disjoint per node, held in each codec
-    machine's `lane` variable, so reassembly keys from different producers
-    never collide at a shared consumer; the id's other bits count the
-    machine's messages and wrap, harmlessly while 2^bits encodes of 3 ms or
-    more outlast the reassembly timeout. The codec machines take MTU, key,
-    reassembly timeout and priorities from cfg."""
+    A node runs one machine, named after it, per charted use case among its
+    `owned_use_cases()`, in that order; a node with none runs a generic
+    relay, a service node nothing. A chart is built once per call and shared
+    by its machines, a generic chart by the nodes with the same signals.
+    Each codec machine holds its own message-id lane, counted from 1 in plan
+    order, in its `lane` variable, so reassembly keys from different
+    producers never collide at a shared consumer; the id's other bits count
+    the machine's messages and wrap, harmlessly while 2^bits encodes of 3 ms
+    or more outlast the reassembly timeout. The codec machines take MTU,
+    key, reassembly timeout and priorities from cfg."""
     table = cfg.priority_table()
     receive = (Action("deframe"), Action("reassemble", _receive_frame(cfg, table)))
-    count_bits = 32 - (15 + len(plan.all_nodes())).bit_length()  # lanes are below 16 + nodes
+    codecs = {  # use case -> (leaf, trigger, link)
+        "SendData": ("Idle", "SEND_REQ", comm.LinkType.LINK_A),
+        "ReceiveData": ("Listening", "RX_DATA", comm.LinkType.LINK_B),
+    }
+    lanes = sum(uc in codecs for node in plan.nodes for uc in node.owned_use_cases())
+    count_bits = 32 - lanes.bit_length()
 
-    def codec(leaf: str, trigger: str, uc: str, link: comm.LinkType) -> Chart:
+    def codec(uc: str, leaf: str, trigger: str, link: comm.LinkType) -> Chart:
         send = _send_frames(uc, link, cfg, table, count_bits)
         encode = (Action("authenticate"), Action("encode", send), Action("transmit"))
         loops = [(trigger, encode), ("DATA_PKT", receive), ("ExchangeStatus", (_NOTE_STATUS,))]
         return _loop_chart(leaf, loops)
 
-    host_codec = codec("Idle", "SEND_REQ", "SendData", comm.LinkType.LINK_A)
-    peer_codec = codec("Listening", "RX_DATA", "ReceiveData", comm.LinkType.LINK_B)
-    session, standby = _session_chart(), _standby_chart(receive)
-    operator = _loop_chart("Watch", [("EQUIP_STATUS", (Action("record_alerts", _record_alerts),))])
-    monitor = _loop_chart("Scanning", [("ExchangeStatus", (_NOTE_STATUS,))])
+    record = (Action("record_alerts", _record_alerts),)
+    charts = {uc: codec(uc, *spec) for uc, spec in codecs.items()}
+    charts["MaintainSession"] = _session_chart()
+    charts["TakeOver"] = _standby_chart(receive)
+    charts["ExchangeStatus"] = _loop_chart("Watch", [("EQUIP_STATUS", record)])
+    charts["MonitorEquipment"] = _loop_chart("Scanning", [("ExchangeStatus", (_NOTE_STATUS,))])
     generic: dict[tuple[tuple[str, ...], tuple[str, ...]], Chart] = {}
     reads: dict[str, set[str]] | None = None  # reader -> sources, on the first generic node
     out: dict[str, dict[str, StateMachine]] = {}
-    host_lane, peer_lane = 1, 16
-    for node in plan.all_nodes():
-        if node.service:
-            out[node.id] = {}
+    lane = 0
+    for node in plan.nodes:
+        machines = out[node.id] = {}
+        for uc in node.owned_use_cases():
+            if uc in codecs:
+                lane += 1
+                machines[uc] = StateMachine(charts[uc], {"lane": lane}, node.id)
+            elif uc in charts:
+                machines[uc] = StateMachine(charts[uc], name=node.id)
+        if machines:
             continue
-        actor = node.actor
-        if actor == "LocalHost":
-            lane, host_lane = host_lane, host_lane + 1
-            out[node.id] = {"SendData": StateMachine(host_codec, {"lane": lane}, node.id)}
-        elif actor == "PeerCI":
-            lane, peer_lane = peer_lane, peer_lane + 1
-            out[node.id] = {
-                "ReceiveData": StateMachine(peer_codec, {"lane": lane}, node.id),
-                "MaintainSession": StateMachine(session, name=f"{node.id}:session"),
-            }
-        elif actor == "StandbyCI":
-            out[node.id] = {"TakeOver": StateMachine(standby, name=node.id)}
-        elif actor == "Operator":
-            out[node.id] = {"ExchangeStatus": StateMachine(operator, name=node.id)}
-        elif actor == "CommEquipment":
-            out[node.id] = {"MonitorEquipment": StateMachine(monitor, name=node.id)}
-        else:
-            if reads is None:
-                reads = {}
-                for ch in channels:
-                    for reader in ch.readers:
-                        reads.setdefault(reader, set()).add(ch.source)
-            owned = set(node.owned_use_cases())
-            inbound = reads.get(node.id, set()) | {"DATA_PKT"}
-            key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
-            if key not in generic:
-                generic[key] = _generic_chart(*key)
-            out[node.id] = {"relay": StateMachine(generic[key], name=node.id)}
+        if reads is None:
+            reads = {}
+            for ch in channels:
+                for reader in ch.readers:
+                    reads.setdefault(reader, set()).add(ch.source)
+        owned = set(node.owned_use_cases())
+        inbound = reads.get(node.id, set()) | {"DATA_PKT"}
+        key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
+        if key not in generic:
+            generic[key] = _generic_chart(*key)
+        machines["relay"] = StateMachine(generic[key], name=node.id)
+    out.update((node.id, {}) for node in plan.shared_service_nodes)
     return out
 
 
@@ -319,11 +319,12 @@ def failover_scenario(peers: int = 6, kill_at: int = 1000) -> str:
 
 
 def standby_map(plan: ProcessPlan) -> dict[str, str]:
-    """Every live host fails over to the first standby node."""
-    standbys = [n.id for n in plan.nodes if n.actor == "StandbyCI"]
-    if not standbys:
+    """Every node that owns SendData fails over to the first node that owns
+    TakeOver."""
+    standby = next((n.id for n in plan.nodes if "TakeOver" in n.owned_use_cases()), None)
+    if standby is None:
         return {}
-    return {n.id: standbys[0] for n in plan.nodes if n.actor == "LocalHost"}
+    return {n.id: standby for n in plan.nodes if "SendData" in n.owned_use_cases()}
 
 
 # --- world assembly --------------------------------------------------------------
@@ -339,17 +340,16 @@ def _failover(
     constant across runs; a summary that finds the queue full is dropped, not
     retried, and its `blocked` row records the drop. The scan owns every HEALTH_SOURCE channel."""
     standbys = standby_map(plan)
-    monitor = next((n.id for n in plan.nodes if n.actor == "CommEquipment"), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
     owned: list[str] = []  # every HEALTH_SOURCE channel
-    alert_channel: str | None = None  # the first MonitorEquipment queue
+    queue: IpcChannel | None = None  # the first MonitorEquipment queue, written by the monitor
     for c in channels:
         if c.source == HEALTH_SOURCE:
             owned.append(c.id)
             if c.kind is ChannelKind.SHARED_SEGMENT:
                 health.append((c.id, c.writer))
         elif c.source == "MonitorEquipment" and c.kind is ChannelKind.MESSAGE_QUEUE:
-            alert_channel = alert_channel or c.id
+            queue = queue or c
     status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
     table = comm.HealthTable()
 
@@ -374,9 +374,9 @@ def _failover(
                 )
                 world.trace(standby, "-", "takeover", f"from {main}")
                 world.metrics.failover.append(FailoverRecord(main, standby, now, now))
-        if alert_channel and monitor in world.processes and world.processes[monitor].alive:
+        if queue and world.processes[queue.writer].alive:
             body = "|".join(f"{a.process}:{a.status.value}" for a in alerts).encode()
-            world.channel_send(alert_channel, ActorMessage("EQUIP_STATUS", body, status_priority))
+            world.channel_send(queue.id, ActorMessage("EQUIP_STATUS", body, status_priority))
 
     return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(owned))
 

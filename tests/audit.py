@@ -11,15 +11,18 @@ simulator, so a counter that drifts from the trace shows as a difference
 checks every artifact directory written by `viewcase simulate`, prints one
 line per directory and exits 1 at the first file that differs.
 
-Before it counts anything, `rebuild` checks two rules of the rows
-themselves, and raises ValueError naming the first row that breaks one
-(the command line prints it and exits 1):
+While it counts, `rebuild` checks three rules of the rows themselves,
+and raises ValueError naming the first row that breaks one (the command
+line prints it and exits 1):
 
 - time never decreases: no row is earlier than the row before it;
 - a dead process runs no thread: after a process's `fault` row, the only
   rows it names are on the `-` thread (a dropped stimulus, the scan's
   `alert`). The standby's `rebind` row names the dead process only in
-  its detail.
+  its detail;
+- a processor runs one dispatch at a time: per process, a `dispatch` row
+  opens one only when none is open, and a `complete` row closes the open
+  one, with the same label and `d<n>` number. A `fault` row clears it.
 
 How the rows rebuild each `metrics.txt` line:
 
@@ -111,6 +114,7 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
     faults: list[tuple[int, str, str]] = []
     failed: set[str] = set()
     takeovers: list[tuple[str, str, int]] = []
+    running: dict[str, str] = {}  # process -> "<label> d<n>" of its open dispatch
 
     def count(key: tuple[str, str, str], delivered: bool) -> None:
         stats = links.setdefault(key, [0, 0])
@@ -146,11 +150,19 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
                 ch.readers = [r for r in ch.readers if r != dead]
                 if row.process not in ch.readers:
                     ch.readers.append(row.process)
+        elif event == "dispatch":
+            if row.process in running:
+                busy = f"{row.process} opens {row.detail} while {running[row.process]} is open"
+                raise ValueError(f"row {n}: {busy}")
+            running[row.process] = row.detail.split(" actions ")[0]
         elif event in ("complete", "discard", "defer", "trip"):
+            if event == "complete" and running.pop(row.process, None) != row.detail:
+                raise ValueError(f"row {n}: {row.process} completes {row.detail}, which is not open")
             counts[row.process][event] += 1
         elif event == "fault":
             faults.append((row.time, row.process, row.detail))
             failed.add(row.process)
+            running.pop(row.process, None)
         elif event == "takeover":
             takeovers.append((row.detail.split()[-1], row.process, row.time))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import audit
 from viewcase.cli import main
-from viewcase.engine import SimConfig, degradation_report, instantiate, parse_scenario
+from viewcase.engine import SimConfig, SimWorld, degradation_report, instantiate, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
     build_behaviors,
@@ -169,6 +169,38 @@ def test_the_auditor_refuses_a_row_from_a_thread_of_a_dead_process():
     refused = f"^row {k + 3}: {re.escape(fault.process)} traces discard on processor after"
     with pytest.raises(ValueError, match=refused):
         audit.rebuild("".join(lines), plan)
+
+
+def test_the_auditor_refuses_a_dispatch_that_opens_or_completes_out_of_turn():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, done = next((k, r) for k, r in enumerate(rows) if r.event == "complete")
+    renumbered = lines[:k] + [lines[k].replace(" d1\n", " d2\n")] + lines[k + 1:]
+    refused = f"^row {k + 1}: {re.escape(done.process)} completes .* d2, which is not open"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(renumbered), plan)
+    # without its `complete` row, the process's next dispatch opens while d1 is open
+    later = (j for j in range(k + 1, len(rows)) if rows[j].process == done.process)
+    j = next(j for j in later if rows[j].event == "dispatch")
+    refused = f"^row {j}: {re.escape(done.process)} opens .* d1 is open"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(lines[:k] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_processor_that_keeps_dispatching_while_a_dispatch_runs(monkeypatch):
+    """A timed dispatch stops the tick after its first millisecond. With
+    `_offer` returning False there instead, the processor takes the next
+    message while that dispatch is still open, and the trace shows it."""
+    offer = SimWorld._offer
+
+    def keep_going(self, proc, msg):
+        return offer(self, proc, msg) and not proc.alive  # True still stops the tick after a kill
+
+    monkeypatch.setattr(SimWorld, "_offer", keep_going)
+    plan, channels, world = build_world()
+    trace, _ = world.run(parse_scenario(degradation_scenario()), 3000, seed=11)
+    with pytest.raises(ValueError, match=r"^row \d+: \S+ opens .* is open$"):
+        audit.rebuild(trace.to_text(), render_plan(plan, channels))
 
 
 def test_the_command_line_checks_simulate_directories(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -90,26 +91,34 @@ def test_behaviors_cover_every_live_node(plan, model):
         assert behaviors[node.id] == {}
 
 
-def test_behavior_keys_match_owned_use_cases(plan, model):
-    channels = assign_ipc(dependency_graph(plan, model))
-    behaviors = build_behaviors(plan, channels)
+# the use cases the fixture has a chart for
+_CHARTED = {"SendData", "ReceiveData", "MaintainSession", "TakeOver", "ExchangeStatus", "MonitorEquipment"}
+_MEM = MappingPolicy(Objective.MEMORY_BOUND, memory_budget=40000)
+
+
+@pytest.mark.parametrize("policy", [MappingPolicy(), _MEM], ids=["ft", "mem"])
+def test_behavior_keys_match_owned_use_cases(model, policy):
+    """A node runs the charted use cases among the ones it owns, in their
+    order, or a generic relay when it owns none."""
+    plan = build_plan(model, policy)
+    behaviors = build_behaviors(plan, assign_ipc(dependency_graph(plan, model)))
     for node in plan.nodes:
-        owned = set(node.owned_use_cases())
-        for key in behaviors[node.id]:
-            assert key in owned, f"{node.id}: machine {key} not an owned use case"
+        charted = [uc for uc in node.owned_use_cases() if uc in _CHARTED]
+        assert list(behaviors[node.id]) == (charted or ["relay"]), node.id
 
 
-def test_host_and_peer_machines_have_disjoint_message_lanes(plan, model):
-    channels = assign_ipc(dependency_graph(plan, model))
-    behaviors = build_behaviors(plan, channels)
-    lanes = set()
-    for node_id, machines in behaviors.items():
-        for m in machines.values():
-            lane = m.variables.get("lane")
-            if lane is not None:
-                assert lane not in lanes, f"lane {lane} reused by {node_id}"
-                lanes.add(lane)
-    assert len(lanes) == 8  # 2 hosts + 6 peers
+@pytest.mark.parametrize("hosts", [2, 20])
+def test_host_and_peer_machines_have_disjoint_message_lanes(hosts):
+    model = parse_model(FIXTURE_MODEL.replace("LocalHost multiplicity 2", f"LocalHost multiplicity {hosts}"))
+    plan = build_plan(model, MappingPolicy())
+    behaviors = build_behaviors(plan, assign_ipc(dependency_graph(plan, model)))
+    lanes = [
+        m.variables["lane"] for machines in behaviors.values() for m in machines.values()
+        if "lane" in m.variables
+    ]
+    reused = sorted(lane for lane, n in Counter(lanes).items() if n > 1)
+    assert reused == [], f"lanes {reused} reused"
+    assert len(lanes) == hosts + 6  # one per host and per peer
 
 
 @pytest.mark.parametrize("peers", [4100, 20000])
@@ -493,6 +502,40 @@ def test_artifacts_match_pinned_digests():
         }
         digests[name] = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in artifacts.items()}
     assert digests == _PINNED_ARTIFACTS
+
+
+def _simulate_artifacts(model_text: str, scenario_text: str, horizon: int) -> dict[str, str]:
+    plan, channels, world = build_world(parse_model(model_text))
+    trace, metrics = world.run(parse_scenario(scenario_text), horizon, seed=11)
+    return {
+        "trace.tsv": trace.to_text(),
+        "metrics.txt": metrics.to_text(),
+        "report.txt": degradation_report(metrics, plan).to_text(metrics),
+        "plan.txt": render_plan(plan, channels),
+    }
+
+
+_RENAMES = {"LocalHost": "Gateway", "PeerCI": "Remote", "StandbyCI": "Spare", "CommEquipment": "Equip"}
+
+
+def _renamed(text: str) -> str:
+    for old, new in _RENAMES.items():
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "scenario, horizon",
+    [(degradation_scenario(), 3000), (failover_scenario(), 2000)],
+    ids=["degradation", "failover"],
+)
+def test_artifacts_do_not_depend_on_actor_names(scenario, horizon):
+    """Behaviors follow the use cases an actor triggers, not its name: the
+    fixture under other actor names runs the same, row for row."""
+    original = _simulate_artifacts(FIXTURE_MODEL, scenario, horizon)
+    renamed = _simulate_artifacts(_renamed(FIXTURE_MODEL), _renamed(scenario), horizon)
+    assert renamed["trace.tsv"] != original["trace.tsv"]
+    assert renamed == {name: _renamed(text) for name, text in original.items()}
 
 
 def test_dispatch_tables_stay_empty_until_the_first_dispatch(model):
