@@ -20,11 +20,12 @@ dispatch is interleaved with other activations but its run-to-completion
 semantics are untouched — emissions and recalls apply only when the
 dispatch finishes. Each action starts max(1, ceil(cost of the one before))
 ms after the one before it. A dispatch of one action costing at most a
-millisecond completes in the tick that started it; one whose actions cost
-nothing traces no action and lets the next message dispatch in the same
-tick. One method, `_spend_ms`, spends each millisecond of a timed
-dispatch, the first included: it starts and traces an action when the one
-before has no time left, and completes the dispatch after the last.
+millisecond completes in the tick that started it. A dispatch whose
+actions cost nothing (it traces no action), a deferral and a discard take
+no virtual time, however many there are: the tick offers the next message.
+One method, `_spend_ms`, spends each millisecond of a timed dispatch, the
+first included: it starts and traces an action when the one before has no
+time left, and completes the dispatch after the last.
 
 The clock: only `run` moves it, and it formats the time column of the
 trace once per calendar time. Handlers, sends and `trace` read the clock,
@@ -38,9 +39,9 @@ Scenario files are line oriented (`#` comments):
 `every 0` means a one-shot stimulus; `at`, `every` and `size` must not
 be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
-refuses a channel endpoint outside the plan, a channel that names a reader
-twice, a message queue without exactly one reader or whose capacity is
-missing or below 1, and a channel whose writer is also one of its readers;
+refuses, in this order, a channel endpoint outside the plan, a reader named
+twice, a message queue whose capacity is missing or below 1 or without
+exactly one reader, and a channel whose writer also reads it;
 `run` (via `check_run`) refuses a horizon below 1 or a scenario naming a
 process the plan does not have.
 """
@@ -49,8 +50,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple
 
 from .ipc import ChannelKind, IpcChannel
 from .model import strip_comment
@@ -212,17 +214,13 @@ class FailoverRecord:
 
 @dataclass
 class Metrics:
-    links: dict[tuple[str, str, str], LinkStats] = field(default_factory=dict)
+    # (channel, producer, consumer): made on the first send, its first read
+    links: defaultdict[tuple[str, str, str], LinkStats] = field(
+        default_factory=lambda: defaultdict(LinkStats)
+    )
     processes: dict[str, ProcessStats] = field(default_factory=dict)
     faults: list[tuple[int, str, str]] = field(default_factory=list)
     failover: list[FailoverRecord] = field(default_factory=list)
-
-    def link(self, channel_id: str, producer: str, consumer: str) -> LinkStats:
-        key = (channel_id, producer, consumer)
-        stats = self.links.get(key)
-        if stats is None:
-            stats = self.links[key] = LinkStats()
-        return stats
 
     def to_text(self) -> str:
         lines = ["metrics-format: 1", f"links: {len(self.links)}"]
@@ -299,19 +297,6 @@ class ProcessInstance:
 
 # --- the world ----------------------------------------------------------------
 
-_MAX_BATCH = 256  # zero-cost processor outcomes folded into one tick
-
-
-def _refuse(c: IpcChannel, known: set[str]) -> NoReturn:
-    """Raise for the first endpoint, writer then readers, that is not a process
-    of the plan, or else for the first reader named twice."""
-    for pid in (c.writer, *c.readers):
-        if pid not in known:
-            raise ValueError(f"channel {c.id} names {pid!r}, which is not a process of the plan")
-    dup = next(r for i, r in enumerate(c.readers) if r in c.readers[:i])
-    raise ValueError(f"channel {c.id} names {dup!r} twice")
-
-
 class SimWorld:
     """A single-use simulated deployment of a plan; see `instantiate`."""
 
@@ -332,13 +317,13 @@ class SimWorld:
         rts, known, queue = self.channels, set(processes), ChannelKind.MESSAGE_QUEUE
         for c in channels:
             cid, kind, writer, readers, _, _, _, capacity, _, _ = c
+            if writer not in known or not known.issuperset(readers):
+                pid = next(p for p in (writer, *readers) if p not in known)
+                raise ValueError(f"channel {cid} names {pid!r}, which is not a process of the plan")
             # planned readers never repeat; a hand-built channel's may
-            if (
-                writer not in known
-                or not known.issuperset(readers)
-                or len(readers) > 1 and len(set(readers)) < len(readers)
-            ):
-                _refuse(c, known)
+            if len(readers) > 1 and len(set(readers)) < len(readers):
+                dup = next(r for i, r in enumerate(readers) if r in readers[:i])
+                raise ValueError(f"channel {cid} names {dup!r} twice")
             if kind is queue:
                 if capacity is None or capacity < 1:
                     raise ValueError(f"message queue {cid} needs a capacity of at least 1, got {capacity}")
@@ -423,14 +408,14 @@ class SimWorld:
         if isinstance(ch, MessageQueueRt):
             reader = ch.readers[0]
             if not self.processes[reader].alive:
-                self.metrics.link(channel_id, ch.writer, reader).sent += 1
+                self.metrics.links[channel_id, ch.writer, reader].sent += 1
                 self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} undeliverable")
                 return True
             if len(ch.items) >= ch.channel.capacity:
                 self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} blocked")
                 return False  # counted nowhere; the caller keeps the message or drops it
             ch.items.append(msg)
-            stats = self.metrics.link(channel_id, ch.writer, reader)
+            stats = self.metrics.links[channel_id, ch.writer, reader]
             stats.sent += 1
             stats.delivered += 1
             self.trace(ch.writer, "transmitter", "send", f"{channel_id} {msg.signal} queued")
@@ -440,8 +425,7 @@ class SimWorld:
         ch.last_write = self.now
         links, writer, processes = self.metrics.links, ch.writer, self.processes
         for reader in ch.readers:
-            # a link is made on its first send, so `metrics.links` holds no unsent link
-            stats = links.get((channel_id, writer, reader)) or self.metrics.link(channel_id, writer, reader)
+            stats = links[channel_id, writer, reader]
             stats.sent += 1
             if processes[reader].alive:
                 stats.delivered += 1
@@ -527,9 +511,7 @@ class SimWorld:
         now = self.now
         for ch in self.beats[proc.id]:
             if now - ch.last_write >= ch.channel.period_ms or ch.version == 0:
-                beat = ActorMessage(
-                    ch.channel.source, f"{proc.id}:{ch.version + 1}".encode(), 0
-                )
+                beat = ActorMessage(ch.channel.source, f"{proc.id}:{ch.version + 1}".encode(), 0)
                 self.channel_send(ch.channel.id, beat)
         if proc.outbound:
             remaining: list[tuple[str, ActorMessage]] = []
@@ -628,12 +610,9 @@ class SimWorld:
             return
         if proc.active is not None:
             self._spend_ms(proc, *proc.active)
-        else:
-            for _ in range(_MAX_BATCH):
-                if not proc.mailbox:
-                    break
-                if self._offer(proc, heapq.heappop(proc.mailbox).msg):
-                    break
+        else:  # this ends: each offer pops an entry, and only a recall pushes one back
+            while proc.mailbox and not self._offer(proc, heapq.heappop(proc.mailbox).msg):
+                pass
         self._wake_processor(proc, self.now + 1)
 
     # -- run --
@@ -753,6 +732,4 @@ def degradation_report(metrics: Metrics, plan: ProcessPlan) -> DegradationReport
     graceful = all(k[1] in failed or k[2] in failed for k in lost)
     if failed and not survivors:
         graceful = False
-    return DegradationReport(
-        "graceful" if graceful else "total", tuple(failed), lost, intact
-    )
+    return DegradationReport("graceful" if graceful else "total", tuple(failed), lost, intact)

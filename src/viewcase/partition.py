@@ -10,8 +10,9 @@ where it lays out the nodes that follow from it, and records the decision:
 2. an actor with multiplicity k becomes k processes `<Actor>#0..k-1`, or
    one collapsed process `<Actor>#*` when it is shared or memory is bound;
 3. an included or extending use case is inlined into every process that
-   holds one of its bases, or moved into a `<name>#svc` service process,
-   which may in turn carry smaller use cases it includes.
+   holds one of its bases and does not already hold it, or moved into a
+   `<name>#svc` service process, which may in turn carry smaller use cases
+   it includes.
 
 The two policy objectives trade memory for isolation:
 
@@ -208,29 +209,32 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
 
     # case 3: each included or extending use case goes inline or into a service
     inlined: list[list[str]] = [[] for _ in layout]
-    residence: dict[str, list[int]] = {}  # uc id -> layout indices holding its code
+    residence: dict[str, set[int]] = {}  # uc id -> layout indices holding its code
     for i, (_, view, _, refs, _) in enumerate(layout):
         for u in view.use_cases:
             if u not in refs:
-                residence.setdefault(u, []).append(i)
+                residence.setdefault(u, set()).add(i)
     for uc_id in _common_use_cases_in_order(model):
         uc = model.use_case(uc_id)
         base_ids = [r.base for r in model.relations if r.other == uc_id]
-        host_ids = sorted({i for b in base_ids for i in residence.get(b, [])})
+        host_ids = sorted({i for b in base_ids for i in residence.get(b, ())})
+        resident = residence.setdefault(uc_id, set())
         if not memory_bound and uc.code_size <= policy.inline_threshold and host_ids:
-            for i in host_ids:
+            added = [i for i in host_ids if i not in resident]  # a view may hold it already
+            for i in added:
                 inlined[i].append(uc_id)
-                residence.setdefault(uc_id, []).append(i)
-            names = ", ".join(layout[i][0] for i in host_ids)
+            resident.update(added)
+            where = "duplicated into" if added else "already resident in"
+            names = ", ".join(layout[i][0] for i in added or host_ids)
             choice = "inline"
             why = (
                 f"code size {uc.code_size} <= inline threshold "
-                f"{policy.inline_threshold}; duplicated into {names}"
+                f"{policy.inline_threshold}; {where} {names}"
             )
         else:
             layout.append((f"{uc_id}#svc", ViewCase("", (uc_id,)), None, (), True))
             inlined.append([])  # deeper includes can land on the service
-            residence.setdefault(uc_id, []).append(len(layout) - 1)
+            resident.add(len(layout) - 1)
             if memory_bound:
                 why = "memory bound keeps one shared copy"
             else:

@@ -11,7 +11,7 @@ simulator, so a counter that drifts from the trace shows as a difference
 checks every artifact directory written by `viewcase simulate`, prints one
 line per directory and exits 1 at the first file that differs.
 
-While it counts, `rebuild` checks three rules of the rows themselves,
+While it counts, `rebuild` checks seven rules of the rows themselves,
 and raises ValueError naming the first row that breaks one (the command
 line prints it and exits 1):
 
@@ -22,7 +22,18 @@ line prints it and exits 1):
   its detail;
 - a processor runs one dispatch at a time: per process, a `dispatch` row
   opens one only when none is open, and a `complete` row closes the open
-  one, with the same label and `d<n>` number. A `fault` row clears it.
+  one, with the same label and `d<n>` number. A `fault` row clears it;
+- a timed dispatch takes time: inside an open dispatch, `action` rows come
+  at strictly increasing times;
+- a mailbox never goes below empty: per process, a `stimulus` row that is
+  not `dropped` and each `recv`, `sample`, `recall` and `takeover` row add
+  a message, each `dispatch`, `defer` and `discard` row takes one, and a
+  `fault` row empties the mailbox;
+- a queue holds between 0 and its `capacity:` in `plan.txt` messages: a
+  `queued` send adds one and a `recv` row takes one, and a `blocked` send
+  comes only when the queue is full;
+- only a receiver receives: each `recv` or `sample` row follows a
+  `receiver` `activate` row of the same process at the same time.
 
 How the rows rebuild each `metrics.txt` line:
 
@@ -84,10 +95,11 @@ class _Channel:
     kind: str
     writer: str
     readers: list[str]
+    capacity: int  # a queue's; 0 for a segment
 
 
 def parse_plan(text: str) -> tuple[list[str], dict[str, _Channel]]:
-    """The node and service ids, and each channel's kind, writer and readers."""
+    """The node and service ids, and each channel's kind, writer, readers and capacity."""
     nodes: list[str] = []
     fields: dict[str, dict[str, str]] = {}
     current: dict[str, str] = {}
@@ -97,13 +109,20 @@ def parse_plan(text: str) -> tuple[list[str], dict[str, _Channel]]:
             nodes.append(value)
         elif key == "channel":
             current = fields[value] = {}
-        elif key in ("kind", "writer", "readers"):
+        elif key in ("kind", "writer", "readers", "capacity"):
             current[key] = value
     channels = {
-        cid: _Channel(f["kind"], f["writer"], [] if f["readers"] == "none" else f["readers"].split())
+        cid: _Channel(
+            f["kind"], f["writer"], [] if f["readers"] == "none" else f["readers"].split(),
+            int(f.get("capacity", 0)),
+        )
         for cid, f in fields.items()
     }
     return nodes, channels
+
+
+_POSTS = frozenset(("stimulus", "recv", "sample", "recall", "takeover"))  # each adds a message
+_TAKES = frozenset(("dispatch", "defer", "discard"))  # each takes one
 
 
 def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
@@ -115,6 +134,10 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
     failed: set[str] = set()
     takeovers: list[tuple[str, str, int]] = []
     running: dict[str, str] = {}  # process -> "<label> d<n>" of its open dispatch
+    acted: dict[str, int] = {}  # process -> time of its open dispatch's last action, or -1
+    mailbox: Counter = Counter()  # process -> messages waiting
+    depth: Counter = Counter()  # queue id -> messages held
+    receiver_at: dict[str, int] = {}  # process -> time of its last receiver activation
 
     def count(key: tuple[str, str, str], delivered: bool) -> None:
         stats = links.setdefault(key, [0, 0])
@@ -130,13 +153,32 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
             dead = f"{row.process} traces {row.event} on {row.thread}"
             raise ValueError(f"row {n}: {dead} after its fault")
         event = row.event
-        if event == "send":
+        if event in _POSTS and not (event == "stimulus" and row.detail.endswith(" dropped")):
+            mailbox[row.process] += 1
+        elif event in _TAKES:
+            mailbox[row.process] -= 1
+            if mailbox[row.process] < 0:
+                raise ValueError(f"row {n}: {row.process} traces {event} with its mailbox empty")
+        if event in ("recv", "sample") and receiver_at.get(row.process) != row.time:
+            idle = f"{row.process} traces {event} with no receiver activation at {row.time}"
+            raise ValueError(f"row {n}: {idle}")
+        if event == "activate" and row.thread == "receiver":
+            receiver_at[row.process] = row.time
+        elif event == "send":
             words = row.detail.split()
-            if words[-1] == "blocked":
-                continue
             cid = words[0]
             ch = channels[cid]
+            if words[-1] == "blocked":
+                if depth[cid] != ch.capacity:
+                    full = f"{cid} holds {depth[cid]} of {ch.capacity}"
+                    raise ValueError(f"row {n}: {row.process} is blocked on {full}")
+                continue
             if ch.kind == "message-queue":
+                if words[-1] == "queued":
+                    depth[cid] += 1
+                    if depth[cid] > ch.capacity:
+                        over = f"{cid} holds {depth[cid]}, above its capacity {ch.capacity}"
+                        raise ValueError(f"row {n}: {over}")
                 count((cid, ch.writer, ch.readers[0]), words[-1] == "queued")
             else:
                 for reader in ch.readers:
@@ -150,11 +192,22 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
                 ch.readers = [r for r in ch.readers if r != dead]
                 if row.process not in ch.readers:
                     ch.readers.append(row.process)
+        elif event == "recv":
+            cid = row.detail.split()[0]
+            depth[cid] -= 1
+            if depth[cid] < 0:
+                raise ValueError(f"row {n}: {row.process} receives from {cid}, which is empty")
         elif event == "dispatch":
             if row.process in running:
                 busy = f"{row.process} opens {row.detail} while {running[row.process]} is open"
                 raise ValueError(f"row {n}: {busy}")
             running[row.process] = row.detail.split(" actions ")[0]
+            acted[row.process] = -1
+        elif event == "action" and row.process in running:
+            if row.time <= acted[row.process]:
+                early = f"{row.process} starts an action at {row.time}, no later than the last"
+                raise ValueError(f"row {n}: {early}")
+            acted[row.process] = row.time
         elif event in ("complete", "discard", "defer", "trip"):
             if event == "complete" and running.pop(row.process, None) != row.detail:
                 raise ValueError(f"row {n}: {row.process} completes {row.detail}, which is not open")
@@ -163,6 +216,7 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
             faults.append((row.time, row.process, row.detail))
             failed.add(row.process)
             running.pop(row.process, None)
+            mailbox[row.process] = 0
         elif event == "takeover":
             takeovers.append((row.detail.split()[-1], row.process, row.time))
 

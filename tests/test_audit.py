@@ -203,6 +203,77 @@ def test_the_auditor_refuses_a_processor_that_keeps_dispatching_while_a_dispatch
         audit.rebuild(trace.to_text(), render_plan(plan, channels))
 
 
+def test_the_auditor_refuses_a_message_taken_from_an_empty_mailbox():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    j, take = next((j, r) for j, r in enumerate(rows) if r.event in ("dispatch", "defer", "discard"))
+    # without the rows that put its messages in, the process takes from an empty mailbox
+    posts = ("stimulus", "recv", "sample", "recall", "takeover")
+    posted = [k for k in range(j) if rows[k].process == take.process and rows[k].event in posts]
+    assert posted
+    edited = [line for k, line in enumerate(lines) if k not in posted]
+    empty = f"{re.escape(take.process)} traces {take.event} with its mailbox empty"
+    refused = f"^row {j + 1 - len(posted)}: {empty}$"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(edited), plan)
+
+
+def test_the_auditor_refuses_a_queue_read_empty_or_blocked_before_it_is_full():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, sent = next((k, r) for k, r in enumerate(rows) if r.detail.endswith(" queued"))
+    cid, signal, _ = sent.detail.split()
+    j = next(j for j in range(k + 1, len(rows)) if rows[j][3:] == ("recv", f"{cid} {signal}"))
+    # without its `queued` row, the message is received from an empty queue
+    empty = f"^row {j}: .* receives from {re.escape(cid)}, which is empty$"
+    with pytest.raises(ValueError, match=empty):
+        audit.rebuild("".join(lines[:k] + lines[k + 1:]), plan)
+    # a writer blocked on a queue that holds one message
+    blocked = lines[k].replace(" queued\n", " blocked\n")
+    early = f"^row {k + 2}: .* is blocked on {re.escape(cid)} holds 1 of \\d+$"
+    with pytest.raises(ValueError, match=early):
+        audit.rebuild("".join(lines[:k + 1] + [blocked] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_queue_that_holds_more_than_its_capacity():
+    """The engine lets each queue hold one message more than `plan.txt`
+    says, as a `>` where `>=` belongs would: the queue rule refuses the
+    first message past the planned capacity."""
+    plan, channels, world = build_world()
+    for ch in world.channels.values():
+        if ch.channel.capacity is not None:
+            ch.channel = ch.channel._replace(capacity=ch.channel.capacity + 1)
+    overload = "stimulus LocalHost#0 SEND_REQ at 100 every 100 priority 180 size 70000\n"
+    trace, _ = world.run(parse_scenario(overload), 2000)
+    over = r"^row \d+: mq:LocalHost#0:\S+ holds 65, above its capacity 64$"
+    with pytest.raises(ValueError, match=over):
+        audit.rebuild(trace.to_text(), render_plan(plan, channels))
+
+
+def test_the_auditor_refuses_a_receive_without_a_receiver_activation():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    j, got = next((j, r) for j, r in enumerate(rows) if r.event in ("recv", "sample"))
+    k = max(
+        k for k in range(j)
+        if rows[k][1:4] == (got.process, "receiver", "activate") and rows[k].time == got.time
+    )
+    idle = f"{re.escape(got.process)} traces {got.event} with no receiver activation at {got.time}"
+    refused = f"^row {j}: {idle}$"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(lines[:k] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_two_actions_of_a_dispatch_at_one_time():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, act = next((k, r) for k, r in enumerate(rows) if r.event == "action")
+    early = f"{re.escape(act.process)} starts an action at {act.time}, no later than the last"
+    refused = f"^row {k + 2}: {early}$"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(lines[:k + 1] + [lines[k]] + lines[k + 1:]), plan)
+
+
 def test_the_command_line_checks_simulate_directories(tmp_path, capsys):
     model, scenario = tmp_path / "model.ucm", tmp_path / "failover.scn"
     model.write_text(FIXTURE_MODEL, encoding="utf-8")

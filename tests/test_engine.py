@@ -538,6 +538,16 @@ def test_recall_after_a_timed_dispatch_runs_a_ms_after_its_tick():
     ]
 
 
+def test_zero_cost_outcomes_take_no_time_however_many():
+    """300 one-shot stimuli that no chart handles, all due at once, are all
+    discarded in the tick that takes the first."""
+    _, _, world = build_world()
+    flood = "stimulus Operator#0 NOT_A_SIGNAL at 100 every 0 priority 90 size 1\n" * 300
+    trace, metrics = world.run(parse_scenario(flood), 300)
+    assert [r.time for r in rows_of(trace, "discard")] == [100] * 300
+    assert metrics.processes["Operator#0"].discards == 300
+
+
 _COSTS = st.lists(st.sampled_from((0, 0.5, 1, 2)), min_size=1, max_size=3)
 
 
@@ -1024,8 +1034,8 @@ def test_no_faults_no_loss_is_graceful():
 
 def test_metrics_to_text_sections_and_sorting():
     metrics = Metrics()
-    metrics.link("mq:b", "W", "R").sent = 2
-    metrics.link("mq:a", "W", "R").delivered = 1
+    metrics.links["mq:b", "W", "R"].sent = 2
+    metrics.links["mq:a", "W", "R"].delivered = 1
     metrics.processes["P"] = ProcessStats(dispatches=3)
     metrics.faults.append((7, "P", "killed"))
     metrics.failover.append(FailoverRecord("M", "S", 100, 150))

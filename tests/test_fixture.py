@@ -121,6 +121,27 @@ def test_host_and_peer_machines_have_disjoint_message_lanes(hosts):
     assert len(lanes) == hosts + 6  # one per host and per peer
 
 
+def test_a_use_case_a_view_holds_and_includes_gets_one_machine_and_lane():
+    """`A` triggers SendData and Relay, which includes SendData: `A#0` holds
+    SendData once, so it runs one codec machine, on the first lane."""
+    model = parse_model(
+        "actor A multiplicity 1\n"
+        "actor B multiplicity 1\n"
+        'usecase SendData "send" codesize 100\n'
+        'usecase Relay "relay" codesize 100\n'
+        'usecase ReceiveData "receive" codesize 100\n'
+        "trigger A -> SendData\n"
+        "trigger A -> Relay\n"
+        "trigger B -> ReceiveData\n"
+        "relation include Relay <- SendData\n"
+        "flow SendData -> B async size 64\n"
+    )
+    plan = build_plan(model, MappingPolicy())
+    behaviors = build_behaviors(plan, assign_ipc(dependency_graph(plan, model)))
+    lanes = {nid: {uc: m.variables["lane"] for uc, m in ms.items()} for nid, ms in behaviors.items()}
+    assert lanes == {"A#0": {"SendData": 1}, "B#0": {"ReceiveData": 2}}
+
+
 @pytest.mark.parametrize("peers", [4100, 20000])
 def test_the_last_peer_encodes_at_any_peer_count(model, peers):
     """Message ids fit their 32 bits however many lanes the plan needs: the

@@ -158,6 +158,32 @@ def test_use_case_inlined_into_a_service_stays_in_the_plan():
     assert "carries: U1 U2" in render_plan(plan)
 
 
+def test_a_use_case_a_view_already_holds_is_not_inlined_again():
+    """`A` triggers U1 and U0, which includes U1: `A#0` holds U1 once. `B`
+    triggers U0 alone, so U1 is inlined into `B#0` only."""
+    text = (
+        "actor A multiplicity 1\n"
+        'usecase U0 "u0" codesize 100\n'
+        'usecase U1 "u1" codesize 200\n'
+        "trigger A -> U0\n"
+        "trigger A -> U1\n"
+        "relation include U0 <- U1\n"
+    )
+    plan = build_plan(parse_model(text), MappingPolicy())
+    (node,) = plan.nodes
+    assert node.owned_use_cases() == ("U0", "U1")
+    assert plan.estimated_footprint == 300
+    doc = render_plan(plan)
+    assert "inlined: none" in doc.splitlines() and "footprint: 300" in doc.splitlines()
+    assert str(plan.decisions[-1]).endswith("; already resident in A#0")
+
+    plan = build_plan(parse_model(text + "actor B multiplicity 1\ntrigger B -> U0\n"), MappingPolicy())
+    assert [n.owned_use_cases() for n in plan.nodes] == [("U0", "U1"), ("U0", "U1")]
+    assert [n.inlined for n in plan.nodes] == [(), ("U1",)]
+    assert plan.estimated_footprint == 600
+    assert str(plan.decisions[-1]).endswith("; duplicated into B#0")
+
+
 # --- memory-bound plan ---------------------------------------------------------
 
 
@@ -324,7 +350,8 @@ def test_common_use_cases_inline_or_extract_never_both(model_):
     targets = {r.other for r in model_.relations}
     service = {n.view.use_cases[0] for n in plan.shared_service_nodes}
     inlined = {u for n in plan.nodes for u in n.inlined}
-    assert service | inlined >= targets
+    held = {u for n in plan.nodes for u in n.view.use_cases}  # a view that holds it places it
+    assert service | inlined | held >= targets
     assert not (service & inlined)
     # exactly one case-3 decision per target
     case3 = [d for d in plan.decisions if d.case == 3]
@@ -420,18 +447,21 @@ def _ref_place_common(model_, nodes, policy):
             and host_ids
         )
         if inline_ok:
+            added = []
             for i in host_ids:
-                if uc_id not in nodes[i].inlined:
+                if uc_id not in nodes[i].owned_use_cases():
                     nodes[i] = replace(nodes[i], inlined=nodes[i].inlined + (uc_id,))
                     residence.setdefault(uc_id, []).append(i)
-            names = ", ".join(nodes[i].id for i in host_ids)
+                    added.append(i)
+            where = "duplicated into" if added else "already resident in"
+            names = ", ".join(nodes[i].id for i in added or host_ids)
             decisions.append(
                 PlanDecision(
                     3,
                     uc_id,
                     "inline",
                     f"code size {uc.code_size} <= inline threshold "
-                    f"{policy.inline_threshold}; duplicated into {names}",
+                    f"{policy.inline_threshold}; {where} {names}",
                 )
             )
         else:
