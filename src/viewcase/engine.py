@@ -392,7 +392,9 @@ class SimWorld:
         now = self.now
         had_work = proc.active is not None or bool(proc.mailbox)
         self._posted += 1
-        heapq.heappush(proc.mailbox, _MailEntry(-msg.priority, 0 if recalled else 1, self._posted, msg))
+        # tuple.__new__ builds the same entry without the NamedTuple's Python-level __new__
+        entry = tuple.__new__(_MailEntry, (-msg.priority, 0 if recalled else 1, self._posted, msg))
+        heapq.heappush(proc.mailbox, entry)
         if not had_work:
             proc.last_progress = now
         self._wake_processor(proc, now + 1 if recalled else now)

@@ -102,7 +102,8 @@ def scale_peers(model: UseCaseModel, count: int) -> UseCaseModel:
 
 def _bump(counter: str):
     def fn(ctx: ActionContext) -> None:
-        ctx.vars[counter] = ctx.vars.get(counter, 0) + 1
+        variables = ctx.vars
+        variables[counter] = variables.get(counter, 0) + 1
 
     return fn
 

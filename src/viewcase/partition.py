@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Instantiation, UseCaseModel, trigger_map
+from .model import FlowClass, Instantiation, UseCaseModel, trigger_map
 
 DEFAULT_INLINE_THRESHOLD = 4096
 
@@ -370,22 +370,20 @@ def render_plan(plan: ProcessPlan, channels: object = None) -> str:
     if channels is not None:
         from .ipc import ChannelKind  # ipc imports this module
 
-        lines += ["", f"channels: {len(tuple(channels))}"]
+        channels = tuple(channels)
+        # `.value` is an enum property, Python code per read: one read per member
+        kinds = {k: k.value for k in ChannelKind}
+        classes = {f: f.value for f in FlowClass}
+        segment = ChannelKind.SHARED_SEGMENT
+        lines += ["", f"channels: {len(channels)}"]
         for c in channels:
-            # `.value` is an enum property, Python code per read: one read per value
-            lines += [
-                "",
-                f"channel: {c.id}",
-                f"kind: {c.kind.value}",
-                f"writer: {c.writer}",
-                f"readers: {_fmt(c.readers)}",
-                f"class: {c.klass.value}",
-            ]
-            if c.kind is ChannelKind.SHARED_SEGMENT:
-                lines += [
-                    f"period: {c.period_ms if c.period_ms is not None else 'none'}",
-                    f"segment-size: {c.segment_size}",
-                ]
+            if c.kind is segment:
+                period = c.period_ms if c.period_ms is not None else "none"
+                sizes = f"period: {period}\nsegment-size: {c.segment_size}"
             else:
-                lines += [f"capacity: {c.capacity}", f"message-size: {c.message_size}"]
+                sizes = f"capacity: {c.capacity}\nmessage-size: {c.message_size}"
+            lines.append(
+                f"\nchannel: {c.id}\nkind: {kinds[c.kind]}\nwriter: {c.writer}\n"
+                f"readers: {_fmt(c.readers)}\nclass: {classes[c.klass]}\n{sizes}"
+            )
     return "\n".join(lines) + "\n"

@@ -130,13 +130,18 @@ _UNMATCHED = DispatchResult(fired=False, deferred=False)
 
 
 class _Plan(NamedTuple):
-    """What firing one transition from one leaf does, action by action."""
+    """What firing one transition from one leaf does, action by action.
+
+    `quiet` is the result of a firing that emits and recalls nothing, built
+    once with the plan; every such firing returns this one object.
+    """
 
     fns: tuple[Optional[Callable[[ActionContext], None]], ...]
     ids: tuple[str, ...]
     costs: tuple[int | float, ...]
     cost_ms: int | float
     new_leaf: str
+    quiet: DispatchResult
 
 
 class Chart:
@@ -304,8 +309,9 @@ def _walk(machine: StateMachine, transition: Transition) -> _Plan:
     for sid in entry_states:
         plan.extend(chart.states[sid].entry_actions)
     costs = tuple(a.cost_ms for a in plan)
-    fns, ids = tuple(a.fn for a in plan), tuple(a.id for a in plan)
-    return _Plan(fns, ids, costs, sum(costs), descent[-1])
+    fns, ids, cost_ms = tuple(a.fn for a in plan), tuple(a.id for a in plan), sum(costs)
+    quiet = DispatchResult(True, False, (), ids, (), cost_ms, costs)
+    return _Plan(fns, ids, costs, cost_ms, descent[-1], quiet)
 
 
 def _plan(machine: StateMachine, transition: Transition, key: tuple[str, int]) -> _Plan:
@@ -323,12 +329,10 @@ _STR = frozenset({str})
 
 def _snapshot(variables: dict) -> dict:
     """Rollback copy of `variables`: shallow when it holds only atoms."""
-    if (
-        type(variables) is dict
-        and _STR.issuperset(map(type, variables))
-        and _ATOMS.issuperset(map(type, variables.values()))
-    ):
-        return dict(variables)
+    if type(variables) is dict:
+        copied = dict(variables)
+        if _STR.issuperset(map(type, copied)) and _ATOMS.issuperset(map(type, copied.values())):
+            return copied
     return copy.deepcopy(variables)
 
 
@@ -353,7 +357,13 @@ def dispatch(
     The rollback snapshot of the variables is a shallow `dict` copy when
     every key is a `str` and every value an int, float, bool, str, bytes or
     None; `copy.deepcopy` returns those very objects, so the copies are
-    equal. Any other variables are deep-copied.
+    equal. Any other variables are deep-copied. The deferral buffer is
+    copied only when it holds messages; a failure after an action appended
+    to an empty one restores a fresh empty list.
+
+    A firing that emits and recalls nothing returns its plan's one `quiet`
+    result, the same object each time; any other firing builds its own.
+    Results are tuples of tuples, so no caller can change a shared one.
     """
     if transition is _SELECT:
         transition = select_transition(machine, msg)
@@ -369,7 +379,8 @@ def dispatch(
         plan = _plan(machine, transition, key)
     saved_current = machine.current
     saved_vars = _snapshot(machine.variables)
-    saved_buffer = list(machine.deferral_buffer)
+    buffer = machine.deferral_buffer
+    saved_buffer = list(buffer) if buffer else None
 
     ctx = ActionContext(machine, msg, now)
     try:
@@ -379,7 +390,7 @@ def dispatch(
     except Exception as exc:
         machine.current = saved_current
         machine.variables = saved_vars
-        machine.deferral_buffer = saved_buffer
+        machine.deferral_buffer = saved_buffer or []
         raise ActionFailure(plan.ids[step], exc) from exc
 
     machine.current = plan.new_leaf
@@ -390,6 +401,8 @@ def dispatch(
         recalled = tuple(m for m in buffer if m.signal not in deferred)
         machine.deferral_buffer = [m for m in buffer if m.signal in deferred]
 
+    if not ctx.emitted and not recalled:
+        return plan.quiet
     return DispatchResult(
         True, False, tuple(ctx.emitted), plan.ids, recalled, plan.cost_ms, plan.costs
     )

@@ -11,7 +11,7 @@ simulator, so a counter that drifts from the trace shows as a difference
 checks every artifact directory written by `viewcase simulate`, prints one
 line per directory and exits 1 at the first file that differs.
 
-While it counts, `rebuild` checks seven rules of the rows themselves,
+While it counts, `rebuild` checks eight rules of the rows themselves,
 and raises ValueError naming the first row that breaks one (the command
 line prints it and exits 1):
 
@@ -33,7 +33,16 @@ line prints it and exits 1):
   `queued` send adds one and a `recv` row takes one, and a `blocked` send
   comes only when the queue is full;
 - only a receiver receives: each `recv` or `sample` row follows a
-  `receiver` `activate` row of the same process at the same time.
+  `receiver` `activate` row of the same process at the same time;
+- the watchdog trips a process exactly when it is due: right after the
+  process's `watchdog` `activate` row, a `trip` row comes if and only if
+  the process has work (its mailbox holds a message or a dispatch is
+  open) and its last progress lies 3 x the watchdog period or more
+  before, and the row's `no progress for N` gives that time. Its last
+  progress is its latest `complete` row, or the latest message posted
+  while it had no work, or 0. The period is the time of the trace's
+  first `watchdog` `activate` row, since every sweep starts at one
+  period.
 
 How the rows rebuild each `metrics.txt` line:
 
@@ -138,6 +147,10 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
     mailbox: Counter = Counter()  # process -> messages waiting
     depth: Counter = Counter()  # queue id -> messages held
     receiver_at: dict[str, int] = {}  # process -> time of its last receiver activation
+    progress: Counter = Counter()  # process -> time of its last progress
+    period = 0  # the watchdog's, once its first activation is read
+    due: str | None = None  # the process the last row found due to trip
+    prev: tuple = ()  # the row before this one
 
     def count(key: tuple[str, str, str], delivered: bool) -> None:
         stats = links.setdefault(key, [0, 0])
@@ -153,7 +166,11 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
             dead = f"{row.process} traces {row.event} on {row.thread}"
             raise ValueError(f"row {n}: {dead} after its fault")
         event = row.event
+        if due is not None and (event, row.process) != ("trip", due):
+            raise ValueError(f"row {n}: {due} has work and no progress for 3 periods, yet does not trip")
         if event in _POSTS and not (event == "stimulus" and row.detail.endswith(" dropped")):
+            if not mailbox[row.process] and row.process not in running:
+                progress[row.process] = row.time
             mailbox[row.process] += 1
         elif event in _TAKES:
             mailbox[row.process] -= 1
@@ -162,8 +179,28 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
         if event in ("recv", "sample") and receiver_at.get(row.process) != row.time:
             idle = f"{row.process} traces {event} with no receiver activation at {row.time}"
             raise ValueError(f"row {n}: {idle}")
+        has_work = mailbox[row.process] > 0 or row.process in running
+        since = row.time - progress[row.process]
+        due = None
         if event == "activate" and row.thread == "receiver":
             receiver_at[row.process] = row.time
+        elif event == "activate" and row.thread == "watchdog":
+            period = period or row.time
+            if has_work and since >= 3 * period:
+                due = row.process
+        elif event == "trip":
+            why = None
+            if prev[:4] != (row.time, row.process, "watchdog", "activate"):
+                why = "other than right after its watchdog activation"
+            elif not has_work:
+                why = "with no work"
+            elif since < 3 * period:
+                why = f"{since} ms after its last progress, within 3 x the period {period}"
+            elif row.detail != f"no progress for {since}":
+                why = f"with {row.detail!r}, {since} ms after its last progress"
+            if why is not None:
+                raise ValueError(f"row {n}: {row.process} trips {why}")
+            counts[row.process][event] += 1
         elif event == "send":
             words = row.detail.split()
             cid = words[0]
@@ -208,9 +245,11 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
                 early = f"{row.process} starts an action at {row.time}, no later than the last"
                 raise ValueError(f"row {n}: {early}")
             acted[row.process] = row.time
-        elif event in ("complete", "discard", "defer", "trip"):
-            if event == "complete" and running.pop(row.process, None) != row.detail:
-                raise ValueError(f"row {n}: {row.process} completes {row.detail}, which is not open")
+        elif event in ("complete", "discard", "defer"):
+            if event == "complete":
+                if running.pop(row.process, None) != row.detail:
+                    raise ValueError(f"row {n}: {row.process} completes {row.detail}, which is not open")
+                progress[row.process] = row.time
             counts[row.process][event] += 1
         elif event == "fault":
             faults.append((row.time, row.process, row.detail))
@@ -219,6 +258,9 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
             mailbox[row.process] = 0
         elif event == "takeover":
             takeovers.append((row.detail.split()[-1], row.process, row.time))
+        prev = row
+    if due is not None:
+        raise ValueError(f"the trace ends before {due}, which has work and no progress, trips")
 
     lines = ["metrics-format: 1", f"links: {len(links)}"]
     for key in sorted(links):

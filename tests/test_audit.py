@@ -299,3 +299,58 @@ def test_the_auditor_imports_nothing_from_viewcase():
         for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
     ]
     assert imported and not [name for name in imported if name.split(".")[0] == "viewcase"]
+
+
+def _first_watchdog_activation(lines):
+    """The index and row of the trace's first `watchdog` `activate` row."""
+    rows = audit.parse_rows("".join(lines))
+    return next((k, r) for k, r in enumerate(rows) if r[2:4] == ("watchdog", "activate"))
+
+
+def test_the_auditor_refuses_a_trip_on_a_process_with_no_work():
+    lines, plan = _failover_trace_lines()
+    k, woke = _first_watchdog_activation(lines)
+    rows = audit.parse_rows("".join(lines))
+    assert all(r.process != woke.process or r.event in ("activate", "send") for r in rows[:k])
+    trip = f"{woke.time}\t{woke.process}\twatchdog\ttrip\tno progress for {woke.time}\n"
+    refused = f"^row {k + 2}: {re.escape(woke.process)} trips with no work$"
+    with pytest.raises(ValueError, match=refused):
+        audit.rebuild("".join(lines[:k + 1] + [trip] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_trip_within_three_watchdog_periods():
+    lines, plan = _failover_trace_lines()
+    k, woke = _first_watchdog_activation(lines)
+    # a message posted just before the activation gives the process work
+    post = f"{woke.time}\t{woke.process}\t-\tstimulus\tPING size 1\n"
+    trip = f"{woke.time}\t{woke.process}\twatchdog\ttrip\tno progress for 0\n"
+    early = f"{re.escape(woke.process)} trips 0 ms after its last progress, within 3 x the period 100"
+    with pytest.raises(ValueError, match=f"^row {k + 3}: {early}$"):
+        audit.rebuild("".join(lines[:k] + [post, lines[k], trip] + lines[k + 1:]), plan)
+
+
+def test_the_watchdog_trips_exactly_when_the_auditor_says_it_is_due():
+    """The pinned run with 1 ms receiver and watchdog periods traces 8 trips,
+    the first at 158; each one checks out, and a trip left out or misdated
+    is refused."""
+    build, text, horizon, seed = _PINNED_RUNS["shared receiver and watchdog sweep"]
+    plan, channels, world = build()
+    trace, metrics = world.run(parse_scenario(text), horizon, seed=seed)
+    lines, plan_text = trace.to_text().splitlines(keepends=True), render_plan(plan, channels)
+    audit.rebuild("".join(lines), plan_text)
+    rows = audit.parse_rows("".join(lines))
+    trips = [k for k, r in enumerate(rows) if r.event == "trip"]
+    assert len(trips) == sum(p.watchdog_trips for p in metrics.processes.values()) == 8
+    k = trips[0]
+    tripped = rows[k]
+    assert tripped.time == 158 and rows[k - 1][1:4] == (tripped.process, "watchdog", "activate")
+    # without its trip row, the process goes on with work and no progress
+    due = f"{re.escape(tripped.process)} has work and no progress for 3 periods, yet does not trip"
+    with pytest.raises(ValueError, match=f"^row {k + 1}: {due}$"):
+        audit.rebuild("".join(lines[:k] + lines[k + 1:]), plan_text)
+    # a trip that misstates the time since the last progress
+    idle = int(tripped.detail.split()[-1])
+    misdated = lines[k].replace(f"for {idle}\n", f"for {idle + 1}\n")
+    wrong = f"{re.escape(tripped.process)} trips with 'no progress for {idle + 1}', {idle} ms after"
+    with pytest.raises(ValueError, match=f"^row {k + 1}: {wrong}"):
+        audit.rebuild("".join(lines[:k] + [misdated] + lines[k + 1:]), plan_text)

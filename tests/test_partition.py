@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewcase.fixture import FIXTURE_MODEL, scale_peers
+from viewcase.ipc import ChannelKind, assign_ipc, dependency_graph
 from viewcase.model import (
     Actor,
+    FlowClass,
     Instantiation,
     RelationKind,
+    TrafficFlow,
     UseCase,
     UseCaseModel,
     UseCaseRelation,
@@ -617,3 +620,105 @@ def test_resident_set_is_kept_out_of_identity(model_, policy):
             other = replace(node, inlined=inlined)
             assert other.owned_use_cases() == _resident(other)
             assert (other == node) == (inlined == node.inlined)
+
+
+def _reference_render_plan(plan, channels=None):
+    """`render_plan` as it was before each channel block became one f-string."""
+    p = plan.policy
+    lines = [
+        "plan-format: 1",
+        f"objective: {p.objective.value}",
+        f"inline-threshold: {p.inline_threshold}",
+        f"memory-budget: {p.memory_budget if p.memory_budget is not None else 'none'}",
+        f"footprint: {plan.estimated_footprint}",
+        f"nodes: {len(plan.nodes)}",
+        f"service-nodes: {len(plan.shared_service_nodes)}",
+    ]
+
+    def fmt(values):
+        return " ".join(values) if values else "none"
+
+    for n in plan.nodes:
+        lines += [
+            "",
+            f"node: {n.id}",
+            f"actor: {n.actor}",
+            f"instance: {n.instance_index if n.instance_index is not None else '*'}",
+            f"view: {fmt(n.view.use_cases)}",
+            f"inlined: {fmt(n.inlined)}",
+            f"refs: {fmt(n.refs)}",
+            f"warnings: {'; '.join(n.warnings) if n.warnings else 'none'}",
+        ]
+    for n in plan.shared_service_nodes:
+        lines += [
+            "",
+            f"service: {n.id}",
+            f"carries: {fmt(n.owned_use_cases())}",
+            f"warnings: {'; '.join(n.warnings) if n.warnings else 'none'}",
+        ]
+    lines += ["", "decisions:"]
+    for d in plan.decisions:
+        lines.append(f"- {d}")
+    if channels is not None:
+        lines += ["", f"channels: {len(tuple(channels))}"]
+        for c in channels:
+            lines += [
+                "",
+                f"channel: {c.id}",
+                f"kind: {c.kind.value}",
+                f"writer: {c.writer}",
+                f"readers: {fmt(c.readers)}",
+                f"class: {c.klass.value}",
+            ]
+            if c.kind is ChannelKind.SHARED_SEGMENT:
+                lines += [
+                    f"period: {c.period_ms if c.period_ms is not None else 'none'}",
+                    f"segment-size: {c.segment_size}",
+                ]
+            else:
+                lines += [f"capacity: {c.capacity}", f"message-size: {c.message_size}"]
+    return "\n".join(lines) + "\n"
+
+
+_BOTH_OBJECTIVES = [MappingPolicy(), MappingPolicy(Objective.MEMORY_BOUND, memory_budget=10**12)]
+
+
+@st.composite
+def _flows_of(draw, plan):
+    """One to six flows from use cases resident in the plan to actors that have a
+    process, periodic or async."""
+    flows = []
+    sources = list(dict.fromkeys(u for n in plan.all_nodes() for u in n.owned_use_cases()))
+    sinks = list(dict.fromkeys(n.actor for n in plan.nodes))
+    for _ in range(draw(st.integers(1, 6)) if sources and sinks else 0):
+        klass = draw(st.sampled_from(list(FlowClass)))
+        flows.append(
+            TrafficFlow(
+                draw(st.sampled_from(sources)),
+                draw(st.sampled_from(sinks)),
+                klass,
+                draw(st.integers(1, 4096)),
+                draw(st.integers(1, 1000)) if klass is FlowClass.PERIODIC else None,
+            )
+        )
+    return tuple(flows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), wide_planning_models() | planning_models(), st.sampled_from(_BOTH_OBJECTIVES))
+def test_render_plan_writes_the_reference_bytes(data, model_, policy):
+    plan = build_plan(model_, policy)
+    flows = data.draw(_flows_of(plan))
+    channels = assign_ipc(dependency_graph(plan, replace(model_, flows=flows)))
+    assert render_plan(plan) == _reference_render_plan(plan)
+    assert render_plan(plan, channels) == _reference_render_plan(plan, channels)
+
+
+@pytest.mark.parametrize("policy", _BOTH_OBJECTIVES, ids=["ft", "mem"])
+def test_render_plan_writes_the_reference_bytes_at_500_peers(model, policy):
+    wide = scale_peers(model, 500)
+    plan = build_plan(wide, policy)
+    channels = assign_ipc(dependency_graph(plan, wide))
+    kinds = {c.kind for c in channels}
+    assert kinds == set(ChannelKind)
+    assert render_plan(plan, channels) == _reference_render_plan(plan, channels)

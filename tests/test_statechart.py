@@ -877,3 +877,60 @@ def test_unfired_dispatches_share_immutable_results():
         assert (result.emitted, result.actions_run, result.recalled) == ((), (), ())
         assert (result.cost_ms, result.action_costs) == (0, ())
     assert len(m.deferral_buffer) == len(other.deferral_buffer) == 1
+
+
+def test_failure_after_an_action_filled_an_empty_buffer_restores_it_empty():
+    def stash(ctx):
+        ctx.machine.deferral_buffer.append(ActorMessage("LATER"))
+
+    m = _failing_machine(stash, {})
+    assert m.deferral_buffer == []
+    with pytest.raises(ActionFailure):
+        dispatch(m, ActorMessage("GO"))
+    assert (m.current, m.deferral_buffer) == ("A", [])
+
+
+def test_quiet_firings_of_one_plan_return_one_result():
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top")
+    b.transition("A", "GO", "A", actions=[Action("tick", cost_ms=2), Action("tock", cost_ms=0.5)])
+    chart = b.chart()
+    m, other = StateMachine(chart), StateMachine(chart)
+    first, second = dispatch(m, ActorMessage("GO")), dispatch(m, ActorMessage("GO"))
+    assert first is second is dispatch(other, ActorMessage("GO"))
+    assert first == DispatchResult(True, False, (), ("tick", "tock"), (), 2.5, (2, 0.5))
+    with pytest.raises(AttributeError):
+        first.emitted = (("UC", ActorMessage("OUT")),)
+
+
+def test_a_firing_that_emits_or_recalls_gets_its_own_result():
+    def maybe_emit(ctx):
+        if ctx.msg.body:
+            ctx.emit("UC", ActorMessage("OUT", ctx.msg.body))
+
+    b = MachineBuilder()
+    b.state("Top", initial="A")
+    b.state("A", parent="Top", defer=("LATER",))
+    b.state("B", parent="Top")
+    b.transition("A", "GO", "A", actions=[Action("maybe_emit", maybe_emit)])
+    b.transition("A", "LEAVE", "B", actions=[Action("leave")])
+    b.transition("B", "BACK", "A")
+    m = b.build()
+
+    quiet = dispatch(m, ActorMessage("GO"))
+    loud = dispatch(m, ActorMessage("GO", b"x"))
+    assert loud is not quiet
+    assert loud.emitted == (("UC", ActorMessage("OUT", b"x")),)
+    assert quiet.emitted == () and dispatch(m, ActorMessage("GO")) is quiet
+
+    left = dispatch(m, ActorMessage("LEAVE"))
+    assert left.recalled == ()
+    dispatch(m, ActorMessage("BACK"))
+    dispatch(m, ActorMessage("LATER"))
+    recalling = dispatch(m, ActorMessage("LEAVE"))
+    assert recalling is not left
+    assert recalling == DispatchResult(True, False, (), ("leave",), (ActorMessage("LATER"),), 1, (1,))
+    assert left.recalled == ()
+    dispatch(m, ActorMessage("BACK"))
+    assert dispatch(m, ActorMessage("LEAVE")) is left
