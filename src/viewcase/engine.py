@@ -14,18 +14,16 @@ Scheduling model: one calendar event per thread period, not per process,
 activates the threads of that period (watchdog, receiver, transmitter) for
 each live process in plan order. These activations are instantaneous and
 effectively preempt the processor (at equal times they sort ahead of
-processor ticks because they were scheduled a full period earlier). The
-processor spends one virtual millisecond per statechart action, so a long
-dispatch is interleaved with other activations but its run-to-completion
-semantics are untouched — emissions and recalls apply only when the
-dispatch finishes. Each action starts max(1, ceil(cost of the one before))
-ms after the one before it. A dispatch of one action costing at most a
-millisecond completes in the tick that started it. A dispatch whose
-actions cost nothing (it traces no action), a deferral and a discard take
-no virtual time, however many there are: the tick offers the next message.
-One method, `_spend_ms`, spends each millisecond of a timed dispatch, the
-first included: it starts and traces an action when the one before has no
-time left, and completes the dispatch after the last.
+processor ticks because they were scheduled a full period earlier). Each
+statechart action takes one virtual ms, so a dispatch of n actions occupies
+its processor for n consecutive ms and is interleaved with other
+activations, but its run-to-completion semantics are untouched — emissions
+and recalls apply only when the dispatch finishes. A dispatch of one action
+completes in the tick that started it. A dispatch with no actions, a
+deferral and a discard take no virtual time, however many there are: the
+tick offers the next message. One method, `_spend_ms`, spends each
+millisecond of a dispatch with actions, the first included: it traces one
+action, and completes the dispatch after the last.
 
 The clock: only `run` moves it, and it formats the time column of the
 trace once per calendar time. Handlers, sends and `trace` read the clock,
@@ -290,7 +288,7 @@ class ProcessInstance:
     alive: bool = True
     mailbox: list[_MailEntry] = field(default_factory=list)  # a heap
     outbound: list[tuple[str, ActorMessage]] = field(default_factory=list)  # resolved channel ids
-    active: tuple[DispatchResult, str, str, int, int | float] | None = None  # see `_spend_ms`
+    active: tuple[DispatchResult, str, str, int] | None = None  # see `_spend_ms`
     last_progress: int = 0
     tick_scheduled: bool = False
 
@@ -302,13 +300,11 @@ class SimWorld:
 
     def __init__(
         self,
-        plan: ProcessPlan,
         channels: list[IpcChannel],
         processes: dict[str, ProcessInstance],
         config: SimConfig,
         failover: FailoverConfig | None,
     ):
-        self.plan = plan
         self.config = config
         self.failover = failover
         self._owned = failover.owned if failover is not None else frozenset()
@@ -546,27 +542,23 @@ class SimWorld:
         self.trace(proc.id, "processor", "complete", f"{label} {number}")
 
     def _spend_ms(
-        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str,
-        step: int = 0, ms_left: int | float = 0,
+        self, proc: ProcessInstance, result: DispatchResult, label: str, number: str, step: int = 0
     ) -> None:
-        """Spend one millisecond of a timed dispatch, the first included: start
-        the next action when the one started last (`step` so far) has no time
-        left (`ms_left`), and complete after the last. While the dispatch runs
-        past this millisecond, `proc.active` holds the arguments after `proc`."""
+        """Spend one millisecond of a dispatch, the first included: trace action
+        `step`, and complete the dispatch after the last. While the dispatch
+        runs past this millisecond, `proc.active` holds the arguments after `proc`."""
         actions = result.actions_run
-        if ms_left <= 0:
-            ms_left = result.action_costs[step]
-            self.trace(proc.id, "processor", "action", f"{label}/{actions[step]} {number}")
-            step += 1
-        ms_left -= 1
-        if ms_left <= 0 and step == len(actions):
+        self.trace(proc.id, "processor", "action", f"{label}/{actions[step]} {number}")
+        step += 1
+        if step == len(actions):
             self._complete_dispatch(proc, result, label, number)
         else:
-            proc.active = (result, label, number, step, ms_left)
+            proc.active = (result, label, number, step)
 
     def _offer(self, proc: ProcessInstance, msg: ActorMessage) -> bool:
         """Dispatch one message; returns True when the tick must stop, because
-        a timed dispatch spent its first millisecond or the process was killed.
+        a dispatch spent its first millisecond on its first action or the
+        process was killed. A dispatch with no actions completes at once.
 
         A guard that raises, two guards that pass at one scope, or an action
         that fails kills this process alone, with its machine left as it was
@@ -592,7 +584,7 @@ class SimWorld:
             label, number = f"{key}/{msg.signal}", f"d{proc.stats.dispatches + 1}"
             actions = result.actions_run
             self.trace(proc.id, "processor", "dispatch", f"{label} {number} actions {len(actions)}")
-            if result.cost_ms <= 0:
+            if not actions:
                 self._complete_dispatch(proc, result, label, number)
                 return False
             self._spend_ms(proc, result, label, number)
@@ -697,7 +689,7 @@ def instantiate(
         if not machines and not node.service and node.view.use_cases:
             raise MissingBehavior(node.id)
         processes[node.id] = ProcessInstance(node.id, dict(machines))
-    return SimWorld(plan, channels, processes, config, failover)
+    return SimWorld(channels, processes, config, failover)
 
 
 # --- degradation verdict --------------------------------------------------------

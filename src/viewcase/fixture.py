@@ -15,7 +15,7 @@ actor triggers it; the codec charts' actions run the real wire codecs
 (packetize / frame / deframe / reassemble), so a simulation run
 exercises the same code paths as the unit-level packet tests. Each codec
 direction is one function on one named step, `encode` out and
-`reassemble` in; `authenticate`, `transmit` and `deframe` only cost
+`reassemble` in; `authenticate`, `transmit` and `deframe` only take
 time, so no bytes wait in machine variables between steps. A node that
 owns no charted use case gets a generic relay machine, which keeps
 arbitrary models simulatable from the command line. `build_world` adds
@@ -268,9 +268,9 @@ def build_behaviors(
         for uc in node.owned_use_cases():
             if uc in codecs:
                 lane += 1
-                machines[uc] = StateMachine(charts[uc], {"lane": lane}, node.id)
+                machines[uc] = StateMachine(charts[uc], {"lane": lane})
             elif uc in charts:
-                machines[uc] = StateMachine(charts[uc], name=node.id)
+                machines[uc] = StateMachine(charts[uc])
         if machines:
             continue
         if reads is None:
@@ -283,7 +283,7 @@ def build_behaviors(
         key = (tuple(sorted(owned)), tuple(sorted(inbound - owned)))
         if key not in generic:
             generic[key] = _generic_chart(*key)
-        machines["relay"] = StateMachine(generic[key], name=node.id)
+        machines["relay"] = StateMachine(generic[key])
     out.update((node.id, {}) for node in plan.shared_service_nodes)
     return out
 

@@ -19,7 +19,7 @@ actor with multiplicity N, share one chart. A chart is built from
 :class:`State` and :class:`Transition` values, by the :class:`Chart`
 constructor, which validates them, or step by step through
 :class:`MachineBuilder`; there is no text notation.
-``StateMachine(chart, variables, name)`` starts an instance.
+``StateMachine(chart, variables)`` starts an instance.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class ActorMessage:
 class Action:
     id: str
     fn: Optional[Callable[["ActionContext"], None]] = None
-    cost_ms: int | float = 1
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,6 @@ class DispatchResult(NamedTuple):
     emitted: tuple[tuple[str, ActorMessage], ...] = ()
     actions_run: tuple[str, ...] = ()
     recalled: tuple[ActorMessage, ...] = ()
-    cost_ms: int | float = 0
-    action_costs: tuple[int | float, ...] = ()  # parallel to actions_run
 
 
 # What every dispatch that fires nothing returns.
@@ -130,7 +127,8 @@ _UNMATCHED = DispatchResult(fired=False, deferred=False)
 
 
 class _Plan(NamedTuple):
-    """What firing one transition from one leaf does, action by action.
+    """What firing one transition from one leaf does, action by action; a
+    simulation spends one virtual ms on each of its actions.
 
     `quiet` is the result of a firing that emits and recalls nothing, built
     once with the plan; every such firing returns this one object.
@@ -138,8 +136,6 @@ class _Plan(NamedTuple):
 
     fns: tuple[Optional[Callable[[ActionContext], None]], ...]
     ids: tuple[str, ...]
-    costs: tuple[int | float, ...]
-    cost_ms: int | float
     new_leaf: str
     quiet: DispatchResult
 
@@ -227,15 +223,14 @@ class StateMachine:
     the rollback nor any dispatch writes to the chart's states or
     transitions.
 
-    `StateMachine(chart, variables, name)` starts an instance at the chart's
+    `StateMachine(chart, variables)` starts an instance at the chart's
     initial leaf.
     """
 
-    __slots__ = ("chart", "name", "current", "variables", "resources", "deferral_buffer")
+    __slots__ = ("chart", "current", "variables", "resources", "deferral_buffer")
 
-    def __init__(self, chart: Chart, variables: dict | None = None, name: str = ""):
+    def __init__(self, chart: Chart, variables: dict | None = None):
         self.chart = chart
-        self.name = name
         self.current = chart.initial
         self.variables: dict = dict(variables or {})
         self.resources: dict = {}
@@ -308,10 +303,8 @@ def _walk(machine: StateMachine, transition: Transition) -> _Plan:
     plan.extend(transition.actions)
     for sid in entry_states:
         plan.extend(chart.states[sid].entry_actions)
-    costs = tuple(a.cost_ms for a in plan)
-    fns, ids, cost_ms = tuple(a.fn for a in plan), tuple(a.id for a in plan), sum(costs)
-    quiet = DispatchResult(True, False, (), ids, (), cost_ms, costs)
-    return _Plan(fns, ids, costs, cost_ms, descent[-1], quiet)
+    ids = tuple(a.id for a in plan)
+    return _Plan(tuple(a.fn for a in plan), ids, descent[-1], DispatchResult(True, False, (), ids))
 
 
 def _plan(machine: StateMachine, transition: Transition, key: tuple[str, int]) -> _Plan:
@@ -352,7 +345,9 @@ def dispatch(
     pre-dispatch state, variables and deferral buffer. Resources are not
     rolled back. A caller that has already run `select_transition(machine,
     msg)` passes its result (None included) as `transition`, so guards run
-    once per dispatch. `now` reaches the actions as `ctx.now`.
+    once per dispatch. `now` reaches the actions as `ctx.now`. The result's
+    `actions_run` are the plan's action ids; a simulation spends one virtual
+    ms on each.
 
     The rollback snapshot of the variables is a shallow `dict` copy when
     every key is a `str` and every value an int, float, bool, str, bytes or
@@ -403,17 +398,14 @@ def dispatch(
 
     if not ctx.emitted and not recalled:
         return plan.quiet
-    return DispatchResult(
-        True, False, tuple(ctx.emitted), plan.ids, recalled, plan.cost_ms, plan.costs
-    )
+    return DispatchResult(True, False, tuple(ctx.emitted), plan.ids, recalled)
 
 
 class MachineBuilder:
     """Incremental chart construction; `chart()` validates the tree and
     `build()` starts an instance of it."""
 
-    def __init__(self, name: str = ""):
-        self.name = name
+    def __init__(self):
         self._states: list[State] = []
         self._transitions: list[Transition] = []
 
@@ -457,5 +449,5 @@ class MachineBuilder:
         return Chart(self._states, self._transitions)
 
     def build(self, variables: dict | None = None) -> StateMachine:
-        return StateMachine(self.chart(), variables, self.name)
+        return StateMachine(self.chart(), variables)
 

@@ -23,8 +23,10 @@ line prints it and exits 1):
 - a processor runs one dispatch at a time: per process, a `dispatch` row
   opens one only when none is open, and a `complete` row closes the open
   one, with the same label and `d<n>` number. A `fault` row clears it;
-- a timed dispatch takes time: inside an open dispatch, `action` rows come
-  at strictly increasing times;
+- each action takes one millisecond: after a `dispatch … actions N` row
+  at t0, the open dispatch's k-th `action` row (k from 0) comes at t0 + k,
+  and its `complete` row comes after exactly N `action` rows, at
+  t0 + N - 1, or at t0 when N is 0. A `fault` row clears the open dispatch;
 - a mailbox never goes below empty: per process, a `stimulus` row that is
   not `dropped` and each `recv`, `sample`, `recall` and `takeover` row add
   a message, each `dispatch`, `defer` and `discard` row takes one, and a
@@ -142,8 +144,7 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
     faults: list[tuple[int, str, str]] = []
     failed: set[str] = set()
     takeovers: list[tuple[str, str, int]] = []
-    running: dict[str, str] = {}  # process -> "<label> d<n>" of its open dispatch
-    acted: dict[str, int] = {}  # process -> time of its open dispatch's last action, or -1
+    running: dict[str, list] = {}  # process -> its open dispatch's ["<label> d<n>", t0, N, actions so far]
     mailbox: Counter = Counter()  # process -> messages waiting
     depth: Counter = Counter()  # queue id -> messages held
     receiver_at: dict[str, int] = {}  # process -> time of its last receiver activation
@@ -236,19 +237,27 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
                 raise ValueError(f"row {n}: {row.process} receives from {cid}, which is empty")
         elif event == "dispatch":
             if row.process in running:
-                busy = f"{row.process} opens {row.detail} while {running[row.process]} is open"
+                busy = f"{row.process} opens {row.detail} while {running[row.process][0]} is open"
                 raise ValueError(f"row {n}: {busy}")
-            running[row.process] = row.detail.split(" actions ")[0]
-            acted[row.process] = -1
+            label, _, actions = row.detail.partition(" actions ")
+            running[row.process] = [label, row.time, int(actions), 0]
         elif event == "action" and row.process in running:
-            if row.time <= acted[row.process]:
-                early = f"{row.process} starts an action at {row.time}, no later than the last"
-                raise ValueError(f"row {n}: {early}")
-            acted[row.process] = row.time
+            opened = running[row.process]
+            due_at = opened[1] + opened[3]
+            if row.time != due_at:
+                why = "no later than the last" if row.time < due_at else f"not at {due_at}"
+                raise ValueError(f"row {n}: {row.process} starts an action at {row.time}, {why}")
+            opened[3] += 1
         elif event in ("complete", "discard", "defer"):
             if event == "complete":
-                if running.pop(row.process, None) != row.detail:
+                label, t0, actions, k = running.pop(row.process, (None, 0, 0, 0))
+                if label != row.detail:
                     raise ValueError(f"row {n}: {row.process} completes {row.detail}, which is not open")
+                if k != actions:
+                    raise ValueError(f"row {n}: {row.process} completes {label} after {k} of its {actions} actions")
+                done = t0 + max(actions - 1, 0)
+                if row.time != done:
+                    raise ValueError(f"row {n}: {row.process} completes {label} at {row.time}, not at {done}")
                 progress[row.process] = row.time
             counts[row.process][event] += 1
         elif event == "fault":

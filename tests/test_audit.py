@@ -188,7 +188,7 @@ def test_the_auditor_refuses_a_dispatch_that_opens_or_completes_out_of_turn():
 
 
 def test_the_auditor_refuses_a_processor_that_keeps_dispatching_while_a_dispatch_runs(monkeypatch):
-    """A timed dispatch stops the tick after its first millisecond. With
+    """A dispatch with actions stops the tick after its first millisecond. With
     `_offer` returning False there instead, the processor takes the next
     message while that dispatch is still open, and the trace shows it."""
     offer = SimWorld._offer
@@ -272,6 +272,64 @@ def test_the_auditor_refuses_two_actions_of_a_dispatch_at_one_time():
     refused = f"^row {k + 2}: {early}$"
     with pytest.raises(ValueError, match=refused):
         audit.rebuild("".join(lines[:k + 1] + [lines[k]] + lines[k + 1:]), plan)
+
+
+def _one_ms_later(lines, k):
+    """Line k of a trace, stamped a millisecond later."""
+    time, rest = lines[k].split("\t", 1)
+    return f"{int(time) + 1}\t{rest}"
+
+
+def _last_of_its_ms(rows, event):
+    """The index and row of the first `event` row that is the last row of its time."""
+    return next((k, r) for k, r in enumerate(rows[:-1]) if r.event == event and rows[k + 1].time > r.time)
+
+
+def test_the_auditor_refuses_an_action_a_millisecond_late():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, act = _last_of_its_ms(rows, "action")
+    late = f"{re.escape(act.process)} starts an action at {act.time + 1}, not at {act.time}"
+    with pytest.raises(ValueError, match=f"^row {k + 1}: {late}$"):
+        audit.rebuild("".join(lines[:k] + [_one_ms_later(lines, k)] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_complete_one_action_short():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    opened = next(r for r in rows if r.event == "dispatch" and r.detail.endswith(" actions 3"))
+    label = opened.detail.split(" actions ")[0]
+    j = next(j for j, r in enumerate(rows) if r[1::2] == (opened.process, "complete") and r.detail == label)
+    i = max(i for i in range(j) if rows[i][1::2] == (opened.process, "action"))
+    short = f"{re.escape(opened.process)} completes {re.escape(label)} after 2 of its 3 actions"
+    with pytest.raises(ValueError, match=f"^row {j}: {short}$"):
+        audit.rebuild("".join(lines[:i] + lines[i + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_complete_a_millisecond_after_the_last_action():
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    k, done = _last_of_its_ms(rows, "complete")
+    late = f"{re.escape(done.process)} completes {re.escape(done.detail)} at {done.time + 1}, not at {done.time}"
+    with pytest.raises(ValueError, match=f"^row {k + 1}: {late}$"):
+        audit.rebuild("".join(lines[:k] + [_one_ms_later(lines, k)] + lines[k + 1:]), plan)
+
+
+def test_the_auditor_refuses_a_processor_that_idles_a_millisecond_between_actions(monkeypatch):
+    """An open dispatch wakes its processor at the next millisecond. With
+    every such wake a millisecond later, each action after a dispatch's
+    first comes late; the trace's counters still agree with the metrics, so
+    only the timing rule sees it."""
+    wake = SimWorld._wake_processor
+
+    def late(self, proc, when):
+        wake(self, proc, when + 1 if proc.active is not None else when)
+
+    monkeypatch.setattr(SimWorld, "_wake_processor", late)
+    plan, channels, world = build_world()
+    trace, _ = world.run(parse_scenario(degradation_scenario()), 3000, seed=11)
+    with pytest.raises(ValueError, match=r"^row \d+: \S+ starts an action at \d+, not at \d+$"):
+        audit.rebuild(trace.to_text(), render_plan(plan, channels))
 
 
 def test_the_command_line_checks_simulate_directories(tmp_path, capsys):

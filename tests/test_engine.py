@@ -3,7 +3,6 @@
 import dataclasses
 import heapq
 import itertools
-import math
 import re
 import tracemalloc
 
@@ -50,7 +49,7 @@ PERIODIC_MODEL = ASYNC_MODEL.replace("async size 32", "periodic 100 size 16")
 
 
 def _producer_machine():
-    b = MachineBuilder("producer")
+    b = MachineBuilder()
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
     b.transition(
@@ -59,12 +58,12 @@ def _producer_machine():
     )
     b.transition("Idle", "HIGH", "Idle", actions=[Action("h")])
     b.transition("Idle", "LOW", "Idle", actions=[Action("l")])
-    b.transition("Idle", "STALL", "Idle", actions=[Action("hang", cost_ms=float("inf"))])
+    b.transition("Idle", "STALL", "Idle", actions=[Action("hang")] * 1000)
     return b.build()
 
 
 def _consumer_machine(signals=("DATA",)):
-    b = MachineBuilder("consumer")
+    b = MachineBuilder()
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
     for sig in signals:
@@ -73,6 +72,10 @@ def _consumer_machine(signals=("DATA",)):
             actions=[Action("note", lambda ctx: ctx.vars.__setitem__("seen", ctx.vars.get("seen", 0) + 1))],
         )
     return b.build()
+
+
+def _plan(model_text=ASYNC_MODEL):
+    return build_plan(parse_model(model_text), MappingPolicy(Objective.FAULT_TOLERANCE))
 
 
 def _world(model_text=ASYNC_MODEL, consumer_signals=("DATA",), config=None):
@@ -472,7 +475,7 @@ def test_mailbox_drains_by_priority_then_recall_lane_then_arrival(posts):
 
 
 def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
-    gate = MachineBuilder("gate")
+    gate = MachineBuilder()
     gate.state("Top", initial="Wait")
     gate.state("Wait", parent="Top", defer=("X",))
     gate.state("Open", parent="Top")
@@ -504,7 +507,7 @@ def test_signal_deferred_by_a_later_machine_is_deferred_then_recalled():
 
 
 def test_recall_after_a_timed_dispatch_runs_a_ms_after_its_tick():
-    gate = MachineBuilder("gate")
+    gate = MachineBuilder()
     gate.state("Top", initial="Wait")
     gate.state("Wait", parent="Top", defer=("X",))
     gate.state("Open", parent="Top")
@@ -548,21 +551,21 @@ def test_zero_cost_outcomes_take_no_time_however_many():
     assert metrics.processes["Operator#0"].discards == 300
 
 
-_COSTS = st.lists(st.sampled_from((0, 0.5, 1, 2)), min_size=1, max_size=3)
+_ACTION_COUNTS = st.integers(0, 3)
 
 
 @settings(max_examples=100, deadline=None)
-@given(first=_COSTS, second=_COSTS)
-def test_processor_rows_follow_the_action_costs(first, second):
-    """Each action starts max(1, ceil(previous cost)) ms after the one before
-    it, and the next message dispatches a ms after the last one completes,
-    or in the same tick when the dispatch cost nothing. `_spend_ms` spends
-    every millisecond of a timed dispatch, the first included."""
-    b = MachineBuilder("timed")
+@given(first=_ACTION_COUNTS, second=_ACTION_COUNTS)
+def test_processor_rows_follow_the_action_counts(first, second):
+    """Action k of a dispatch that starts at t0 runs at t0 + k and the
+    dispatch completes with its last action; the next message dispatches a
+    ms later, or in the same tick when the dispatch had no actions.
+    `_spend_ms` spends every millisecond of a dispatch, the first included."""
+    b = MachineBuilder()
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
-    for signal, costs in (("M1", first), ("M2", second)):
-        b.transition("Idle", signal, "Idle", [Action(f"a{i}", cost_ms=c) for i, c in enumerate(costs)])
+    for signal, count in (("M1", first), ("M2", second)):
+        b.transition("Idle", signal, "Idle", [Action(f"a{i}") for i in range(count)])
     model = parse_model(ASYNC_MODEL)
     plan = build_plan(model, MappingPolicy(Objective.FAULT_TOLERANCE))
     channels = assign_ipc(dependency_graph(plan, model))
@@ -578,17 +581,15 @@ def test_processor_rows_follow_the_action_costs(first, second):
     )
     expected, later_ms = [], []
     t = 100
-    for n, (signal, costs) in enumerate((("M1", first), ("M2", second)), start=1):
-        expected.append((t, "dispatch", f"W/{signal} d{n} actions {len(costs)}"))
-        if sum(costs) == 0:
+    for n, (signal, count) in enumerate((("M1", first), ("M2", second)), start=1):
+        expected.append((t, "dispatch", f"W/{signal} d{n} actions {count}"))
+        if count == 0:
             expected.append((t, "complete", f"W/{signal} d{n}"))
             continue
-        start = t
-        for i, cost in enumerate(costs):
-            expected.append((t, "action", f"W/{signal}/a{i} d{n}"))
-            t += max(1, math.ceil(cost))
-        expected.append((t - 1, "complete", f"W/{signal} d{n}"))
-        later_ms.extend(range(start, t))
+        expected.extend((t + k, "action", f"W/{signal}/a{k} d{n}") for k in range(count))
+        expected.append((t + count - 1, "complete", f"W/{signal} d{n}"))
+        later_ms.extend(range(t, t + count))
+        t += count
     rows = [
         (r.time, r.event, r.detail)
         for r in parse_rows(trace.to_text())
@@ -606,7 +607,7 @@ def test_guards_run_once_per_fired_dispatch_and_actions_see_tick_time():
         guard_calls.append(msg.signal)
         return True
 
-    b = MachineBuilder("consumer")
+    b = MachineBuilder()
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
     b.transition(
@@ -706,7 +707,7 @@ def test_a_queue_without_room_is_refused_when_the_world_is_built(capacity):
     ]
     behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
     with pytest.raises(ValueError, match=f"mq:A#0:B#0:U needs a capacity of at least 1, got {capacity}$"):
-        instantiate(world.plan, channels, behaviors)
+        instantiate(_plan(), channels, behaviors)
 
 
 def test_send_to_dead_reader_counts_sent_only():
@@ -932,7 +933,7 @@ def _boom_machine(fault):
     def bad_guard(msg, variables):
         return variables["missing"]
 
-    b = MachineBuilder("faulty")
+    b = MachineBuilder()
     b.state("Top", initial="Idle")
     b.state("Idle", parent="Top")
     b.transition("Idle", "POKE", "Idle", actions=[Action("h")])
@@ -986,7 +987,7 @@ def test_a_failing_dispatch_kills_only_its_process(fault, cause):
 
 def test_reader_fault_is_graceful_degradation():
     world, channels = _world()
-    plan = world.plan
+    plan = _plan()
     scenario = parse_scenario(
         "stimulus A#0 POKE at 10 every 100 priority 5 size 16\nfault kill B#0 at 500"
     )
@@ -1001,7 +1002,7 @@ def test_reader_fault_is_graceful_degradation():
 
 def test_killing_every_process_is_total_loss():
     world, _ = _world()
-    plan = world.plan
+    plan = _plan()
     scenario = parse_scenario(
         "stimulus A#0 POKE at 10 every 100 priority 5 size 16\n"
         "fault kill B#0 at 400\nfault kill A#0 at 600"
@@ -1016,15 +1017,14 @@ def test_loss_not_incident_to_a_fault_is_total():
     metrics = Metrics()
     metrics.links[("mq:x", "P", "Q")] = LinkStats(sent=5, delivered=3)
     metrics.faults.append((100, "R", "killed"))
-    world, _ = _world()
-    report = degradation_report(metrics, world.plan)
+    report = degradation_report(metrics, _plan())
     assert report.verdict == "total"
 
 
 def test_no_faults_no_loss_is_graceful():
     world, _ = _world()
     _, metrics = world.run(parse_scenario("stimulus A#0 POKE at 10 every 100 priority 5 size 16"), 1000)
-    report = degradation_report(metrics, world.plan)
+    report = degradation_report(metrics, _plan())
     assert report.verdict == "graceful"
     assert report.failed == () and report.lost_links == ()
 

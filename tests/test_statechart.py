@@ -30,7 +30,7 @@ def _recorder(log, name):
 
 def _nested_machine(log):
     """Top -> (CompA -> LeafA initial, CompB -> LeafB) with recorded actions."""
-    b = MachineBuilder("nested")
+    b = MachineBuilder()
     b.state("Top", initial="CompA")
     b.state("CompA", parent="Top", initial="LeafA", entry=[_recorder(log, "enterA")], exit=[_recorder(log, "exitA")])
     b.state("LeafA", parent="CompA", entry=[_recorder(log, "enterLeafA")], exit=[_recorder(log, "exitLeafA")])
@@ -106,8 +106,6 @@ def test_exit_transition_entry_order():
     assert log == ["exitLeafA", "exitA", "tGo", "enterB", "enterLeafB"]
     assert m.current == "LeafB"
     assert result.actions_run == ("exitLeafA", "exitA", "tGo", "enterB", "enterLeafB")
-    assert result.cost_ms == 5
-    assert result.action_costs == (1, 1, 1, 1, 1)
 
 
 def test_leaf_self_transition_runs_actions_only():
@@ -552,8 +550,6 @@ def _oracle_dispatch(machine, msg):
         emitted=tuple(ctx.emitted),
         actions_run=tuple(ran),
         recalled=recalled,
-        cost_ms=sum(a.cost_ms for a in plan),
-        action_costs=tuple(a.cost_ms for a in plan),
     )
 
 
@@ -563,8 +559,8 @@ _SIGNALS = ("A", "B", "C", "D")
 @st.composite
 def machine_specs(draw):
     """Plain data for a random state tree with deferrals, entry/exit actions
-    of random cost, and guarded transitions, plus a message sequence and
-    whether each message is selected before its dispatch."""
+    and guarded transitions, plus a message sequence and whether each
+    message is selected before its dispatch."""
     n = draw(st.integers(2, 8))
     parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
     children = {}
@@ -577,8 +573,6 @@ def machine_specs(draw):
             draw(st.sampled_from(children[i])) if i in children else None,
             # a deferring root would hold its signals forever
             frozenset() if parent is None else draw(st.frozensets(st.sampled_from(_SIGNALS), max_size=2)),
-            draw(st.integers(0, 3)),  # entry cost
-            draw(st.integers(0, 3)),  # exit cost
         )
         for i, parent in enumerate(parents)
     ]
@@ -629,18 +623,18 @@ def _build_from_spec(states, transitions, with_list, log):
             f"S{i}",
             None if parent is None else f"S{parent}",
             None if initial is None else f"S{initial}",
-            (Action(f"enter S{i}", step(f"enter S{i}", False), entry_cost),),
-            (Action(f"exit S{i}", step(f"exit S{i}", False), exit_cost),),
+            (Action(f"enter S{i}", step(f"enter S{i}", False)),),
+            (Action(f"exit S{i}", step(f"exit S{i}", False)),),
             frozenset(defer),
         )
-        for i, (parent, initial, defer, entry_cost, exit_cost) in enumerate(states)
+        for i, (parent, initial, defer) in enumerate(states)
     ]
     trans = [
         Transition(
             f"S{scope}",
             signal,
             f"S{target}",
-            (Action(f"t{tid}", step(f"t{tid}", fails), 2),),
+            (Action(f"t{tid}", step(f"t{tid}", fails)),),
             None if k is None else guard(k, tid),
         )
         for tid, (scope, signal, target, k, fails) in enumerate(transitions)
@@ -680,8 +674,6 @@ def test_compiled_dispatch_matches_uncompiled_reference(spec):
         if got is not None:
             assert (got.fired, got.deferred, got.recalled) == (want.fired, want.deferred, want.recalled)
             assert got.actions_run == want.actions_run
-            assert got.action_costs == want.action_costs
-            assert got.cost_ms == want.cost_ms
             assert compiled.chart.ancestors(compiled.current) == oracle.chart.ancestors(oracle.current)
 
 
@@ -835,7 +827,7 @@ def _scoped_machine(log):
 
         return fn
 
-    b = MachineBuilder("scoped")
+    b = MachineBuilder()
     b.state("Top", initial="Mid")
     b.state("Mid", parent="Top", initial="Leaf")
     b.state("Leaf", parent="Mid")
@@ -875,7 +867,6 @@ def test_unfired_dispatches_share_immutable_results():
         with pytest.raises(AttributeError):
             result.fired = True
         assert (result.emitted, result.actions_run, result.recalled) == ((), (), ())
-        assert (result.cost_ms, result.action_costs) == (0, ())
     assert len(m.deferral_buffer) == len(other.deferral_buffer) == 1
 
 
@@ -894,12 +885,12 @@ def test_quiet_firings_of_one_plan_return_one_result():
     b = MachineBuilder()
     b.state("Top", initial="A")
     b.state("A", parent="Top")
-    b.transition("A", "GO", "A", actions=[Action("tick", cost_ms=2), Action("tock", cost_ms=0.5)])
+    b.transition("A", "GO", "A", actions=[Action("tick"), Action("tock")])
     chart = b.chart()
     m, other = StateMachine(chart), StateMachine(chart)
     first, second = dispatch(m, ActorMessage("GO")), dispatch(m, ActorMessage("GO"))
     assert first is second is dispatch(other, ActorMessage("GO"))
-    assert first == DispatchResult(True, False, (), ("tick", "tock"), (), 2.5, (2, 0.5))
+    assert first == DispatchResult(True, False, (), ("tick", "tock"), ())
     with pytest.raises(AttributeError):
         first.emitted = (("UC", ActorMessage("OUT")),)
 
@@ -930,7 +921,7 @@ def test_a_firing_that_emits_or_recalls_gets_its_own_result():
     dispatch(m, ActorMessage("LATER"))
     recalling = dispatch(m, ActorMessage("LEAVE"))
     assert recalling is not left
-    assert recalling == DispatchResult(True, False, (), ("leave",), (ActorMessage("LATER"),), 1, (1,))
+    assert recalling == DispatchResult(True, False, (), ("leave",), (ActorMessage("LATER"),))
     assert left.recalled == ()
     dispatch(m, ActorMessage("BACK"))
     assert dispatch(m, ActorMessage("LEAVE")) is left
