@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import comm
-from .engine import FailoverConfig, FailoverRecord, SimWorld, instantiate
+from .engine import FailoverConfig, FailoverRecord, SimConfig, SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessPlan, build_plan
@@ -334,23 +334,28 @@ def standby_map(plan: ProcessPlan) -> dict[str, str]:
 def _failover(
     plan: ProcessPlan, channels: list[IpcChannel], cfg: comm.CommConfig
 ) -> FailoverConfig:
-    """Heartbeat scan: read the HEALTH_SOURCE segments into a HealthTable,
-    move each dead main of `standby_map` onto its standby (endpoints plus a
-    TAKEOVER message), and send the monitor's alert queue one EQUIP_STATUS
-    summary per scan whatever the alert count, so link traffic stays
-    constant across runs; a summary that finds the queue full is dropped, not
-    retried, and its `blocked` row records the drop. The scan owns every HEALTH_SOURCE channel."""
+    """Heartbeat scan: read the HEALTH_SOURCE segments, which it owns, into a
+    HealthTable; move each dead main of `standby_map` onto its standby
+    (endpoints plus a TAKEOVER message); while the first MonitorEquipment
+    owner lives, send one EQUIP_STATUS summary per scan, whatever the alert
+    count, on every channel it writes for that use case (one that finds a
+    queue full is dropped, as its `blocked` row records). A beat leaves on
+    the first transmitter sweep a period after the last, so a scan period
+    below that interval would see live writers miss: ValueError."""
     standbys = standby_map(plan)
+    monitor = next((n.id for n in plan.nodes if "MonitorEquipment" in n.owned_use_cases()), None)
     health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
     owned: list[str] = []  # every HEALTH_SOURCE channel
-    queue: IpcChannel | None = None  # the first MonitorEquipment queue, written by the monitor
+    sweep = SimConfig().transmitter_period
     for c in channels:
         if c.source == HEALTH_SOURCE:
             owned.append(c.id)
             if c.kind is ChannelKind.SHARED_SEGMENT:
                 health.append((c.id, c.writer))
-        elif c.source == "MonitorEquipment" and c.kind is ChannelKind.MESSAGE_QUEUE:
-            queue = queue or c
+                interval = -(-(c.period_ms or 0) // sweep) * sweep
+                if cfg.scan_period < interval:
+                    why = f"below the heartbeat interval {interval} of {c.id}"
+                    raise ValueError(f"scan_period {cfg.scan_period} is {why}")
     status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
     table = comm.HealthTable()
 
@@ -364,20 +369,19 @@ def _failover(
             main = alert.process
             world.trace(main, "-", "alert", alert.status.value)
             standby = standbys.get(main)
-            if (
-                alert.status is comm.HealthStatus.DEAD
-                and standby in world.processes
-                and world.processes[standby].alive
-            ):
+            live = standby is not None and world.processes[standby].alive
+            if alert.status is comm.HealthStatus.DEAD and live:
                 world.rebind_endpoints(main, standby)
                 world.post_mailbox(
                     standby, ActorMessage("TAKEOVER", main.encode(), TAKEOVER_PRIORITY)
                 )
                 world.trace(standby, "-", "takeover", f"from {main}")
                 world.metrics.failover.append(FailoverRecord(main, standby, now, now))
-        if queue and world.processes[queue.writer].alive:
+        if monitor is not None and world.processes[monitor].alive:
             body = "|".join(f"{a.process}:{a.status.value}" for a in alerts).encode()
-            world.channel_send(queue.id, ActorMessage("EQUIP_STATUS", body, status_priority))
+            summary = ActorMessage("EQUIP_STATUS", body, status_priority)
+            for cid in world.resolve_destination(world.processes[monitor], "MonitorEquipment"):
+                world.channel_send(cid, summary)
 
     return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(owned))
 

@@ -9,10 +9,11 @@ where it lays out the nodes that follow from it, and records the decision:
    order, the other views holding a reference (memory bound);
 2. an actor with multiplicity k becomes k processes `<Actor>#0..k-1`, or
    one collapsed process `<Actor>#*` when it is shared or memory is bound;
-3. an included or extending use case is inlined into every process that
-   holds one of its bases and does not already hold it, or moved into a
-   `<name>#svc` service process, which may in turn carry smaller use cases
-   it includes.
+3. an included or extending use case stays where it is when every process
+   that holds one of its bases already holds it, under either objective;
+   otherwise it is inlined into each of those processes that lacks it, or
+   moved into a `<name>#svc` service process, which may in turn carry
+   smaller use cases it includes. Bases are placed before what they include.
 
 The two policy objectives trade memory for isolation:
 
@@ -20,12 +21,13 @@ The two policy objectives trade memory for isolation:
   cases are duplicated so that no process is a single point of failure.
 * memory-bound — all instances of an actor collapse into one process,
   multi-actor use cases keep a single owning copy, and every common use
-  case moves to a dedicated shared-service process. The resulting
-  footprint must fit the declared budget.
+  case that is not already resident moves to a dedicated shared-service
+  process. The resulting footprint must fit the declared budget.
 """
 
 from __future__ import annotations
 
+import graphlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -138,28 +140,20 @@ def partition_views(model: UseCaseModel) -> list[ViewCase]:
     return [ViewCase(actor, tuple(ucs)) for actor, ucs in trigger_map(model).items()]
 
 
-def _common_use_cases_in_order(model: UseCaseModel) -> list[str]:
-    """Relation targets ordered so that every base is placed first."""
-    targets = []
-    for uc in model.use_cases:
-        if any(r.other == uc.id for r in model.relations):
-            targets.append(uc.id)
-    bases = {t: {r.base for r in model.relations if r.other == t} for t in targets}
-    ordered: list[str] = []
-    placed: set[str] = set()
-    remaining = list(targets)
-    while remaining:
-        progress = False
-        for t in list(remaining):
-            if all(b not in targets or b in placed for b in bases[t]):
-                ordered.append(t)
-                placed.add(t)
-                remaining.remove(t)
-                progress = True
-        if not progress:  # relation cycle; validate_model reports it
-            ordered.extend(remaining)
-            break
-    return ordered
+def _common_use_cases_in_order(model: UseCaseModel) -> dict[str, list[str]]:
+    """Each relation target mapped to its bases in relation order, targets
+    ordered so that a base that is itself a target comes first; in model
+    order under a relation cycle, which validate_model reports."""
+    bases: dict[str, list[str]] = {}
+    for r in model.relations:
+        bases.setdefault(r.other, []).append(r.base)
+    targets = {u.id: bases[u.id] for u in model.use_cases if u.id in bases}
+    graph = {t: [b for b in bs if b in targets] for t, bs in targets.items()}
+    order = graphlib.TopologicalSorter(graph).static_order()  # a generator: raises when read
+    try:
+        return {t: targets[t] for t in order}
+    except graphlib.CycleError:
+        return targets
 
 
 def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
@@ -214,22 +208,22 @@ def build_plan(model: UseCaseModel, policy: MappingPolicy) -> ProcessPlan:
         for u in view.use_cases:
             if u not in refs:
                 residence.setdefault(u, set()).add(i)
-    for uc_id in _common_use_cases_in_order(model):
+    for uc_id, base_ids in _common_use_cases_in_order(model).items():
         uc = model.use_case(uc_id)
-        base_ids = [r.base for r in model.relations if r.other == uc_id]
         host_ids = sorted({i for b in base_ids for i in residence.get(b, ())})
         resident = residence.setdefault(uc_id, set())
-        if not memory_bound and uc.code_size <= policy.inline_threshold and host_ids:
-            added = [i for i in host_ids if i not in resident]  # a view may hold it already
+        added = [i for i in host_ids if i not in resident]  # a view may hold it already
+        if host_ids and not added:
+            choice = "resident"
+            why = "already resident in " + ", ".join(layout[i][0] for i in host_ids)
+        elif added and not memory_bound and uc.code_size <= policy.inline_threshold:
             for i in added:
                 inlined[i].append(uc_id)
             resident.update(added)
-            where = "duplicated into" if added else "already resident in"
-            names = ", ".join(layout[i][0] for i in added or host_ids)
             choice = "inline"
             why = (
-                f"code size {uc.code_size} <= inline threshold "
-                f"{policy.inline_threshold}; {where} {names}"
+                f"code size {uc.code_size} <= inline threshold {policy.inline_threshold}; "
+                f"duplicated into {', '.join(layout[i][0] for i in added)}"
             )
         else:
             layout.append((f"{uc_id}#svc", ViewCase("", (uc_id,)), None, (), True))

@@ -11,7 +11,7 @@ simulator, so a counter that drifts from the trace shows as a difference
 checks every artifact directory written by `viewcase simulate`, prints one
 line per directory and exits 1 at the first file that differs.
 
-While it counts, `rebuild` checks eight rules of the rows themselves,
+While it counts, `rebuild` checks nine rules of the rows themselves,
 and raises ValueError naming the first row that breaks one (the command
 line prints it and exits 1):
 
@@ -44,7 +44,9 @@ line prints it and exits 1):
   progress is its latest `complete` row, or the latest message posted
   while it had no work, or 0. The period is the time of the trace's
   first `watchdog` `activate` row, since every sweep starts at one
-  period.
+  period;
+- only a dead process is taken over: a `takeover from X` row comes only
+  after a `fault` row of X.
 
 How the rows rebuild each `metrics.txt` line:
 
@@ -266,7 +268,10 @@ def rebuild(trace_text: str, plan_text: str) -> tuple[str, str]:
             running.pop(row.process, None)
             mailbox[row.process] = 0
         elif event == "takeover":
-            takeovers.append((row.detail.split()[-1], row.process, row.time))
+            main = row.detail.split()[-1]
+            if main not in failed:
+                raise ValueError(f"row {n}: {row.process} takes over from {main}, which has no fault row")
+            takeovers.append((main, row.process, row.time))
         prev = row
     if due is not None:
         raise ValueError(f"the trace ends before {due}, which has work and no progress, trips")

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import audit
 from viewcase.cli import main
+from viewcase.comm import CommConfig
 from viewcase.engine import SimConfig, SimWorld, degradation_report, instantiate, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
@@ -329,6 +331,21 @@ def test_the_auditor_refuses_a_processor_that_idles_a_millisecond_between_action
     plan, channels, world = build_world()
     trace, _ = world.run(parse_scenario(degradation_scenario()), 3000, seed=11)
     with pytest.raises(ValueError, match=r"^row \d+: \S+ starts an action at \d+, not at \d+$"):
+        audit.rebuild(trace.to_text(), render_plan(plan, channels))
+
+
+def test_the_auditor_refuses_a_takeover_of_a_live_process():
+    """A scan faster than the heartbeats, which `build_world` refuses, sees
+    both live hosts miss and takes them over; no host has a fault row."""
+    plan, channels, w0 = build_world(comm_config=CommConfig(dead_threshold=1))
+    fast = replace(w0.failover, scan_period=50)
+    world = instantiate(plan, channels, build_behaviors(plan, channels), failover=fast)
+    trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 3000)
+    assert not metrics.faults and [r.main for r in metrics.failover] == ["LocalHost#0", "LocalHost#1"]
+    row = audit.rows_of(trace, "takeover")[0]
+    n = audit.parse_rows(trace.to_text()).index(row) + 1
+    refused = f"^row {n}: StandbyCI#0 takes over from LocalHost#0, which has no fault row$"
+    with pytest.raises(ValueError, match=refused):
         audit.rebuild(trace.to_text(), render_plan(plan, channels))
 
 

@@ -287,6 +287,20 @@ def test_simulate_rejects_a_33_byte_auth_key_before_writing_a_trace(model_file, 
 
 
 @pytest.mark.parametrize("command", ["simulate", "report"])
+def test_a_scan_faster_than_the_heartbeats_is_usage_error(model_file, tmp_path, capsys, command):
+    cfg = tmp_path / "fast-scan.cfg"
+    cfg.write_text("scan_period = 50\n", encoding="utf-8")
+    out_dir = tmp_path / "fast-scan"
+    argv = [command, "--model", model_file, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "scan_period 50 is below the heartbeat interval 100 of " in captured.err
+    assert "verdict" not in captured.out and not (out_dir / "trace.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
 def test_scenario_naming_an_unknown_process_is_usage_error(model_file, tmp_path, capsys, command):
     scn = tmp_path / "ghost.scn"
     scn.write_text("fault kill PeerCI#9 at 1000\n", encoding="utf-8")

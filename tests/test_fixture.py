@@ -5,6 +5,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audit import rows_of
 from viewcase import comm, fixture, statechart
@@ -423,6 +425,38 @@ def test_health_queues_stay_with_their_writer_through_failover():
     assert metrics.failover  # the standby took over
     assert world.channels[queue].writer == "LocalHost#0"
     assert not [r for r in rows_of(trace, "rebind") if r.detail.split()[0] == queue]
+
+
+def test_build_world_refuses_a_scan_faster_than_the_heartbeats():
+    """A beat leaves on the first 50 ms transmitter sweep 100 ms after the
+    last, so a scan window under 100 ms can hold none."""
+    refused = "^scan_period 99 is below the heartbeat interval 100 of shm:Operator#0:ReportHealth$"
+    with pytest.raises(ValueError, match=refused):
+        build_world(comm_config=CommConfig(scan_period=99))
+    build_world(comm_config=CommConfig(scan_period=100))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 3))
+def test_every_scan_build_world_accepts_sees_no_alert_on_a_fault_free_run(scan_period, threshold):
+    cfg = CommConfig(scan_period=scan_period, dead_threshold=threshold)
+    try:
+        _, _, world = build_world(comm_config=cfg)
+    except ValueError:
+        assert scan_period < 100  # the fixture's heartbeat interval
+        return
+    trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 2500)
+    assert rows_of(trace, "alert") == [] and not metrics.failover
+
+
+def test_alert_summaries_reach_every_operator():
+    model = parse_model(FIXTURE_MODEL.replace("actor Operator multiplicity 1", "actor Operator multiplicity 2"))
+    _, _, world = build_world(model)
+    trace, metrics = world.run(parse_scenario(failover_scenario()), 2000)
+    queued = {r.detail for r in rows_of(trace, "send", "CommEquipment#*")}
+    for k in range(2):
+        assert f"mq:CommEquipment#*:Operator#{k}:MonitorEquipment EQUIP_STATUS queued" in queued
+        assert metrics.processes[f"Operator#{k}"].dispatches > 0
 
 
 def test_build_world_refuses_an_auth_key_longer_than_blake2s_takes():

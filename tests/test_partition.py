@@ -161,9 +161,19 @@ def test_use_case_inlined_into_a_service_stays_in_the_plan():
     assert "carries: U1 U2" in render_plan(plan)
 
 
-def test_a_use_case_a_view_already_holds_is_not_inlined_again():
-    """`A` triggers U1 and U0, which includes U1: `A#0` holds U1 once. `B`
-    triggers U0 alone, so U1 is inlined into `B#0` only."""
+@pytest.mark.parametrize(
+    "policy",
+    [
+        MappingPolicy(),
+        MappingPolicy(inline_threshold=100),
+        MappingPolicy(Objective.MEMORY_BOUND, memory_budget=10000),
+    ],
+    ids=["ft", "ft-threshold-100", "mem"],
+)
+def test_a_use_case_a_view_already_holds_is_not_inlined_again(policy):
+    """`A` triggers U1 and U0, which includes U1: `A`'s process holds U1
+    once, under either objective and at any threshold, with no service copy.
+    Under ft, where `B` triggers U0 alone, U1 is inlined into `B#0` only."""
     text = (
         "actor A multiplicity 1\n"
         'usecase U0 "u0" codesize 100\n'
@@ -172,19 +182,41 @@ def test_a_use_case_a_view_already_holds_is_not_inlined_again():
         "trigger A -> U1\n"
         "relation include U0 <- U1\n"
     )
-    plan = build_plan(parse_model(text), MappingPolicy())
+    plan = build_plan(parse_model(text), policy)
     (node,) = plan.nodes
     assert node.owned_use_cases() == ("U0", "U1")
+    assert plan.shared_service_nodes == ()
     assert plan.estimated_footprint == 300
-    doc = render_plan(plan)
-    assert "inlined: none" in doc.splitlines() and "footprint: 300" in doc.splitlines()
-    assert str(plan.decisions[-1]).endswith("; already resident in A#0")
-
-    plan = build_plan(parse_model(text + "actor B multiplicity 1\ntrigger B -> U0\n"), MappingPolicy())
+    doc = render_plan(plan).splitlines()
+    assert {"inlined: none", "footprint: 300", "service-nodes: 0"} <= set(doc)
+    assert str(plan.decisions[-1]) == f"case-3 U1: resident | already resident in {node.id}"
+    if policy != MappingPolicy():
+        return
+    # `B` triggers U0 alone, so U1 is inlined into `B#0` only
+    plan = build_plan(parse_model(text + "actor B multiplicity 1\ntrigger B -> U0\n"), policy)
     assert [n.owned_use_cases() for n in plan.nodes] == [("U0", "U1"), ("U0", "U1")]
     assert [n.inlined for n in plan.nodes] == [(), ("U1",)]
     assert plan.estimated_footprint == 600
     assert str(plan.decisions[-1]).endswith("; duplicated into B#0")
+
+
+def test_nested_includes_are_placed_in_topological_order():
+    """X includes into U, Y into X, Z into V: X and Z have no included base,
+    so both come before Y, which waits for X."""
+    plan = build_plan(
+        parse_model(
+            "actor A multiplicity 1\n"
+            "actor B multiplicity 1\n"
+            + "".join(f'usecase {u} "{u}" codesize 100\n' for u in "UVXYZ")
+            + "trigger A -> U\ntrigger B -> V\n"
+            "relation include U <- X\n"
+            "relation include X <- Y\n"
+            "relation include V <- Z\n"
+        ),
+        MappingPolicy(),
+    )
+    assert [d.subject for d in plan.decisions if d.case == 3] == ["X", "Z", "Y"]
+    assert [n.inlined for n in plan.nodes] == [("X", "Y"), ("Z",)]
 
 
 # --- memory-bound plan ---------------------------------------------------------
@@ -444,27 +476,27 @@ def _ref_place_common(model_, nodes, policy):
         uc = model_.use_case(uc_id)
         base_ids = [r.base for r in model_.relations if r.other == uc_id]
         host_ids = sorted({i for b in base_ids for i in residence.get(b, [])})
+        lacking = [i for i in host_ids if uc_id not in nodes[i].owned_use_cases()]
         inline_ok = (
             policy.objective is Objective.FAULT_TOLERANCE
             and uc.code_size <= policy.inline_threshold
             and host_ids
         )
-        if inline_ok:
-            added = []
-            for i in host_ids:
-                if uc_id not in nodes[i].owned_use_cases():
-                    nodes[i] = replace(nodes[i], inlined=nodes[i].inlined + (uc_id,))
-                    residence.setdefault(uc_id, []).append(i)
-                    added.append(i)
-            where = "duplicated into" if added else "already resident in"
-            names = ", ".join(nodes[i].id for i in added or host_ids)
+        if host_ids and not lacking:
+            names = ", ".join(nodes[i].id for i in host_ids)
+            decisions.append(PlanDecision(3, uc_id, "resident", f"already resident in {names}"))
+        elif inline_ok:
+            for i in lacking:
+                nodes[i] = replace(nodes[i], inlined=nodes[i].inlined + (uc_id,))
+                residence.setdefault(uc_id, []).append(i)
+            names = ", ".join(nodes[i].id for i in lacking)
             decisions.append(
                 PlanDecision(
                     3,
                     uc_id,
                     "inline",
                     f"code size {uc.code_size} <= inline threshold "
-                    f"{policy.inline_threshold}; {where} {names}",
+                    f"{policy.inline_threshold}; duplicated into {names}",
                 )
             )
         else:
