@@ -39,7 +39,9 @@ be negative. Stimulus payloads are seeded random bytes; the seed affects
 nothing else. Inputs are checked once, before anything runs: `instantiate`
 refuses, in this order, a channel endpoint outside the plan, a reader named
 twice, a message queue whose capacity is missing or below 1 or without
-exactly one reader, and a channel whose writer also reads it;
+exactly one reader, a channel whose writer also reads it, and a scan period
+below the heartbeat interval of a periodic segment the scan owns, its period
+rounded up to a multiple of `transmitter_period`;
 `run` (via `check_run`) refuses a horizon below 1 or a scenario naming a
 process the plan does not have.
 """
@@ -78,8 +80,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class FailoverConfig:
     """A periodic scan, run as `scan_fn(world)`, and the channels it owns:
-    receivers skip those segments and rebinding leaves every one of them
-    with its writer."""
+    receivers skip those segments, rebinding leaves every one of them with
+    its writer, and `instantiate` refuses a scan faster than their beats."""
 
     scan_period: int
     scan_fn: Callable[["SimWorld"], None]
@@ -311,8 +313,9 @@ class SimWorld:
         self.processes = processes
         self.channels: dict[str, ChannelRt] = {}
         rts, known, queue = self.channels, set(processes), ChannelKind.MESSAGE_QUEUE
+        sweep, scan = config.transmitter_period, (failover.scan_period if failover else 0)
         for c in channels:
-            cid, kind, writer, readers, _, _, _, capacity, _, _ = c
+            cid, kind, writer, readers, _, _, _, capacity, _, period = c
             if writer not in known or not known.issuperset(readers):
                 pid = next(p for p in (writer, *readers) if p not in known)
                 raise ValueError(f"channel {cid} names {pid!r}, which is not a process of the plan")
@@ -327,6 +330,10 @@ class SimWorld:
                     raise ValueError(f"message queue {cid} needs exactly one reader, got {len(readers)}")
             if writer in readers:
                 raise ValueError(f"channel {cid} names {writer!r} as its writer and as a reader")
+            if period is not None and cid in self._owned:
+                interval = -(-period // sweep) * sweep
+                if scan < interval:
+                    raise ValueError(f"scan_period {scan} is below the heartbeat interval {interval} of {cid}")
             rt = MessageQueueRt if kind is queue else SharedSegmentRt
             rts[cid] = rt(c, writer, list(readers))
         self._index_endpoints()

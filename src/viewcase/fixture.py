@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import comm
-from .engine import FailoverConfig, FailoverRecord, SimConfig, SimWorld, instantiate
+from .engine import FailoverConfig, FailoverRecord, SimWorld, instantiate
 from .ipc import ChannelKind, IpcChannel, assign_ipc, dependency_graph
 from .model import UseCaseModel, parse_model
 from .partition import MappingPolicy, ProcessPlan, build_plan
@@ -339,23 +339,13 @@ def _failover(
     (endpoints plus a TAKEOVER message); while the first MonitorEquipment
     owner lives, send one EQUIP_STATUS summary per scan, whatever the alert
     count, on every channel it writes for that use case (one that finds a
-    queue full is dropped, as its `blocked` row records). A beat leaves on
-    the first transmitter sweep a period after the last, so a scan period
-    below that interval would see live writers miss: ValueError."""
+    queue full is dropped, as its `blocked` row records). `instantiate`
+    refuses a scan period below the heartbeat interval of a segment."""
     standbys = standby_map(plan)
     monitor = next((n.id for n in plan.nodes if "MonitorEquipment" in n.owned_use_cases()), None)
-    health: list[tuple[str, str]] = []  # (segment id, writer) in channel order
-    owned: list[str] = []  # every HEALTH_SOURCE channel
-    sweep = SimConfig().transmitter_period
-    for c in channels:
-        if c.source == HEALTH_SOURCE:
-            owned.append(c.id)
-            if c.kind is ChannelKind.SHARED_SEGMENT:
-                health.append((c.id, c.writer))
-                interval = -(-(c.period_ms or 0) // sweep) * sweep
-                if cfg.scan_period < interval:
-                    why = f"below the heartbeat interval {interval} of {c.id}"
-                    raise ValueError(f"scan_period {cfg.scan_period} is {why}")
+    owned = [c for c in channels if c.source == HEALTH_SOURCE]
+    # (segment id, writer) in channel order
+    health = [(c.id, c.writer) for c in owned if c.kind is ChannelKind.SHARED_SEGMENT]
     status_priority = comm.classify_priority("status", cfg.priority_table(), cfg.default_priority)
     table = comm.HealthTable()
 
@@ -383,7 +373,7 @@ def _failover(
             for cid in world.resolve_destination(world.processes[monitor], "MonitorEquipment"):
                 world.channel_send(cid, summary)
 
-    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(owned))
+    return FailoverConfig(scan_period=cfg.scan_period, scan_fn=scan, owned=frozenset(c.id for c in owned))
 
 
 def build_world(

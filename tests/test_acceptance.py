@@ -310,7 +310,8 @@ def test_acceptance_8_standby_failover(capsys):
     machine = standby.machines["TakeOver"]
     records = {r.main: r for r in metrics.failover}
     takeover_rows = rows_of(trace, "takeover", "StandbyCI#0")
-    deadline_ok = bool(records) and all(r.active_at <= 1400 for r in records.values())
+    limit = 1000 + (3 + 1) * 100  # the kill, plus the bound (dead_threshold + 1) x scan_period
+    deadline_ok = bool(records) and all(r.active_at <= limit for r in records.values())
     ok = (
         set(records) == {"LocalHost#0", "LocalHost#1"}
         and deadline_ok
@@ -322,7 +323,7 @@ def test_acceptance_8_standby_failover(capsys):
     _report(
         capsys, 8, ok,
         f"standby replaces both hosts killed at t=1000 by t={active_at} "
-        "(limit 1400 = one miss to flag late plus three to declare dead)",
+        f"(limit {limit} = the kill plus (dead_threshold 3 + 1) x scan_period 100)",
     )
 
 

@@ -2,7 +2,6 @@
 
 import ast
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,12 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import audit
+from test_fixture import world_under
 from viewcase.cli import main
-from viewcase.comm import CommConfig
-from viewcase.engine import SimConfig, SimWorld, degradation_report, instantiate, parse_scenario
+from viewcase.engine import SimConfig, SimWorld, degradation_report, parse_scenario
 from viewcase.fixture import (
     FIXTURE_MODEL,
-    build_behaviors,
     build_world,
     degradation_scenario,
     failover_scenario,
@@ -37,11 +35,6 @@ def _audited(plan, channels, world, scenario, horizon, seed=0):
     return metrics
 
 
-def _world_under(config):
-    plan, channels, w0 = build_world()
-    return plan, channels, instantiate(plan, channels, build_behaviors(plan, channels), config, w0.failover)
-
-
 # The runs whose artifacts tests/test_fixture.py pins by digest.
 _PINNED_RUNS = {
     "degradation": (build_world, degradation_scenario(), 3000, 11),
@@ -50,12 +43,12 @@ _PINNED_RUNS = {
         lambda: build_world(scale_peers(parse_model(FIXTURE_MODEL), 50)),
         degradation_scenario(peers=50), 3000, 11,
     ),
-    "failover, odd periods": (lambda: _world_under(SimConfig(7, 13, 29)), failover_scenario(), 4000, 5),
+    "failover, odd periods": (lambda: world_under(SimConfig(7, 13, 29)), failover_scenario(), 4000, 5),
     "500 idle peers": (lambda: build_world(scale_peers(parse_model(FIXTURE_MODEL), 500)), "", 300, 0),
     "shared receiver and watchdog sweep": (
-        lambda: _world_under(SimConfig(1, 50, 1)), degradation_scenario(kill=None), 2000, 0,
+        lambda: world_under(SimConfig(1, 50, 1)), degradation_scenario(kill=None), 2000, 0,
     ),
-    "failover, one sweep": (lambda: _world_under(SimConfig(50, 50, 50)), failover_scenario(), 4000, 0),
+    "failover, one sweep": (lambda: world_under(SimConfig(50, 50, 50)), failover_scenario(), 4000, 0),
 }
 
 
@@ -335,18 +328,16 @@ def test_the_auditor_refuses_a_processor_that_idles_a_millisecond_between_action
 
 
 def test_the_auditor_refuses_a_takeover_of_a_live_process():
-    """A scan faster than the heartbeats, which `build_world` refuses, sees
-    both live hosts miss and takes them over; no host has a fault row."""
-    plan, channels, w0 = build_world(comm_config=CommConfig(dead_threshold=1))
-    fast = replace(w0.failover, scan_period=50)
-    world = instantiate(plan, channels, build_behaviors(plan, channels), failover=fast)
-    trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 3000)
-    assert not metrics.faults and [r.main for r in metrics.failover] == ["LocalHost#0", "LocalHost#1"]
-    row = audit.rows_of(trace, "takeover")[0]
-    n = audit.parse_rows(trace.to_text()).index(row) + 1
+    """Without their `fault` rows, both hosts live when the standby takes
+    them over."""
+    lines, plan = _failover_trace_lines()
+    rows = audit.parse_rows("".join(lines))
+    faults = [k for k, r in enumerate(rows) if r.event == "fault"]
+    assert [rows[k].process for k in faults] == ["LocalHost#0", "LocalHost#1"]
+    n = next(k for k, r in enumerate(rows) if r.event == "takeover") + 1 - len(faults)
     refused = f"^row {n}: StandbyCI#0 takes over from LocalHost#0, which has no fault row$"
     with pytest.raises(ValueError, match=refused):
-        audit.rebuild(trace.to_text(), render_plan(plan, channels))
+        audit.rebuild("".join(line for k, line in enumerate(lines) if k not in faults), plan)
 
 
 def test_the_command_line_checks_simulate_directories(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audit import Row, parse_rows, rows_of
+from test_fixture import world_under
 from viewcase.engine import (
     FailoverConfig,
     FailoverRecord,
@@ -274,8 +275,7 @@ def test_events_run_in_time_then_scheduling_order(failover, victim, kill_at, per
     """Each event records (time, n) as it runs, n counting `_schedule` calls:
     times never go back, and events due at one time run in the order they
     were scheduled, including those scheduled while that time runs."""
-    plan, channels, w0 = build_world()
-    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(*periods), w0.failover)
+    _, _, world = world_under(SimConfig(*periods))
     ran: list[tuple[int, int]] = []
     calls = itertools.count()
     schedule = world._schedule
@@ -346,8 +346,7 @@ def test_sweeps_match_per_process_activations(failover, victim, kill_at, periods
     )
     artifacts = []
     for per_process in (False, True):
-        plan, channels, w0 = build_world()
-        world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(*periods), w0.failover)
+        _, _, world = world_under(SimConfig(*periods))
         if per_process:
             _per_process_activations(world)
         trace, metrics = world.run(parse_scenario(text), horizon, seed=seed)
@@ -358,8 +357,7 @@ def test_sweeps_match_per_process_activations(failover, victim, kill_at, periods
 def test_a_trip_inside_a_shared_sweep_stops_only_the_tripped_process():
     """Receiver and watchdog share a 1 ms sweep: the tripped process is
     skipped from its trip on, the processes after it still activate then."""
-    plan, channels, w0 = build_world()
-    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(1, 50, 1), w0.failover)
+    _, _, world = world_under(SimConfig(1, 50, 1))
     trace, _ = world.run(parse_scenario(degradation_scenario(kill=None)), 200)
     first = rows_of(trace, "trip")[0]
     assert (first.time, first.process) == (158, "LocalHost#1")
@@ -846,6 +844,30 @@ def test_a_channel_its_writer_reads_is_refused_when_the_world_is_built(kind):
     refusal = "^channel x:A#0 names 'A#0' as its writer and as a reader$"
     with pytest.raises(ValueError, match=refusal):
         _hand_built(("A#0",), kind)()
+
+
+@pytest.mark.parametrize("sweep, interval", [(1, 100), (50, 100), (70, 140), (101, 101), (250, 250)])
+def test_a_scan_faster_than_an_owned_segment_beats_is_refused_when_the_world_is_built(sweep, interval):
+    """A beat leaves on the first transmitter sweep a period after the last,
+    so an owned 100 ms segment beats every 100 ms rounded up to a multiple of
+    the sweep; the periodic segment the scan does not own is not checked."""
+    plan = build_plan(parse_model(ASYNC_MODEL), MappingPolicy(Objective.FAULT_TOLERANCE))
+    segment = dict(kind=ChannelKind.SHARED_SEGMENT, writer="A#0", readers=("B#0",), source="U", message_size=8)
+    channels = [
+        IpcChannel("shm:A#0:U", klass=FlowClass.PERIODIC, period_ms=1000, **segment),
+        IpcChannel("shm:A#0:U:health", klass=FlowClass.PERIODIC, period_ms=100, **segment),
+    ]
+    behaviors = {"A#0": {"U": _producer_machine()}, "B#0": {"V": _consumer_machine()}}
+
+    def build(scan_period):
+        owned = frozenset({"shm:A#0:U:health"})
+        failover = FailoverConfig(scan_period=scan_period, scan_fn=lambda world: None, owned=owned)
+        return instantiate(plan, channels, behaviors, SimConfig(transmitter_period=sweep), failover)
+
+    refused = f"^scan_period {interval - 1} is below the heartbeat interval {interval} of shm:A#0:U:health$"
+    with pytest.raises(ValueError, match=refused):
+        build(interval - 1)
+    assert build(interval).failover.scan_period == interval
 
 
 def test_an_unknown_endpoint_is_reported_before_a_repeated_reader():

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audit import rows_of
@@ -427,6 +427,22 @@ def test_health_queues_stay_with_their_writer_through_failover():
     assert not [r for r in rows_of(trace, "rebind") if r.detail.split()[0] == queue]
 
 
+def heartbeat_interval(config):
+    """How often a fixture process beats under `config`: a beat leaves on the
+    first transmitter sweep at least the 100 ms segment period after the last."""
+    sweep = config.transmitter_period
+    return -(-100 // sweep) * sweep
+
+
+def world_under(config, **comm_config):
+    """The fixture world re-wired under `config` by `instantiate`, which
+    checks the scan; the scan period defaults to the smallest it accepts.
+    Keywords are `CommConfig` fields."""
+    comm_config.setdefault("scan_period", heartbeat_interval(config))
+    plan, channels, w0 = build_world(comm_config=CommConfig(**comm_config))
+    return plan, channels, instantiate(plan, channels, build_behaviors(plan, channels), config, w0.failover)
+
+
 def test_build_world_refuses_a_scan_faster_than_the_heartbeats():
     """A beat leaves on the first 50 ms transmitter sweep 100 ms after the
     last, so a scan window under 100 ms can hold none."""
@@ -436,17 +452,57 @@ def test_build_world_refuses_a_scan_faster_than_the_heartbeats():
     build_world(comm_config=CommConfig(scan_period=100))
 
 
+def test_instantiate_refuses_a_scan_faster_than_the_heartbeats_under_its_periods():
+    """Under a 70 ms transmitter sweep the 100 ms segments beat every 140 ms,
+    so re-wiring the fixture world under it refuses the 100 ms scan."""
+    plan, channels, w0 = build_world()
+    refused = "^scan_period 100 is below the heartbeat interval 140 of shm:Operator#0:ReportHealth$"
+    with pytest.raises(ValueError, match=refused):
+        instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(50, 70, 100), w0.failover)
+    _, _, world = world_under(SimConfig(50, 70, 100))
+    assert world.failover.scan_period == 140
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 600), st.integers(1, 3))
-def test_every_scan_build_world_accepts_sees_no_alert_on_a_fault_free_run(scan_period, threshold):
-    cfg = CommConfig(scan_period=scan_period, dead_threshold=threshold)
+@given(st.integers(1, 600), st.integers(1, 3), st.integers(1, 60))
+@example(100, 3, 13)  # beats every 104 ms
+def test_every_scan_build_world_accepts_sees_no_alert_on_a_fault_free_run(scan_period, threshold, sweep):
+    """Re-wired under a drawn transmitter period: a scan below the heartbeat
+    interval is refused, and every other one sees no alert."""
+    config = SimConfig(transmitter_period=sweep)
     try:
-        _, _, world = build_world(comm_config=cfg)
+        _, _, world = world_under(config, scan_period=scan_period, dead_threshold=threshold)
     except ValueError:
-        assert scan_period < 100  # the fixture's heartbeat interval
+        assert scan_period < heartbeat_interval(config)
         return
     trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 2500)
     assert rows_of(trace, "alert") == [] and not metrics.failover
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sweep=st.integers(1, 60),
+    slack=st.integers(0, 200),
+    threshold=st.integers(1, 3),
+    kill_at=st.integers(1, 2000),
+)
+def test_the_scan_finds_both_hosts_dead_within_the_detection_bound(sweep, slack, threshold, kill_at):
+    """With a scan period at or above the heartbeat interval, T_D, from a
+    host's `fault` row to its `dead` alert, is at most (dead_threshold + 1) x
+    scan_period, and no alert names a live process. A kill at t = 0 is the
+    one exception: the host never beats, and the first scan runs at
+    scan_period + 1, so T_D is the bound plus 1."""
+    config = SimConfig(transmitter_period=sweep)
+    scan_period = heartbeat_interval(config) + slack
+    _, _, world = world_under(config, scan_period=scan_period, dead_threshold=threshold)
+    bound = (threshold + 1) * scan_period
+    trace, _ = world.run(parse_scenario(failover_scenario(kill_at=kill_at)), kill_at + bound)
+    killed = {r.process: r.time for r in rows_of(trace, "fault")}
+    alerts = rows_of(trace, "alert")
+    assert all(r.process in killed and killed[r.process] <= r.time for r in alerts)
+    dead = {r.process: r.time for r in alerts if r.detail == "dead"}
+    for host in ("LocalHost#0", "LocalHost#1"):
+        assert dead[host] - killed[host] <= bound
 
 
 def test_alert_summaries_reach_every_operator():
@@ -640,10 +696,11 @@ def test_50_peer_artifacts_match_pinned_digests(model):
 # Two runs recorded before events were kept in a calendar keyed by time:
 # failover under odd thread periods, whose activations collide with scans,
 # stimuli and ticks at many times, and 500 idle peers, whose 1,515 periodic
-# activations share a few times.
+# activations share a few times. The odd-periods run scans every 104 ms,
+# its heartbeat interval.
 _PINNED_FAILOVER_ODD_PERIODS = {
-    "trace.tsv": "5af56449d1a01e5bb7d0b97897d45d228f93cf9d3c3550629d46b489cb53152c",
-    "metrics.txt": "f161ce2940487775e3d08a5a07946381bc43a4f144bdf464145f7216dc057cc7",
+    "trace.tsv": "b659bacd465b55102ece5f531119c9f23ed7d4e8477fc35db72fb0eff3e293c3",
+    "metrics.txt": "51980b764f1c1214afc9435c067d2cd66afc864477f2b9f7473c5b4de3db08fa",
 }
 _PINNED_500_PEERS_IDLE = {
     "trace.tsv": "5d71e596545e634a6b120b83a1aa37436d15a75c73cf8ea6c6a0a2682959951d",
@@ -657,10 +714,12 @@ def _digests(trace, metrics) -> dict[str, str]:
 
 
 def test_failover_artifacts_under_odd_periods_match_pinned_digests():
-    plan, channels, w0 = build_world()
-    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(7, 13, 29), w0.failover)
+    """A 13 ms transmitter sweep beats every 104 ms, so the scan runs every 104."""
+    _, _, world = world_under(SimConfig(7, 13, 29))
     trace, metrics = world.run(parse_scenario(failover_scenario()), 4000, seed=5)
-    assert len(trace.rows) == 31741
+    assert {r.process for r in rows_of(trace, "alert")} == {"LocalHost#0", "LocalHost#1"}
+    assert [f.active_at for f in metrics.failover] == [1353, 1353]
+    assert len(trace.rows) == 31677
     assert _digests(trace, metrics) == _PINNED_FAILOVER_ODD_PERIODS
 
 
@@ -686,8 +745,7 @@ _PINNED_FAILOVER_ONE_PERIOD = {
 
 
 def test_degradation_under_a_shared_receiver_and_watchdog_sweep_matches_pinned_digests():
-    plan, channels, w0 = build_world()
-    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(1, 50, 1), w0.failover)
+    _, _, world = world_under(SimConfig(1, 50, 1))
     trace, metrics = world.run(parse_scenario(degradation_scenario(kill=None)), 2000, seed=0)
     assert (158, "LocalHost#1", "watchdog") == metrics.faults[0]
     assert len(trace.rows) == 41689
@@ -695,8 +753,7 @@ def test_degradation_under_a_shared_receiver_and_watchdog_sweep_matches_pinned_d
 
 
 def test_failover_under_one_sweep_for_all_threads_matches_pinned_digests():
-    plan, channels, w0 = build_world()
-    world = instantiate(plan, channels, build_behaviors(plan, channels), SimConfig(50, 50, 50), w0.failover)
+    _, _, world = world_under(SimConfig(50, 50, 50))
     trace, metrics = world.run(parse_scenario(failover_scenario()), 4000, seed=0)
     assert [(f.main, f.standby) for f in metrics.failover] == [
         ("LocalHost#0", "StandbyCI#0"), ("LocalHost#1", "StandbyCI#0"),
